@@ -165,34 +165,8 @@ const std::map<std::string, Setter>& setters() {
        set_int([](ExperimentOptions& o) -> bool& { return o.telemetry.chrome_trace; })},
       {"telemetry.snapshot_interval_ns",
        set_int([](ExperimentOptions& o) -> SimTime& { return o.telemetry.snapshot_interval; })},
-      {"farm.enabled",
-       set_int([](ExperimentOptions& o) -> bool& { return o.farm.enabled; })},
-      {"farm.workers",
-       set_int([](ExperimentOptions& o) -> int& { return o.farm.workers; })},
-      {"farm.timeout_ms",
-       set_int([](ExperimentOptions& o) -> std::int64_t& { return o.farm.timeout_ms; })},
-      {"farm.retries",
-       set_int([](ExperimentOptions& o) -> int& { return o.farm.retries; })},
-      {"farm.backoff_ms",
-       set_int([](ExperimentOptions& o) -> std::int64_t& { return o.farm.backoff_ms; })},
-      {"farm.backoff_factor",
-       set_double([](ExperimentOptions& o) -> double& { return o.farm.backoff_factor; })},
-      {"farm.jitter",
-       set_double([](ExperimentOptions& o) -> double& { return o.farm.jitter; })},
-      {"farm.chaos_kill_rate",
-       set_double([](ExperimentOptions& o) -> double& { return o.farm.chaos_kill_rate; })},
-      {"farm.chaos_stop_rate",
-       set_double([](ExperimentOptions& o) -> double& { return o.farm.chaos_stop_rate; })},
-      {"farm.chaos_delay_ms",
-       set_int([](ExperimentOptions& o) -> std::int64_t& { return o.farm.chaos_delay_ms; })},
-      {"farm.chaos_max_injections",
-       set_int([](ExperimentOptions& o) -> std::int64_t& { return o.farm.chaos_max_injections; })},
-      {"farm.chaos_seed",
-       set_int([](ExperimentOptions& o) -> std::uint64_t& { return o.farm.chaos_seed; })},
       {"prof.enabled",
        set_int([](ExperimentOptions& o) -> bool& { return o.prof.enabled; })},
-      {"prof.heartbeat_period_ms",
-       set_int([](ExperimentOptions& o) -> std::int64_t& { return o.prof.heartbeat_period_ms; })},
       {"prof.hist_bucket_bits",
        set_int([](ExperimentOptions& o) -> int& { return o.prof.hist_bucket_bits; })},
       {"checkpoint.interval_ns",
@@ -252,7 +226,6 @@ ExperimentOptions parse_config(std::istream& is, ExperimentOptions defaults) {
   options.topo.validate();
   options.net.validate();
   options.telemetry.validate();
-  options.farm.validate();
   options.prof.validate();
   return options;
 }
@@ -299,22 +272,8 @@ std::string render_config(const ExperimentOptions& o) {
   os << "out_dir = " << o.telemetry.out_dir << "\n";
   os << "chrome_trace = " << (o.telemetry.chrome_trace ? 1 : 0) << "\n";
   os << "snapshot_interval_ns = " << o.telemetry.snapshot_interval << "\n";
-  os << "\n[farm]\n";
-  os << "enabled = " << (o.farm.enabled ? 1 : 0) << "\n";
-  os << "workers = " << o.farm.workers << "\n";
-  os << "timeout_ms = " << o.farm.timeout_ms << "\n";
-  os << "retries = " << o.farm.retries << "\n";
-  os << "backoff_ms = " << o.farm.backoff_ms << "\n";
-  os << "backoff_factor = " << o.farm.backoff_factor << "\n";
-  os << "jitter = " << o.farm.jitter << "\n";
-  os << "chaos_kill_rate = " << o.farm.chaos_kill_rate << "\n";
-  os << "chaos_stop_rate = " << o.farm.chaos_stop_rate << "\n";
-  os << "chaos_delay_ms = " << o.farm.chaos_delay_ms << "\n";
-  os << "chaos_max_injections = " << o.farm.chaos_max_injections << "\n";
-  os << "chaos_seed = " << o.farm.chaos_seed << "\n";
   os << "\n[prof]\n";
   os << "enabled = " << (o.prof.enabled ? 1 : 0) << "\n";
-  os << "heartbeat_period_ms = " << o.prof.heartbeat_period_ms << "\n";
   os << "hist_bucket_bits = " << o.prof.hist_bucket_bits << "\n";
   os << "\n[checkpoint]\n";
   os << "interval_ns = " << o.checkpoint.interval << "\n";

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "ckpt/checkpoint.hpp"
-#include "prof/heartbeat.hpp"
 #include "prof/report.hpp"
 #include "replay/replay.hpp"
 #include "sim/engine.hpp"
@@ -152,22 +151,6 @@ ExperimentResult run_experiment(const Workload& workload, const ExperimentConfig
     replay.start();
   }
 
-  // Farm liveness: periodic status.json heartbeats, refreshed at checkpoint
-  // slice boundaries (run_slice returns are provably non-perturbing, so a
-  // heartbeat can never change the simulation). Disabled outside the farm.
-  prof::HeartbeatWriter heartbeat(options.prof.enabled ? options.prof.status_path : "",
-                                  options.prof.heartbeat_period_ms);
-  std::int64_t slices = 0;
-  const auto beat = [&](const char* state, bool force) {
-    if (!heartbeat.enabled()) return;
-    prof::HeartbeatInfo info;
-    info.config = config.name();
-    info.state = state;
-    info.sim_ns = engine.now();
-    info.events = static_cast<std::int64_t>(engine.events_processed());
-    info.slices = slices;
-    heartbeat.beat(info, force);
-  };
   const auto throughput_sample = [&] {
     if (prof_ptr != nullptr)
       prof_ptr->throughput().sample(engine.now(), engine.events_processed(),
@@ -179,7 +162,6 @@ ExperimentResult run_experiment(const Workload& workload, const ExperimentConfig
     prof_ptr->throughput().start(engine.now(), engine.events_processed(),
                                  network.chunks_forwarded());
   }
-  beat("starting", true);
 
   bool stopped_at_checkpoint = false;
   if (options.checkpoint.active()) {
@@ -200,14 +182,7 @@ ExperimentResult run_experiment(const Workload& workload, const ExperimentConfig
                                    engine.global_lane());
         ckpt::save_checkpoint(ck.path, parts);
       }
-      heartbeat.note_checkpoint();
-      ++slices;
-      beat("running", false);
-      // Graceful shutdown (SIGINT/SIGTERM via farm/signals) parks the run at
-      // the snapshot just written, exactly like the stop_after test hook.
-      const bool stop_signaled =
-          ck.stop_flag && ck.stop_flag->load(std::memory_order_relaxed);
-      if (stop_signaled || (ck.stop_after > 0 && engine.now() >= ck.stop_after)) {
+      if (ck.stop_after > 0 && engine.now() >= ck.stop_after) {
         stopped_at_checkpoint = true;
         break;
       }
@@ -263,7 +238,6 @@ ExperimentResult run_experiment(const Workload& workload, const ExperimentConfig
         (std::filesystem::path(options.telemetry.out_dir) / result.config / "prof.json").string();
     prof::write_prof_json(path, *profiler, result.config);
   }
-  beat(stopped_at_checkpoint ? "interrupted" : "done", true);
   return result;
 }
 

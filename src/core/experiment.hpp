@@ -4,12 +4,10 @@
 // yields RunMetrics.
 #pragma once
 
-#include <atomic>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "farm/options.hpp"
 #include "fault/fault.hpp"
 #include "fault/health.hpp"
 #include "metrics/collector.hpp"
@@ -55,12 +53,6 @@ struct CheckpointOptions {
   /// taken at or past this time (0 = never). The result then carries
   /// stopped_at_checkpoint instead of tripping the deadlock check.
   SimTime stop_after = 0;
-  /// Cooperative graceful-shutdown hook (src/farm/signals.hpp): polled at
-  /// every checkpoint slice boundary. When the pointee becomes true the run
-  /// flushes one final snapshot and returns with stopped_at_checkpoint — a
-  /// SIGINT/SIGTERMed sweep always resumes instead of recomputing. Runtime
-  /// wiring only; not a config key and never serialized.
-  const std::atomic<bool>* stop_flag = nullptr;
 
   bool active() const { return interval > 0 && !path.empty(); }
 };
@@ -88,10 +80,9 @@ struct ExperimentOptions {
   HealthOptions health;     ///< progress/conservation monitor settings
   TelemetryOptions telemetry;  ///< flight-recorder tracing + run artifacts
   CheckpointOptions checkpoint;  ///< periodic snapshots + resume (src/ckpt/)
-  FarmOptions farm;  ///< process-isolated sweep farm policy (src/farm/)
   /// [prof] wall-clock self-profiling (src/prof/, DESIGN.md §11): subsystem
-  /// attribution + lane phases into prof.json, periodic status.json
-  /// heartbeats. Never perturbs the simulation or its other artifacts.
+  /// attribution + lane phases into prof.json. Never perturbs the simulation
+  /// or its other artifacts.
   prof::ProfOptions prof;
 };
 

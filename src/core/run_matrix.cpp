@@ -4,40 +4,47 @@
 #include <exception>
 #include <filesystem>
 #include <mutex>
-#include <stdexcept>
 #include <thread>
 
-#include "farm/supervisor.hpp"
-#include "farm/worker.hpp"
+#include "ckpt/checkpoint.hpp"
 
 namespace dfly {
+namespace {
+
+namespace fs = std::filesystem;
+
+/// One config of a checkpointed sweep: a .done marker short-circuits to the
+/// stored result (with resume set), a .ckpt resumes mid-run, and completion
+/// writes the .done marker and retires the superseded .ckpt.
+ExperimentResult run_sweep_config(const Workload& workload, const ExperimentConfig& config,
+                                  const ExperimentOptions& sweep_options,
+                                  const DragonflyTopology& topo) {
+  const fs::path dir(sweep_options.checkpoint.path);
+  const std::string name = config.name();
+  const std::string ckpt_path = (dir / (name + ".ckpt")).string();
+  const std::string done_path = (dir / (name + ".done")).string();
+  if (sweep_options.checkpoint.resume && fs::exists(done_path))
+    return ckpt::load_result(done_path);
+  ExperimentOptions per_config = sweep_options;
+  per_config.checkpoint.path = ckpt_path;
+  ExperimentResult result = run_experiment(workload, config, per_config, &topo);
+  if (!result.stopped_at_checkpoint) {
+    ckpt::save_result(done_path, result);
+    std::error_code ec;
+    fs::remove(ckpt_path, ec);  // the marker supersedes the snapshot
+  }
+  return result;
+}
+
+}  // namespace
 
 std::vector<ExperimentResult> run_matrix(const Workload& workload,
                                          const std::vector<ExperimentConfig>& configs,
                                          const ExperimentOptions& options, int threads) {
-  // Farm mode: process isolation, watchdogs, retry/backoff and quarantine
-  // (src/farm/). run_matrix keeps its all-or-nothing contract on top of the
-  // farm's graceful degradation: a quarantined or interrupted config throws
-  // here; callers wanting partial results call farm::run_farm directly.
-  if (options.farm.enabled) {
-    const farm::FarmReport report = farm::run_farm(workload, configs, options);
-    std::vector<ExperimentResult> results;
-    results.reserve(report.outcomes.size());
-    for (const farm::ConfigOutcome& o : report.outcomes) {
-      if (!o.completed)
-        throw std::runtime_error("run_matrix: farm did not complete config " + o.config + " (" +
-                                 std::string(farm::to_string(o.final_outcome)) +
-                                 (o.error.empty() ? "" : ": " + o.error) + ")");
-      results.push_back(o.result);
-    }
-    return results;
-  }
-
   if (threads <= 0) threads = static_cast<int>(std::thread::hardware_concurrency());
   if (threads < 1) threads = 1;
   threads = std::min<int>(threads, static_cast<int>(configs.size()));
 
-  namespace fs = std::filesystem;
   const bool checkpointing = options.checkpoint.active();
   if (checkpointing) fs::create_directories(options.checkpoint.path);
 
@@ -49,18 +56,11 @@ std::vector<ExperimentResult> run_matrix(const Workload& workload,
 
   auto worker = [&] {
     for (;;) {
-      // Graceful shutdown: once the stop flag is raised, in-flight configs
-      // park at their next snapshot (run_experiment handles that) and no new
-      // ones are claimed — the sweep resumes from the .ckpt/.done markers.
-      if (checkpointing && options.checkpoint.stop_flag &&
-          options.checkpoint.stop_flag->load(std::memory_order_relaxed))
-        return;
       const std::size_t i = next.fetch_add(1);
       if (i >= configs.size()) return;
       try {
-        results[i] = checkpointing
-                         ? farm::run_sweep_config(workload, configs[i], options, &topo)
-                         : run_experiment(workload, configs[i], options, &topo);
+        results[i] = checkpointing ? run_sweep_config(workload, configs[i], options, topo)
+                                   : run_experiment(workload, configs[i], options, &topo);
       } catch (...) {
         const std::lock_guard<std::mutex> lock(error_mutex);
         if (!error) error = std::current_exception();

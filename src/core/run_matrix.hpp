@@ -20,16 +20,7 @@ namespace dfly {
 /// <dir>/<config>.done result marker on completion. With checkpoint.resume
 /// set, configs with a .done marker are loaded from it and skipped, and
 /// configs with a .ckpt resume mid-run — so an interrupted sweep picks up
-/// where it left off. With options.checkpoint.stop_flag wired to the
-/// farm/signals shutdown flag, a SIGINT/SIGTERM parks every in-flight config
-/// at its next snapshot instead of discarding work.
-///
-/// With options.farm.enabled, execution is delegated to the crash-isolated
-/// process farm (src/farm/supervisor.hpp): per-config worker processes,
-/// wall-clock watchdogs, retry with backoff, quarantine. `threads` is ignored
-/// there (options.farm.workers governs); a config the farm could not complete
-/// makes this wrapper throw — call farm::run_farm directly for graceful
-/// partial results.
+/// where it left off.
 std::vector<ExperimentResult> run_matrix(const Workload& workload,
                                          const std::vector<ExperimentConfig>& configs,
                                          const ExperimentOptions& options, int threads = 0);

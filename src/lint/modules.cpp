@@ -14,9 +14,7 @@ bool is_artifact_module(const std::string& module) {
          module == "metrics" || module == "ckpt";
 }
 
-bool is_wallclock_module(const std::string& module) {
-  return module == "prof" || module == "farm";
-}
+bool is_wallclock_module(const std::string& module) { return module == "prof"; }
 
 std::vector<std::string> quoted_includes(const std::vector<Token>& tokens) {
   std::vector<std::string> out;

@@ -2,7 +2,7 @@
 // to, and which files can feed bytes into run artifacts.
 //
 // Rules R1/R3/R5 (DESIGN.md section 12) are scoped by module: wall-clock
-// reads are legal in prof/ and farm/ but nowhere else, unordered-container
+// reads are legal in prof/ but nowhere else, unordered-container
 // iteration is illegal anywhere that can influence metrics.json /
 // counters.jsonl / snapshots. Path prefixes alone under-approximate that
 // set — workload/background.hpp is not in an artifact directory, yet the
@@ -38,9 +38,9 @@ std::string module_of(const std::string& rel);
 /// counters.jsonl, heatmap.csv, trace.json, snapshots).
 bool is_artifact_module(const std::string& module);
 
-/// Modules with a legitimate need for wall-clock time: the profiler measures
-/// it and the farm supervises real processes with it. Neither may leak it
-/// into simulation state (that is what the differential artifact tests pin).
+/// Modules with a legitimate need for wall-clock time: only the profiler,
+/// which measures it. It may not leak it into simulation state (that is what
+/// the differential artifact tests pin).
 bool is_wallclock_module(const std::string& module);
 
 /// Parses `#include "..."` targets out of a token stream (Pp tokens).

@@ -242,7 +242,7 @@ void rule_wall_clock(const FileCtx& ctx, std::vector<Finding>& out) {
     if (always.count(t.text)) {
       out.push_back({kWallClock, t.line,
                      t.text + " reads wall-clock time; simulation state must depend only on "
-                             "sim-time and seeds (allowed modules: prof/, farm/)"});
+                             "sim-time and seeds (allowed module: prof/)"});
     } else if (call_only.count(t.text) && next_is(ctx, i, "(") && !prev_is_member_access(ctx, i)) {
       out.push_back({kWallClock, t.line,
                      t.text + "() reads wall-clock time; use the engine's sim-time clock"});

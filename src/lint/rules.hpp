@@ -1,7 +1,7 @@
 // The determinism ruleset (DESIGN.md section 12) evaluated over lexed files.
 //
 // Rule ids and what they guard:
-//   wall-clock     (R1) no wall/monotonic clock reads outside prof/ and farm/
+//   wall-clock     (R1) no wall/monotonic clock reads outside prof/
 //   raw-rng        (R2) no C rand()/std:: engines — all randomness via Rng
 //   unordered-iter (R3) no iteration over unordered containers in code that
 //                       can feed run artifacts (order leaks into bytes)

@@ -74,8 +74,7 @@ class CounterRegistry {
 
 /// Serializes one snapshot as a single compact JSON object line ("time_ns"
 /// first, then every metric by name) followed by a newline — the line format
-/// of counters.jsonl, shared by the telemetry exporter and the sweep farm's
-/// farm_stats.json so every counter artifact parses the same way.
+/// of counters.jsonl.
 void write_snapshot_jsonl(std::ostream& os, const CounterSnapshot& snap);
 
 /// Periodic snapshot probe: samples `registry` every `interval` once started.

@@ -131,10 +131,4 @@ JsonWriter& JsonWriter::null_value() {
   return *this;
 }
 
-JsonWriter& JsonWriter::raw_value(const std::string& json) {
-  before_value();
-  os_ << json;
-  return *this;
-}
-
 }  // namespace dfly::obs

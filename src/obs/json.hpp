@@ -42,10 +42,6 @@ class JsonWriter {
   JsonWriter& value(unsigned v) { return value(static_cast<std::uint64_t>(v)); }
   JsonWriter& value(bool v);
   JsonWriter& null_value();
-  /// Splices `json` verbatim as the next value — no escaping, no validation.
-  /// For embedding an already-rendered document (e.g. a worker's status.json
-  /// inside farm_status.json); the caller owns its well-formedness.
-  JsonWriter& raw_value(const std::string& json);
 
   /// key + value in one call.
   template <typename T>

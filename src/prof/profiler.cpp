@@ -7,8 +7,6 @@
 namespace dfly::prof {
 
 void ProfOptions::validate() const {
-  if (heartbeat_period_ms <= 0)
-    throw std::invalid_argument("prof: heartbeat_period_ms must be positive");
   if (hist_bucket_bits < 0 || hist_bucket_bits > 8)
     throw std::invalid_argument("prof: hist_bucket_bits must be in [0, 8]");
 }

@@ -26,7 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "prof/wall_histogram.hpp"
@@ -34,18 +33,12 @@
 
 namespace dfly::prof {
 
-/// [prof] section of config files plus runtime-only wiring.
+/// [prof] section of config files.
 struct ProfOptions {
   bool enabled = false;
-  /// Minimum wall-clock period between heartbeat rewrites (status.json).
-  std::int64_t heartbeat_period_ms = 1000;
   /// Histogram resolution: each power-of-two octave splits into
   /// 2^hist_bucket_bits sub-buckets (WallHistogram).
   int hist_bucket_bits = 3;
-  /// Runtime wiring only (never a config key): where run_experiment writes
-  /// periodic status.json heartbeats. Set by the farm worker / sweep step to
-  /// <sweep_dir>/<config>.status.json; empty disables heartbeats.
-  std::string status_path;
 
   void validate() const;  ///< throws std::invalid_argument on bad values
 };

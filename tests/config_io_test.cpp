@@ -248,98 +248,25 @@ TEST(ConfigIo, RejectsOutOfRangeTelemetryValues) {
   }
 }
 
-TEST(ConfigIo, ParsesFarmKeys) {
-  std::istringstream is(R"(
-[farm]
-enabled = 1
-workers = 3
-timeout_ms = 5000
-retries = 4
-backoff_ms = 125
-backoff_factor = 1.5
-jitter = 0.5
-chaos_kill_rate = 0.25
-chaos_stop_rate = 0.125
-chaos_delay_ms = 80
-chaos_max_injections = 7
-chaos_seed = 99
-)");
-  const ExperimentOptions options = parse_config(is);
-  EXPECT_TRUE(options.farm.enabled);
-  EXPECT_EQ(options.farm.workers, 3);
-  EXPECT_EQ(options.farm.timeout_ms, 5000);
-  EXPECT_EQ(options.farm.retries, 4);
-  EXPECT_EQ(options.farm.backoff_ms, 125);
-  EXPECT_DOUBLE_EQ(options.farm.backoff_factor, 1.5);
-  EXPECT_DOUBLE_EQ(options.farm.jitter, 0.5);
-  EXPECT_DOUBLE_EQ(options.farm.chaos_kill_rate, 0.25);
-  EXPECT_DOUBLE_EQ(options.farm.chaos_stop_rate, 0.125);
-  EXPECT_EQ(options.farm.chaos_delay_ms, 80);
-  EXPECT_EQ(options.farm.chaos_max_injections, 7);
-  EXPECT_EQ(options.farm.chaos_seed, 99u);
-}
-
-TEST(ConfigIo, FarmRoundTripsThroughRender) {
-  ExperimentOptions original;
-  original.topo = TopoParams::tiny();
-  original.farm.enabled = true;
-  original.farm.workers = 7;
-  original.farm.timeout_ms = 30'000;
-  original.farm.retries = 3;
-  original.farm.backoff_ms = 333;
-  original.farm.backoff_factor = 3.0;
-  original.farm.jitter = 0.75;
-  original.farm.chaos_kill_rate = 0.1;
-  original.farm.chaos_stop_rate = 0.2;
-  original.farm.chaos_delay_ms = 450;
-  original.farm.chaos_max_injections = 11;
-  original.farm.chaos_seed = 4242;
-
-  std::istringstream is(render_config(original));
-  const ExperimentOptions back = parse_config(is);
-  EXPECT_EQ(back.farm.enabled, original.farm.enabled);
-  EXPECT_EQ(back.farm.workers, original.farm.workers);
-  EXPECT_EQ(back.farm.timeout_ms, original.farm.timeout_ms);
-  EXPECT_EQ(back.farm.retries, original.farm.retries);
-  EXPECT_EQ(back.farm.backoff_ms, original.farm.backoff_ms);
-  EXPECT_DOUBLE_EQ(back.farm.backoff_factor, original.farm.backoff_factor);
-  EXPECT_DOUBLE_EQ(back.farm.jitter, original.farm.jitter);
-  EXPECT_DOUBLE_EQ(back.farm.chaos_kill_rate, original.farm.chaos_kill_rate);
-  EXPECT_DOUBLE_EQ(back.farm.chaos_stop_rate, original.farm.chaos_stop_rate);
-  EXPECT_EQ(back.farm.chaos_delay_ms, original.farm.chaos_delay_ms);
-  EXPECT_EQ(back.farm.chaos_max_injections, original.farm.chaos_max_injections);
-  EXPECT_EQ(back.farm.chaos_seed, original.farm.chaos_seed);
-}
-
-TEST(ConfigIo, RejectsInvalidFarmValues) {
-  // Zero/negative supervision knobs would stall or spin the farm; they are
-  // rejected at parse time like the telemetry ranges above.
+TEST(ConfigIo, RejectsRemovedFarmAndHeartbeatKeys) {
+  // run_matrix has one execution mode; a config still asking for the removed
+  // process farm or its heartbeats must fail loudly, not run differently.
+  const std::string rendered = render_config(ExperimentOptions{});
+  EXPECT_EQ(rendered.find("[farm]"), std::string::npos);
+  EXPECT_EQ(rendered.find("heartbeat"), std::string::npos);
   for (const char* text : {
-           "[farm]\nworkers = 0\n",
-           "[farm]\nworkers = -4\n",
-           "[farm]\ntimeout_ms = 0\n",
-           "[farm]\ntimeout_ms = -100\n",
-           "[farm]\nretries = 0\n",
-           "[farm]\nretries = -1\n",
-           "[farm]\nbackoff_ms = 0\n",
-           "[farm]\nbackoff_factor = 0.5\n",   // would shrink, not back off
-           "[farm]\nbackoff_factor = -1.0\n",
-           "[farm]\njitter = 1.5\n",
-           "[farm]\njitter = -0.25\n",
-           "[farm]\nchaos_kill_rate = 1.01\n",
-           "[farm]\nchaos_stop_rate = -0.5\n",
-           "[farm]\nchaos_kill_rate = 0.6\nchaos_stop_rate = 0.6\n",  // sum > 1
-           "[farm]\nchaos_delay_ms = 0\n",
-           "[farm]\nchaos_max_injections = -3\n",  // -1 means unlimited; below is junk
+           "[farm]\nenabled = 1\n",
+           "[farm]\nworkers = 4\n",
+           "[prof]\nheartbeat_period_ms = 1000\n",
        }) {
     std::istringstream is(text);
-    EXPECT_THROW(parse_config(is), std::invalid_argument) << text;
+    try {
+      parse_config(is);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown key"), std::string::npos) << e.what();
+    }
   }
-}
-
-TEST(ConfigIo, FarmUnlimitedChaosInjectionsIsAccepted) {
-  std::istringstream is("[farm]\nchaos_max_injections = -1\n");
-  EXPECT_EQ(parse_config(is).farm.chaos_max_injections, -1);
 }
 
 TEST(ConfigIo, DefaultsArePreservedForUnsetKeys) {

@@ -87,9 +87,11 @@ TEST(LintWallClock, FlagsClockReadInSimModule) {
   EXPECT_EQ(count_rule(r, "wall-clock"), 1);
 }
 
-TEST(LintWallClock, AllowsClockReadInProfAndFarm) {
+TEST(LintWallClock, AllowsClockReadOnlyInProf) {
   EXPECT_TRUE(lint_one("prof/profiler.cpp", "auto t = std::chrono::steady_clock::now();\n").clean());
-  EXPECT_TRUE(lint_one("farm/supervisor.cpp", "gettimeofday(&tv, nullptr);\n").clean());
+  EXPECT_EQ(count_rule(lint_one("core/run_matrix.cpp", "gettimeofday(&tv, nullptr);\n"),
+                       "wall-clock"),
+            1);
 }
 
 TEST(LintWallClock, FlagsTimeCallButNotLongerIdentifiers) {

@@ -5,10 +5,10 @@
 // resume, and require every existing artifact to stay byte-identical;
 // prof.json is the one artifact allowed to carry wall-clock values. Plus unit
 // coverage for the HDR-style histogram edge cases, the sim-vs-wall throughput
-// tracker, atomic heartbeat writes, and the [prof] config section.
+// tracker, and the [prof] config section.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -20,10 +20,7 @@
 
 #include "core/config_io.hpp"
 #include "core/experiment.hpp"
-#include "farm/manifest.hpp"
-#include "farm/supervisor.hpp"
-#include "farm/worker.hpp"
-#include "prof/heartbeat.hpp"
+#include "core/run_matrix.hpp"
 #include "prof/profiler.hpp"
 #include "prof/wall_histogram.hpp"
 #include "workload/synthetic.hpp"
@@ -32,8 +29,6 @@ namespace dfly {
 namespace {
 
 namespace fs = std::filesystem;
-using prof::HeartbeatInfo;
-using prof::HeartbeatWriter;
 using prof::ThroughputTracker;
 using prof::WallHistogram;
 
@@ -172,93 +167,12 @@ TEST(ThroughputTrackerTest, ZeroWallSpanYieldsZeroRates) {
 }
 
 // ---------------------------------------------------------------------------
-// Heartbeats
-// ---------------------------------------------------------------------------
-
-HeartbeatInfo sample_heartbeat() {
-  HeartbeatInfo info;
-  info.schema_version = prof::kHeartbeatSchemaVersion;
-  info.config = "contiguous-minimal";
-  info.state = "running";
-  info.pid = 4242;
-  info.wall_ms = 1234;
-  info.sim_ns = 5'000'000;
-  info.events = 987654;
-  info.events_per_sec = 12345.5;
-  info.rss_bytes = 64 << 20;
-  info.last_ckpt_age_ms = 250;
-  info.slices = 7;
-  return info;
-}
-
-TEST(HeartbeatTest, RenderParseRoundTrips) {
-  const HeartbeatInfo in = sample_heartbeat();
-  const HeartbeatInfo out = prof::parse_heartbeat(prof::render_heartbeat(in));
-  EXPECT_EQ(out.schema_version, in.schema_version);
-  EXPECT_EQ(out.config, in.config);
-  EXPECT_EQ(out.state, in.state);
-  EXPECT_EQ(out.pid, in.pid);
-  EXPECT_EQ(out.wall_ms, in.wall_ms);
-  EXPECT_EQ(out.sim_ns, in.sim_ns);
-  EXPECT_EQ(out.events, in.events);
-  EXPECT_NEAR(out.events_per_sec, in.events_per_sec, 0.1);
-  EXPECT_EQ(out.rss_bytes, in.rss_bytes);
-  EXPECT_EQ(out.last_ckpt_age_ms, in.last_ckpt_age_ms);
-  EXPECT_EQ(out.slices, in.slices);
-}
-
-TEST(HeartbeatTest, ParserRejectsMissingAndMalformedFields) {
-  EXPECT_THROW(prof::parse_heartbeat("{}"), std::runtime_error);
-  EXPECT_THROW(prof::parse_heartbeat(""), std::runtime_error);
-  std::string text = prof::render_heartbeat(sample_heartbeat());
-  const std::size_t at = text.find("\"pid\": 4242");
-  ASSERT_NE(at, std::string::npos);
-  text.replace(at, std::string("\"pid\": 4242").size(), "\"pid\": oops");
-  EXPECT_THROW(prof::parse_heartbeat(text), std::runtime_error);
-}
-
-TEST(HeartbeatTest, WriterIsAtomicAndWallGated) {
-  const std::string path = temp_path("hb-atomic.status.json");
-  fs::remove(path);
-  HeartbeatWriter w(path, /*period_ms=*/60'000);
-  EXPECT_TRUE(w.enabled());
-
-  HeartbeatInfo info;
-  info.config = "cfg";
-  info.state = "running";
-  EXPECT_TRUE(w.beat(info));  // first beat always lands
-  EXPECT_TRUE(fs::exists(path));
-  EXPECT_FALSE(fs::exists(path + ".tmp")) << "rename must consume the temp file";
-
-  const HeartbeatInfo parsed = prof::read_heartbeat_file(path);
-  EXPECT_EQ(parsed.schema_version, prof::kHeartbeatSchemaVersion);
-  EXPECT_EQ(parsed.config, "cfg");
-  EXPECT_EQ(parsed.pid, static_cast<std::int64_t>(::getpid()));
-  EXPECT_EQ(parsed.last_ckpt_age_ms, -1) << "no checkpoint noted yet";
-
-  EXPECT_FALSE(w.beat(info)) << "inside the period, an unforced beat is a no-op";
-  w.note_checkpoint();
-  EXPECT_TRUE(w.beat(info, /*force=*/true));
-  EXPECT_GE(prof::read_heartbeat_file(path).last_ckpt_age_ms, 0);
-  fs::remove(path);
-}
-
-TEST(HeartbeatTest, EmptyPathDisablesTheWriter) {
-  HeartbeatWriter w("", 1);
-  EXPECT_FALSE(w.enabled());
-  EXPECT_FALSE(w.beat(HeartbeatInfo{}, /*force=*/true));
-}
-
-// ---------------------------------------------------------------------------
 // [prof] config section
 // ---------------------------------------------------------------------------
 
 TEST(ProfConfig, OptionsValidate) {
   EXPECT_NO_THROW(prof::ProfOptions{}.validate());
   prof::ProfOptions bad;
-  bad.heartbeat_period_ms = 0;
-  EXPECT_THROW(bad.validate(), std::invalid_argument);
-  bad = prof::ProfOptions{};
   bad.hist_bucket_bits = 9;
   EXPECT_THROW(bad.validate(), std::invalid_argument);
   bad.hist_bucket_bits = -1;
@@ -268,21 +182,16 @@ TEST(ProfConfig, OptionsValidate) {
 TEST(ProfConfig, RoundTripsThroughConfigText) {
   ExperimentOptions o;
   o.prof.enabled = true;
-  o.prof.heartbeat_period_ms = 250;
   o.prof.hist_bucket_bits = 5;
   const std::string text = render_config(o);
   EXPECT_NE(text.find("[prof]"), std::string::npos);
   std::istringstream is(text);
   const ExperimentOptions parsed = parse_config(is, ExperimentOptions{});
   EXPECT_TRUE(parsed.prof.enabled);
-  EXPECT_EQ(parsed.prof.heartbeat_period_ms, 250);
   EXPECT_EQ(parsed.prof.hist_bucket_bits, 5);
-  EXPECT_TRUE(parsed.prof.status_path.empty()) << "status_path is runtime wiring, never config";
 }
 
 TEST(ProfConfig, RejectsBadValues) {
-  std::istringstream zero_period("[prof]\nheartbeat_period_ms = 0\n");
-  EXPECT_THROW(parse_config(zero_period, ExperimentOptions{}), std::invalid_argument);
   std::istringstream bits_too_high("[prof]\nhist_bucket_bits = 9\n");
   EXPECT_THROW(parse_config(bits_too_high, ExperimentOptions{}), std::invalid_argument);
   std::istringstream non_bool("[prof]\nenabled = 2\n");
@@ -376,20 +285,13 @@ TEST(ProfDifferential, CheckpointResumeWithProfilingOnStaysByteIdentical) {
   ASSERT_GT(makespan, 0);
 
   const std::string snapshot = temp_path("prof-ck.ckpt");
-  const std::string status = temp_path("prof-ck.status.json");
   ExperimentOptions interrupted = prof_options("prof-ck-resumed", 2);
   interrupted.prof.enabled = true;
-  interrupted.prof.status_path = status;
   interrupted.checkpoint.interval = makespan / 6 > 0 ? makespan / 6 : 1;
   interrupted.checkpoint.path = snapshot;
   interrupted.checkpoint.stop_after = makespan / 2;
   const ExperimentResult partial = run_experiment(workload, config, interrupted);
   ASSERT_TRUE(partial.stopped_at_checkpoint);
-
-  // The interrupted run heartbeat: final forced beat reports the state.
-  const HeartbeatInfo hb = prof::read_heartbeat_file(status);
-  EXPECT_EQ(hb.state, "interrupted");
-  EXPECT_GT(hb.sim_ns, 0);
 
   ExperimentOptions resumed = interrupted;
   resumed.checkpoint.resume = true;
@@ -399,9 +301,7 @@ TEST(ProfDifferential, CheckpointResumeWithProfilingOnStaysByteIdentical) {
   EXPECT_EQ(full.metrics.comm_time_ms, golden.metrics.comm_time_ms);
   expect_artifacts_byte_equal(golden_opts, resumed, config.name(),
                               "checkpoint resume with profiling on");
-  EXPECT_EQ(prof::read_heartbeat_file(status).state, "done");
   std::remove(snapshot.c_str());
-  std::remove(status.c_str());
 }
 
 TEST(ProfReport, ProfJsonCarriesAttributionAndLaneBreakdown) {
@@ -438,11 +338,10 @@ TEST(ProfReport, ProfJsonCarriesAttributionAndLaneBreakdown) {
                        "\"schema_version\":2"));
 }
 
-// ---------------------------------------------------------------------------
-// Farm liveness: per-worker status.json + aggregated farm_status.json
+// Checkpointed sweeps: profiling rides along without extra files
 // ---------------------------------------------------------------------------
 
-TEST(ProfFarm, WorkersHeartbeatAndTheSupervisorAggregates) {
+TEST(ProfSweep, CheckpointedSweepWithProfilingLeavesOnlyResultMarkers) {
   const Workload workload = prof_workload();
   const std::vector<ExperimentConfig> configs = {
       {PlacementKind::Contiguous, RoutingKind::Minimal},
@@ -451,47 +350,24 @@ TEST(ProfFarm, WorkersHeartbeatAndTheSupervisorAggregates) {
   ExperimentOptions o;
   o.topo = TopoParams::tiny();
   o.seed = 11;
-  o.checkpoint.interval = 3 * units::kMicrosecond;
-  o.checkpoint.path = temp_path("prof-farm");
-  fs::remove_all(o.checkpoint.path);
-  o.farm.enabled = true;
-  o.farm.workers = 2;
-  o.farm.timeout_ms = 120'000;
-  o.farm.backoff_ms = 10;
-  o.prof.enabled = true;
-  const farm::FarmReport report = farm::run_farm(workload, configs, o);
-  ASSERT_TRUE(report.all_ok());
+  const std::vector<ExperimentResult> golden = run_matrix(workload, configs, o, 2);
 
-  // Every worker left a final atomic heartbeat behind.
-  for (const ExperimentConfig& c : configs) {
-    const std::string path = farm::sweep_status_path(o.checkpoint.path, c.name());
-    ASSERT_TRUE(fs::exists(path)) << path;
-    const HeartbeatInfo hb = prof::read_heartbeat_file(path);
-    EXPECT_EQ(hb.config, c.name());
-    EXPECT_EQ(hb.state, "done");
-    EXPECT_GT(hb.events, 0);
+  o.checkpoint.interval = 3 * units::kMicrosecond;
+  o.checkpoint.path = temp_path("prof-sweep");
+  fs::remove_all(o.checkpoint.path);
+  o.prof.enabled = true;
+  const std::vector<ExperimentResult> results = run_matrix(workload, configs, o, 2);
+  ASSERT_EQ(results.size(), golden.size());
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    EXPECT_EQ(results[i].metrics.events, golden[i].metrics.events) << configs[i].name();
+    EXPECT_EQ(results[i].metrics.comm_time_ms, golden[i].metrics.comm_time_ms);
   }
 
-  // The supervisor's aggregate view.
-  const std::string status = slurp(o.checkpoint.path + "/farm_status.json");
-  ASSERT_FALSE(status.empty());
-  EXPECT_TRUE(contains(status, "\"schema_version\": 1"));
-  EXPECT_TRUE(contains(status, "\"workers\""));
-  EXPECT_TRUE(contains(status, "\"done\": 2"));
-  EXPECT_TRUE(contains(status, "\"attempt_wall_ms_total\""));
-  for (const ExperimentConfig& c : configs) EXPECT_TRUE(contains(status, c.name()));
-
-  // Wall-clock accounting surfaces in the farm stats artifact.
-  EXPECT_GE(report.stats.attempt_wall_ms_total, 0);
-  EXPECT_GE(report.stats.elapsed_ms, 0);
-  EXPECT_EQ(report.stats.completed, 2);
-  const std::string out_dir = temp_path("prof-farm-out");
-  fs::remove_all(out_dir);
-  farm::write_sweep_artifacts(out_dir, report);
-  const std::string stats = slurp(out_dir + "/farm_stats.json");
-  EXPECT_TRUE(contains(stats, "farm.attempt_wall_ms_total"));
-  EXPECT_TRUE(contains(stats, "farm.elapsed_ms"));
-  EXPECT_TRUE(contains(stats, "\"schema_version\":2"));
+  std::vector<std::string> files;
+  for (const fs::directory_entry& e : fs::directory_iterator(o.checkpoint.path))
+    files.push_back(e.path().filename().string());
+  std::sort(files.begin(), files.end());
+  EXPECT_EQ(files, (std::vector<std::string>{"cont-min.done", "rand-adp.done"}));
 }
 
 }  // namespace
