@@ -20,10 +20,10 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "net/network.hpp"
 #include "place/placement.hpp"
-#include "prof/profiler.hpp"
 #include "routing/adaptive.hpp"
 #include "routing/minimal.hpp"
 #include "routing/valiant.hpp"
@@ -193,125 +193,6 @@ MixResult run_head_to_head(const MixSpec& mix, std::size_t hold, std::uint64_t e
   return r;
 }
 
-// ---------------------------------------------------------------------------
-// Parallel-engine headline: the sharded engine on Theta-scale random traffic,
-// threads=1 (serial-sharded oracle) vs. threads=4. Records both the measured
-// wall-clock speedup and the critical-path projection
-// total_events / max(busiest_lane, total/threads) — the bound the lane
-// partition itself imposes. On a multi-core host the measured number should
-// approach the projection; on a single-core CI container only the projection
-// is meaningful, so both are recorded with the core count alongside.
-// ---------------------------------------------------------------------------
-
-struct ParallelResult {
-  std::uint64_t events = 0;
-  double serial_meps = 0.0;
-  double parallel_meps = 0.0;
-  double speedup_measured = 0.0;
-  double speedup_projected = 0.0;
-  int threads = 0;
-  unsigned host_cores = 0;
-};
-
-double run_sharded_theta(const DragonflyTopology& topo, int threads, int messages,
-                         std::uint64_t* events_out, double* projected_out,
-                         prof::Profiler* profiler = nullptr) {
-  const NetworkParams params = NetworkParams::theta();
-  Engine engine;
-  ShardingOptions sharding;
-  sharding.shards = topo.params().groups;
-  sharding.lookahead = params.global_latency;
-  sharding.threads = threads;
-  engine.enable_sharding(sharding);
-  engine.set_profiler(profiler);
-  MinimalRouting routing(topo);
-  Network network(engine, topo, params, routing, Rng(3));
-  network.enable_sharding(params.global_latency);
-  Rng traffic(5);
-  const int nodes = topo.params().total_nodes();
-  for (int i = 0; i < messages; ++i) {
-    const auto src = static_cast<NodeId>(traffic.uniform(nodes));
-    auto dst = static_cast<NodeId>(traffic.uniform(nodes - 1));
-    if (dst >= src) ++dst;
-    network.send(src, dst, 16 * units::kKiB);
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  engine.run();
-  const auto t1 = std::chrono::steady_clock::now();
-  const std::uint64_t total = engine.events_processed();
-  if (events_out) *events_out = total;
-  if (projected_out) {
-    std::uint64_t busiest = 0;
-    for (int lane = 0; lane < engine.lanes(); ++lane)
-      busiest = std::max(busiest, engine.lane_processed(lane));
-    const std::uint64_t ideal = (total + static_cast<std::uint64_t>(threads) - 1) /
-                                static_cast<std::uint64_t>(threads);
-    *projected_out = static_cast<double>(total) / static_cast<double>(std::max(busiest, ideal));
-  }
-  const double secs = std::chrono::duration<double>(t1 - t0).count();
-  return static_cast<double>(total) / secs / 1e6;
-}
-
-ParallelResult run_parallel_headline(bool smoke) {
-  const int messages = smoke ? 2'000 : 20'000;
-  const int threads = 4;
-  const DragonflyTopology topo(TopoParams::theta());
-  ParallelResult r;
-  r.threads = threads;
-  r.host_cores = std::thread::hardware_concurrency();
-  const int repetitions = smoke ? 1 : 3;
-  for (int rep = 0; rep < repetitions; ++rep) {
-    r.serial_meps = std::max(r.serial_meps, run_sharded_theta(topo, 1, messages, &r.events, nullptr));
-    r.parallel_meps = std::max(
-        r.parallel_meps, run_sharded_theta(topo, threads, messages, nullptr, &r.speedup_projected));
-  }
-  r.speedup_measured = r.parallel_meps / r.serial_meps;
-  return r;
-}
-
-// ---------------------------------------------------------------------------
-// Multi-core scaling matrix: the same Theta-scale workload at threads
-// {1, 2, 4, 8}, each run with a src/prof/ profiler attached, recording the
-// measured speedup over threads=1 alongside the profiler's barrier-stall
-// fraction and lane imbalance — the two quantities that explain any gap
-// between measured and projected scaling (DESIGN.md §10/§11).
-// ---------------------------------------------------------------------------
-
-struct ScalingRow {
-  int threads = 0;
-  std::uint64_t events = 0;
-  double meps = 0.0;
-  double speedup = 0.0;              ///< meps over the threads=1 row's meps
-  double barrier_stall_frac = 0.0;   ///< sum(wait) / sum(busy + wait)
-  double lane_imbalance = 0.0;       ///< busiest lane busy / mean lane busy
-};
-
-std::vector<ScalingRow> run_scaling_matrix(bool smoke) {
-  const int messages = smoke ? 2'000 : 20'000;
-  const int repetitions = smoke ? 1 : 3;
-  const DragonflyTopology topo(TopoParams::theta());
-  std::vector<ScalingRow> rows;
-  for (const int threads : {1, 2, 4, 8}) {
-    ScalingRow row;
-    row.threads = threads;
-    for (int rep = 0; rep < repetitions; ++rep) {
-      prof::ProfOptions popts;
-      popts.enabled = true;
-      prof::Profiler profiler(popts, topo.params().groups + 1, threads);
-      const double meps =
-          run_sharded_theta(topo, threads, messages, &row.events, nullptr, &profiler);
-      if (meps > row.meps) {
-        row.meps = meps;
-        row.barrier_stall_frac = profiler.barrier_stall_fraction();
-        row.lane_imbalance = profiler.lane_imbalance();
-      }
-    }
-    rows.push_back(row);
-  }
-  for (ScalingRow& r : rows) r.speedup = r.meps / rows.front().meps;
-  return rows;
-}
-
 int run_harness(bool smoke, const std::string& out_path) {
   const std::size_t hold = smoke ? (1u << 14) : (1u << 16);
   const std::uint64_t events = smoke ? 400'000 : 4'000'000;
@@ -324,20 +205,6 @@ int run_harness(bool smoke, const std::string& out_path) {
                 results[i].name, results[i].heap_meps, results[i].calendar_meps,
                 results[i].speedup);
   }
-
-  const ParallelResult par = run_parallel_headline(smoke);
-  std::printf(
-      "[engine parallel     ] serial %7.2f Mev/s | threads=%d %7.2f Mev/s | "
-      "measured %.2fx | projected %.2fx (%u cores)\n",
-      par.serial_meps, par.threads, par.parallel_meps, par.speedup_measured,
-      par.speedup_projected, par.host_cores);
-
-  const std::vector<ScalingRow> scaling = run_scaling_matrix(smoke);
-  for (const ScalingRow& r : scaling)
-    std::printf(
-        "[engine scaling t=%d  ] %7.2f Mev/s | speedup %.2fx | barrier stall %.3f | "
-        "imbalance %.2f\n",
-        r.threads, r.meps, r.speedup, r.barrier_stall_frac, r.lane_imbalance);
 
   if (FILE* f = std::fopen(out_path.c_str(), "w")) {
     std::fprintf(f, "{\n  \"benchmark\": \"bench_micro_engine\",\n");
@@ -352,25 +219,7 @@ int run_harness(bool smoke, const std::string& out_path) {
                    r.speedup, i + 1 < std::size(kMixes) ? "," : "");
     }
     std::fprintf(f, "  ],\n");
-    std::fprintf(f,
-                 "  \"parallel\": {\"topo\": \"theta\", \"threads\": %d, \"events\": %llu, "
-                 "\"serial_meps\": %.3f, \"parallel_meps\": %.3f, \"speedup_measured\": %.3f, "
-                 "\"speedup_projected\": %.3f, \"host_cores\": %u, "
-                 "\"basis\": \"projected = total events / max(busiest lane, total/threads); "
-                 "measured wall-clock is core-count bound\"},\n",
-                 par.threads, static_cast<unsigned long long>(par.events), par.serial_meps,
-                 par.parallel_meps, par.speedup_measured, par.speedup_projected, par.host_cores);
-    std::fprintf(f, "  \"scaling\": [\n");
-    for (std::size_t i = 0; i < scaling.size(); ++i) {
-      const ScalingRow& r = scaling[i];
-      std::fprintf(f,
-                   "    {\"threads\": %d, \"events\": %llu, \"meps\": %.3f, \"speedup\": %.3f, "
-                   "\"barrier_stall_frac\": %.4f, \"lane_imbalance\": %.3f}%s\n",
-                   r.threads, static_cast<unsigned long long>(r.events), r.meps, r.speedup,
-                   r.barrier_stall_frac, r.lane_imbalance, i + 1 < scaling.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"host_cores\": %u\n", par.host_cores);
+    std::fprintf(f, "  \"host_cores\": %u\n", std::thread::hardware_concurrency());
     std::fprintf(f, "}\n");
     std::fclose(f);
     std::printf("wrote %s\n", out_path.c_str());

@@ -28,9 +28,11 @@ namespace dfly::ckpt {
 static_assert(std::endian::native == std::endian::little,
               "checkpoint format requires a little-endian host");
 
-// v2: the engine section gained a leading mode byte (serial vs sharded) and
-// the network section became lane-structured (arena chunk pool, per-lane
-// counters and RNG streams, chunk trace serials).
+// v2: the engine section gained a leading mode byte and the network and
+// tracer sections became lists of per-lane blocks (chunk arenas, counter
+// blocks, tracer lanes), plus chunk trace serials. The sharded engine that
+// wrote other values is gone: snapshots are written, and only accepted, with
+// mode byte 0 and exactly one block in each list.
 inline constexpr std::uint32_t kFormatVersion = 2;
 /// Value of the byte-order sentinel field as written; a byte-swapped file
 /// reads back 0x04030201 and is rejected with a clear message.

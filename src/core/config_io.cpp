@@ -145,14 +145,6 @@ const std::map<std::string, Setter>& setters() {
          if (in >> rest)
            throw std::runtime_error("config: trailing junk in " + k + ": '" + v + "'");
        })},
-      {"engine.threads",
-       Setter([](ExperimentOptions& o, const std::string& k, const std::string& v) {
-         const std::int64_t raw = parse_int(v, k);
-         if (raw < 0 || !std::in_range<int>(raw))
-           throw std::runtime_error("config: " + k + " must be >= 0 (0 = serial engine): '" + v +
-                                    "'");
-         o.threads = static_cast<int>(raw);
-       })},
       {"telemetry.enabled",
        set_int([](ExperimentOptions& o) -> bool& { return o.telemetry.enabled; })},
       {"telemetry.sample_rate",
@@ -260,8 +252,6 @@ std::string render_config(const ExperimentOptions& o) {
   os << "global_vc_buffer = " << o.net.global_vc_buffer << "\n";
   os << "retransmit_timeout_ns = " << o.net.retransmit_timeout << "\n";
   os << "retransmit_max_backoff = " << o.net.retransmit_max_backoff << "\n";
-  os << "\n[engine]\n";
-  os << "threads = " << o.threads << "\n";
   os << "\n[health]\n";
   os << "enabled = " << (o.health.enabled ? 1 : 0) << "\n";
   os << "interval_ns = " << o.health.interval << "\n";

@@ -28,6 +28,8 @@ std::vector<ExperimentConfig> extreme_configs() {
 ExperimentResult run_experiment(const Workload& workload, const ExperimentConfig& config,
                                 const ExperimentOptions& options,
                                 const DragonflyTopology* shared_topo) {
+  if (options.threads != 0)
+    throw std::invalid_argument("run_experiment: options.threads must be 0 (serial engine)");
   // Optionally reuse a caller-built topology (without runtime faults it is
   // immutable and thread-safe to share across concurrent experiments). A
   // fault schedule mutates link state mid-run, so such experiments always
@@ -56,31 +58,17 @@ ExperimentResult run_experiment(const Workload& workload, const ExperimentConfig
   if (options.msg_scale != 1.0) trace.scale_message_sizes(options.msg_scale);
 
   // The profiler is constructed before the engine (and so destroyed after
-  // it): engine worker threads and the network hold raw pointers into it for
-  // the whole run. Lane count mirrors the engine's sharding decision below.
+  // it): the engine and the network hold raw pointers into it for the whole
+  // run.
   std::optional<prof::Profiler> profiler;
-  if (options.prof.enabled) {
-    const int prof_lanes = options.threads > 0 ? options.topo.groups + 1 : 1;
-    profiler.emplace(options.prof, prof_lanes, options.threads);
-  }
+  if (options.prof.enabled) profiler.emplace(options.prof);
   prof::Profiler* const prof_ptr = profiler ? &*profiler : nullptr;
 
   Engine engine;
   if (options.max_events) engine.set_event_limit(options.max_events);
   const std::unique_ptr<RoutingAlgorithm> routing = make_routing(config.routing, topo);
-  if (options.threads > 0) {
-    // One shard (lane) per dragonfly group; the global-link latency is the
-    // conservative lookahead — no chunk, credit, or notification crosses
-    // groups in less simulated time than that.
-    ShardingOptions sharding;
-    sharding.shards = options.topo.groups;
-    sharding.lookahead = options.net.global_latency;
-    sharding.threads = options.threads;
-    engine.enable_sharding(sharding);
-  }
   engine.set_profiler(prof_ptr);
   Network network(engine, topo, options.net, *routing, master.fork(1));
-  if (options.threads > 0) network.enable_sharding(options.net.global_latency);
   ReplayEngine replay(engine, network, trace, placement, options.replay);
 
   // Declared after the network/routing it hooks into, so the destructor
@@ -178,8 +166,7 @@ ExperimentResult run_experiment(const Workload& workload, const ExperimentConfig
       throughput_sample();
       if (engine.pending() == 0 || engine.stop_requested() || engine.hit_event_limit()) break;
       {
-        prof::ProfScope prof_scope(prof_ptr, prof::Subsystem::CheckpointIo,
-                                   engine.global_lane());
+        prof::ProfScope prof_scope(prof_ptr, prof::Subsystem::CheckpointIo);
         ckpt::save_checkpoint(ck.path, parts);
       }
       if (ck.stop_after > 0 && engine.now() >= ck.stop_after) {
@@ -228,7 +215,7 @@ ExperimentResult run_experiment(const Workload& workload, const ExperimentConfig
     telemetry->finish(engine.now());
     result.trace_chunks_seen = telemetry->tracer().chunks_seen();
     result.trace_chunks_sampled = telemetry->tracer().chunks_sampled();
-    prof::ProfScope prof_scope(prof_ptr, prof::Subsystem::TelemetryExport, engine.global_lane());
+    prof::ProfScope prof_scope(prof_ptr, prof::Subsystem::TelemetryExport);
     result.telemetry_dir = export_run_artifacts(*telemetry, result, network, engine.now());
   }
   if (profiler && !options.telemetry.out_dir.empty()) {

@@ -65,13 +65,9 @@ struct ExperimentOptions {
   ReplayOptions replay;    ///< eager/rendezvous protocol knobs
   std::optional<BackgroundSpec> background;
   std::uint64_t max_events = 0;  ///< 0 = unlimited; watchdog for tests
-  /// [engine] threads: 0 (default) runs the classic single-queue serial
-  /// engine; >= 1 partitions the simulation into per-dragonfly-group shards
-  /// under conservative (global-link-latency lookahead) synchronization,
-  /// with `threads` worker threads executing the shards. threads=1 is the
-  /// serial-sharded oracle; any threads >= 1 produce byte-identical
-  /// artifacts (metrics.json / counters.jsonl / heatmap.csv) for a given
-  /// configuration. See DESIGN.md §10.
+  /// Must stay 0: the engine is serial, and run_experiment throws
+  /// std::invalid_argument otherwise. Kept so callers that set it still
+  /// build; sweep parallelism is run_matrix's `threads` argument.
   int threads = 0;
   /// Timed link faults fired mid-run. Non-empty schedules make the
   /// experiment copy the topology (runtime faults mutate link state), so a
@@ -81,7 +77,7 @@ struct ExperimentOptions {
   TelemetryOptions telemetry;  ///< flight-recorder tracing + run artifacts
   CheckpointOptions checkpoint;  ///< periodic snapshots + resume (src/ckpt/)
   /// [prof] wall-clock self-profiling (src/prof/, DESIGN.md §11): subsystem
-  /// attribution + lane phases into prof.json. Never perturbs the simulation
+  /// attribution into prof.json. Never perturbs the simulation
   /// or its other artifacts.
   prof::ProfOptions prof;
 };

@@ -2,17 +2,9 @@
 //
 // A chunk is the unit of transfer, arbitration and buffering. Chunks are
 // pool-allocated and recycled at delivery; ChunkId is a stable index into the
-// pool, small enough to travel inside an EventPayload.
-//
-// Sharded engine support: the pool is split into per-lane arenas. A ChunkId
-// packs (lane << 22) | index, so allocation and free-list maintenance are
-// single-writer per lane — each arena is touched only by its owning lane's
-// worker (or by the coordinator in global context). Chunk storage is
-// block-allocated (4096 chunks per block) and the block-pointer vector is
-// pre-reserved, so a growing arena never relocates existing chunks — another
-// lane may safely read a chunk handed to it across a barrier while the owner
-// arena grows. With a single lane (the unsharded engine) the packed ids
-// degenerate to the plain 0,1,2,... sequence of the original pool.
+// pool (0, 1, 2, ...), small enough to travel inside an EventPayload. Chunk
+// storage is block-allocated (4096 chunks per block), so a growing pool never
+// relocates existing chunks and a Chunk& stays valid across allocate().
 #pragma once
 
 #include <cassert>
@@ -28,9 +20,8 @@ namespace dfly {
 using ChunkId = std::uint32_t;
 using MsgId = std::uint32_t;
 
-/// Sentinel "no chunk" value (OutPort::tx_chunk when the wire is idle). Note
-/// it decodes to lane 1023, which the engine caps below the valid range, so
-/// the sentinel can never collide with a real chunk.
+/// Sentinel "no chunk" value (OutPort::tx_chunk when the wire is idle); far
+/// above ChunkPool::kMaxChunks, so it never collides with a real chunk.
 inline constexpr ChunkId kNoChunk = 0xFFFFFFFFu;
 
 /// Flight-recorder serial of a chunk the tracer is not sampling.
@@ -45,114 +36,66 @@ struct Chunk {
   /// fires (which releases it); releasing eagerly would let the pool recycle
   /// the id while a stale event still references it.
   bool dropped = false;
-  /// Tracer sampling identity. The serial travels with the chunk (not in a
-  /// tracer-side map) so per-lane tracers can follow a chunk across lanes
-  /// without sharing state; kNoTraceSerial means "not sampled".
+  /// Tracer sampling identity. The serial travels with the chunk, so the
+  /// tracer needs no chunk-id map; kNoTraceSerial means "not sampled".
   std::uint64_t trace_serial = kNoTraceSerial;
   Route route;
 };
 
 class ChunkPool {
  public:
-  static constexpr int kLaneShift = 22;
-  static constexpr ChunkId kIndexMask = (ChunkId{1} << kLaneShift) - 1;
   static constexpr std::size_t kBlockSize = 4096;
-  static constexpr std::size_t kMaxBlocks = (std::size_t{kIndexMask} + 1) / kBlockSize;
+  /// Pool capacity; allocation past it is a bug, and the checkpoint loader
+  /// rejects larger pools.
+  static constexpr std::uint32_t kMaxChunks = std::uint32_t{1} << 22;
 
-  ChunkPool() { set_lanes(1); }
-
-  /// Re-partitions the pool into `lanes` arenas; only valid while empty.
-  void set_lanes(int lanes) {
-    assert(lanes >= 1 && lanes < 1023 && "lane 1023 is reserved for kNoChunk");
-    assert(capacity() == 0 && "cannot re-lane a pool holding chunks");
-    arenas_ = std::vector<Arena>(static_cast<std::size_t>(lanes));
-    for (Arena& a : arenas_) a.blocks.reserve(kMaxBlocks);
-  }
-  int lanes() const { return static_cast<int>(arenas_.size()); }
-
-  ChunkId allocate(int lane) {
-    Arena& a = arenas_[static_cast<std::size_t>(lane)];
-    if (!a.free.empty()) {
-      const ChunkId id = a.free.back();
-      a.free.pop_back();
+  ChunkId allocate() {
+    if (!free_.empty()) {
+      const ChunkId id = free_.back();
+      free_.pop_back();
       return id;
     }
-    if (a.size % kBlockSize == 0) {
-      // reserve() in set_lanes guarantees this push never reallocates the
-      // block-pointer array, which other lanes read concurrently.
-      assert(a.blocks.size() < kMaxBlocks && "chunk arena exhausted");
-      a.blocks.push_back(std::make_unique<Chunk[]>(kBlockSize));
-    }
-    const std::uint32_t idx = a.size++;
-    return (static_cast<ChunkId>(lane) << kLaneShift) | idx;
+    assert(size_ < kMaxChunks && "chunk pool exhausted");
+    if (size_ % kBlockSize == 0) blocks_.push_back(std::make_unique<Chunk[]>(kBlockSize));
+    return size_++;
   }
 
   void release(ChunkId id) {
     (*this)[id] = Chunk{};
-    arenas_[id >> kLaneShift].free.push_back(id);
+    free_.push_back(id);
   }
 
-  Chunk& operator[](ChunkId id) {
-    const std::size_t idx = id & kIndexMask;
-    return arenas_[id >> kLaneShift].blocks[idx / kBlockSize][idx % kBlockSize];
-  }
-  const Chunk& operator[](ChunkId id) const {
-    const std::size_t idx = id & kIndexMask;
-    return arenas_[id >> kLaneShift].blocks[idx / kBlockSize][idx % kBlockSize];
-  }
+  Chunk& operator[](ChunkId id) { return blocks_[id / kBlockSize][id % kBlockSize]; }
+  const Chunk& operator[](ChunkId id) const { return blocks_[id / kBlockSize][id % kBlockSize]; }
 
   /// True when `id` names a slot that exists (allocated or free) — the
   /// checkpoint loader's bounds check.
-  bool valid(ChunkId id) const {
-    const std::size_t lane = id >> kLaneShift;
-    return lane < arenas_.size() && (id & kIndexMask) < arenas_[lane].size;
-  }
+  bool valid(ChunkId id) const { return id < size_; }
 
-  std::size_t capacity() const {
-    std::size_t n = 0;
-    for (const Arena& a : arenas_) n += a.size;
-    return n;
-  }
-  std::size_t in_use() const {
-    std::size_t n = capacity();
-    for (const Arena& a : arenas_) n -= a.free.size();
-    return n;
-  }
+  /// Slots ever created (allocated or free).
+  std::size_t capacity() const { return size_; }
 
-  // --- checkpoint support: raw per-arena slot/free-list access ---
+  // --- checkpoint support: raw slot/free-list access ---
   // The free list's order matters (allocate pops from the back), so restore
   // takes it verbatim rather than recomputing it.
-  std::uint32_t arena_size(int lane) const {
-    return arenas_[static_cast<std::size_t>(lane)].size;
-  }
-  const std::vector<ChunkId>& arena_free(int lane) const {
-    return arenas_[static_cast<std::size_t>(lane)].free;
-  }
-  /// Recreates one arena with `size` value-initialized slots and an empty
-  /// free list; the caller then fills live slots through operator[] and
-  /// installs the free list with set_arena_free.
-  void restore_arena(int lane, std::uint32_t size) {
-    Arena& a = arenas_[static_cast<std::size_t>(lane)];
-    a.blocks.clear();
-    a.blocks.reserve(kMaxBlocks);
+  const std::vector<ChunkId>& free_list() const { return free_; }
+  /// Recreates the pool with `size` value-initialized slots and an empty free
+  /// list; the caller then fills live slots through operator[] and installs
+  /// the free list with set_free_list.
+  void restore(std::uint32_t size) {
+    blocks_.clear();
     for (std::size_t made = 0; made < size; made += kBlockSize)
-      a.blocks.push_back(std::make_unique<Chunk[]>(kBlockSize));
-    a.size = size;
-    a.free.clear();
+      blocks_.push_back(std::make_unique<Chunk[]>(kBlockSize));
+    size_ = size;
+    free_.clear();
   }
   /// Installs a restored free list verbatim without touching the slots.
-  void set_arena_free(int lane, std::vector<ChunkId> free_list) {
-    arenas_[static_cast<std::size_t>(lane)].free = std::move(free_list);
-  }
+  void set_free_list(std::vector<ChunkId> free_list) { free_ = std::move(free_list); }
 
  private:
-  struct Arena {
-    std::vector<std::unique_ptr<Chunk[]>> blocks;
-    std::uint32_t size = 0;  ///< slots ever created in this arena
-    std::vector<ChunkId> free;
-  };
-
-  std::vector<Arena> arenas_;
+  std::vector<std::unique_ptr<Chunk[]>> blocks_;
+  std::uint32_t size_ = 0;  ///< slots ever created
+  std::vector<ChunkId> free_;
 };
 
 }  // namespace dfly

@@ -40,69 +40,12 @@ Network::Network(Engine& engine, const DragonflyTopology& topo, const NetworkPar
   nics_.resize(topo_.params().total_nodes());
   for (Nic& nic : nics_) nic.credits = params_.terminal_vc_buffer;
   hop_stats_.resize(nics_.size());
-  lane_stats_.resize(1);
-}
-
-void Network::enable_sharding(SimTime lookahead) {
-  if (!engine_.sharded())
-    throw std::logic_error("network: enable_sharding requires a sharded engine");
-  if (engine_.lanes() != topo_.params().groups + 1)
-    throw std::logic_error("network: engine shard count must equal the group count");
-  if (bytes_injected() != 0 || chunks_.capacity() != 0)
-    throw std::logic_error("network: enable_sharding requires an idle network");
-  // UGAL-G scores congestion along the entire candidate path — state no
-  // single group owns. Leaving every event on the global lane (the
-  // EventHandler default) keeps such runs on the serial dispatch path, which
-  // under a sharded engine executes in exactly the legacy (time, seq) order.
-  if (routing_.uses_remote_congestion()) return;
-  sharded_ = true;
-  lookahead_ = lookahead;
-  const int lanes = engine_.lanes();
-  chunks_.set_lanes(lanes);
-  lane_stats_ = std::vector<LaneStats>(static_cast<std::size_t>(lanes));
-  deferred_frees_.assign(static_cast<std::size_t>(lanes), {});
-  lane_rngs_.clear();
-  lane_rngs_.reserve(static_cast<std::size_t>(lanes));
-  for (int i = 0; i < lanes; ++i) lane_rngs_.push_back(rng_.stream(static_cast<std::uint64_t>(i)));
-  engine_.set_quiesce_hook([this] { drain_deferred_frees(); });
-}
-
-int Network::event_shard(const EventPayload& payload) const {
-  if (!sharded_) return kGlobalShard;
-  const Coordinates& coords = topo_.coords();
-  switch (payload.kind) {
-    case kChunkArrive:
-      return coords.group_of_router(static_cast<RouterId>(payload.b));
-    case kPortFree:
-    case kCreditToRouter:
-      return coords.group_of_router(topo_.channel_router(static_cast<int>(payload.b)));
-    case kCreditToNic:
-    case kNicFree:
-      return coords.group_of_node(static_cast<NodeId>(payload.b));
-    case kDeliver: {
-      const Chunk& chunk = chunks_[payload.a];
-      return coords.group_of_router(chunk.route[chunk.hop_idx].router);
-    }
-    case kRetransmit:
-    case kDropNotify:
-      return coords.group_of_node(msgs_[static_cast<MsgId>(payload.b)].src);
-    case kMsgInjected:
-    case kMsgDelivered:
-      return kGlobalShard;
-    default:
-      assert(false && "unknown event kind");
-      return kGlobalShard;
-  }
 }
 
 MsgId Network::send(NodeId src, NodeId dst, Bytes bytes, std::uint64_t user_data,
                     bool notify_injected, bool notify_delivered) {
   assert(src != dst && "self-sends must be short-circuited by the caller");
   assert(bytes > 0);
-  // Message records are allocated and released in global context only; the
-  // callers of send() (replay, background traffic, tests) are global
-  // handlers, so this holds by construction.
-  assert(!sharded_ || engine_.current_lane() == engine_.global_lane());
   const MsgId id = msgs_.allocate();
   MessageRecord& m = msgs_[id];
   m.src = src;
@@ -141,11 +84,10 @@ void Network::try_inject(NodeId node, SimTime now) {
   nic.end_blocked(now);
   if (now < nic.busy_until) return;
   nic.credits -= size;
-  LaneStats& ls = stats();
-  ls.bytes_injected += size;
-  ls.in_fabric_delta += size;
+  totals_.bytes_injected += size;
+  totals_.in_fabric += size;
 
-  const ChunkId cid = chunks_.allocate(sharded_ ? engine_.current_lane() : 0);
+  const ChunkId cid = chunks_.allocate();
   Chunk& chunk = chunks_[cid];
   chunk.msg = head.msg;
   chunk.bytes = static_cast<std::int32_t>(size);
@@ -153,9 +95,8 @@ void Network::try_inject(NodeId node, SimTime now) {
   {
     // Attribution nests: this routing time is also inside the dispatch time
     // the engine records for the surrounding event (inclusive accounting).
-    prof::ProfScope prof_scope(engine_.profiler(), prof::Subsystem::Routing,
-                               engine_.current_lane());
-    chunk.route = routing_.compute(m.src, m.dst, *this, lane_rng());
+    prof::ProfScope prof_scope(engine_.profiler(), prof::Subsystem::Routing);
+    chunk.route = routing_.compute(m.src, m.dst, *this, rng_);
   }
   assert(chunk.route.size() > 0);
 
@@ -181,10 +122,7 @@ void Network::try_inject(NodeId node, SimTime now) {
     // completion (e.g. an MPI send returning) already happened.
     if (m.notify_injected && !m.injected_notified) {
       m.injected_notified = true;
-      // Sharded: the notification is a cross-lane hop into the global lane,
-      // so it rides one lookahead behind the injection.
-      engine_.schedule(sharded_ ? t_end + lookahead_ : t_end, this,
-                       EventPayload{kMsgInjected, 0, mid, 0});
+      engine_.schedule(t_end, this, EventPayload{kMsgInjected, 0, mid, 0});
     }
   }
 }
@@ -249,7 +187,7 @@ void Network::try_send(RouterId rid, int port, SimTime now) {
   op.tx_chunk = cid;
   op.tx_vc = hop.vc;
   op.traffic += chunk.bytes;
-  ++stats().chunks_forwarded;
+  ++totals_.chunks_forwarded;
   if (tracer_ && chunk.trace_serial != kNoTraceSerial)
     tracer_->on_transmit_start(chunk.trace_serial, now, t_end);
   engine_.schedule(t_end, this,
@@ -287,36 +225,13 @@ void Network::release_if_done(MsgId id) {
   if (m.active && m.injected == m.total && m.delivered == m.total) msgs_.release(id);
 }
 
-void Network::release_chunk(ChunkId cid) {
-  if (!sharded_) {
-    chunks_.release(cid);
-    return;
-  }
-  const int lane = engine_.current_lane();
-  const int owner = static_cast<int>(cid >> ChunkPool::kLaneShift);
-  if (lane == owner || lane == engine_.global_lane())
-    chunks_.release(cid);
-  else
-    deferred_frees_[static_cast<std::size_t>(lane)].push_back(cid);
-}
-
-void Network::drain_deferred_frees() {
-  // Coordinator context, every shard parked. Lane order makes the arenas'
-  // free-list order a pure function of the configuration: each lane's list
-  // was filled in that lane's (deterministic) execution order.
-  for (std::vector<ChunkId>& lane_frees : deferred_frees_) {
-    for (const ChunkId cid : lane_frees) chunks_.release(cid);
-    lane_frees.clear();
-  }
-}
-
 void Network::handle_event(SimTime now, const EventPayload& payload) {
   switch (payload.kind) {
     case kChunkArrive: {
       const ChunkId cid = payload.a;
       Chunk& chunk = chunks_[cid];
       if (chunk.dropped) {  // tombstone: discarded mid-flight on a failed link
-        release_chunk(cid);
+        chunks_.release(cid);
         break;
       }
       const auto rid = static_cast<RouterId>(payload.b);
@@ -327,7 +242,7 @@ void Network::handle_event(SimTime now, const EventPayload& payload) {
         // flight. Drop it here; the owning NIC retransmits the bytes later.
         return_upstream_credit(chunk, now);
         account_drop(cid, now);
-        release_chunk(cid);
+        chunks_.release(cid);
         break;
       }
       OutPort& op = routers_[rid].port(hop.port);
@@ -374,28 +289,21 @@ void Network::handle_event(SimTime now, const EventPayload& payload) {
       const ChunkId cid = payload.a;
       Chunk& chunk = chunks_[cid];
       if (chunk.dropped) {  // defensive: ejection links cannot fail today
-        release_chunk(cid);
+        chunks_.release(cid);
         break;
       }
       const MsgId mid = chunk.msg;
       MessageRecord& m = msgs_[mid];
       m.delivered += chunk.bytes;
-      LaneStats& ls = stats();
-      ls.bytes_delivered += chunk.bytes;
-      ls.in_fabric_delta -= chunk.bytes;
+      totals_.bytes_delivered += chunk.bytes;
+      totals_.in_fabric -= chunk.bytes;
       if (tracer_ && chunk.trace_serial != kNoTraceSerial)
         tracer_->on_delivered(chunk.trace_serial, now);
       const bool done = m.delivered == m.total;
-      release_chunk(cid);
+      chunks_.release(cid);
       if (done) {
-        if (sharded_) {
-          // Completion crosses from the destination lane into global (sink)
-          // territory: one lookahead later, handled with shards parked.
-          engine_.schedule(now + lookahead_, this, EventPayload{kMsgDelivered, 0, mid, 0});
-        } else {
-          if (m.notify_delivered && sink_) sink_->on_message_delivered(mid, m.user_data, now);
-          release_if_done(mid);
-        }
+        if (m.notify_delivered && sink_) sink_->on_message_delivered(mid, m.user_data, now);
+        release_if_done(mid);
       }
       break;
     }
@@ -406,16 +314,8 @@ void Network::handle_event(SimTime now, const EventPayload& payload) {
       release_if_done(mid);
       break;
     }
-    case kMsgDelivered: {
-      const auto mid = static_cast<MsgId>(payload.b);
-      MessageRecord& m = msgs_[mid];
-      if (m.notify_delivered && sink_) sink_->on_message_delivered(mid, m.user_data, now);
-      release_if_done(mid);
-      break;
-    }
     case kRetransmit: {
-      prof::ProfScope prof_scope(engine_.profiler(), prof::Subsystem::NicRetransmit,
-                                 engine_.current_lane());
+      prof::ProfScope prof_scope(engine_.profiler(), prof::Subsystem::NicRetransmit);
       const auto mid = static_cast<MsgId>(payload.b);
       MessageRecord& m = msgs_[mid];
       assert(m.active && m.drop_pending > 0);
@@ -426,16 +326,12 @@ void Network::handle_event(SimTime now, const EventPayload& payload) {
       Nic& nic = nics_[m.src];
       nic.retransmitted += bytes;
       ++nic.retransmit_events;
-      LaneStats& ls = stats();
-      ls.bytes_retransmitted += bytes;
-      ++ls.retransmit_events;
+      totals_.bytes_retransmitted += bytes;
+      ++totals_.retransmit_events;
       nic.queue.push_back(PendingMsg{mid, bytes});
       try_inject(m.src, now);
       break;
     }
-    case kDropNotify:
-      apply_drop_to_message(static_cast<MsgId>(payload.b), static_cast<Bytes>(payload.c), now);
-      break;
     default:
       assert(false && "unknown event kind");
   }
@@ -477,33 +373,18 @@ void Network::return_upstream_credit(const Chunk& chunk, SimTime now) {
 void Network::account_drop(ChunkId cid, SimTime now) {
   const Chunk& chunk = chunks_[cid];
   const Bytes bytes = chunk.bytes;
-  LaneStats& ls = stats();
-  ls.bytes_dropped += bytes;
-  ls.in_fabric_delta -= bytes;
-  ++ls.chunks_dropped;
+  totals_.bytes_dropped += bytes;
+  totals_.in_fabric -= bytes;
+  ++totals_.chunks_dropped;
   if (tracer_ && chunk.trace_serial != kNoTraceSerial) tracer_->on_dropped(chunk.trace_serial, now);
-  if (sharded_ && engine_.current_lane() != engine_.global_lane()) {
-    // A shard (possibly an intermediate group) may not touch the message
-    // record; the message-side accounting travels to the source lane one
-    // lookahead later.
-    engine_.schedule(now + lookahead_, this,
-                     EventPayload{kDropNotify, 0, static_cast<std::uint64_t>(chunk.msg),
-                                  static_cast<std::uint64_t>(bytes)});
-  } else {
-    apply_drop_to_message(chunk.msg, bytes, now);
-  }
-}
-
-void Network::apply_drop_to_message(MsgId id, Bytes bytes, SimTime now) {
-  MessageRecord& m = msgs_[id];
+  MessageRecord& m = msgs_[chunk.msg];
   m.injected -= bytes;
   m.drop_pending += bytes;
   ++nics_[m.src].chunks_dropped;
-  schedule_retransmit(id, now);
+  schedule_retransmit(chunk.msg, now);
 }
 
 void Network::on_link_state_changed(RouterId rid, int port, bool up, SimTime now) {
-  assert(!sharded_ || engine_.current_lane() == engine_.global_lane());
   OutPort& op = routers_[rid].port(port);
   if (up) {
     try_send(rid, port, now);
@@ -525,7 +406,7 @@ void Network::on_link_state_changed(RouterId rid, int port, bool up, SimTime now
   for (const ChunkId cid : op.queue) {
     return_upstream_credit(chunks_[cid], now);
     account_drop(cid, now);
-    release_chunk(cid);
+    chunks_.release(cid);
   }
   op.queue.clear();
   op.queued_bytes = 0;
@@ -565,32 +446,23 @@ Route load_route(ckpt::Reader& r) {
 }  // namespace
 
 void Network::save_state(ckpt::Writer& w) const {
-  // Saves happen at quiesce points only, where no cross-lane free is parked.
-  for (const auto& pending : deferred_frees_) {
-    assert(pending.empty());
-    (void)pending;
+  // The chunk pool (before routers/NICs so their queues can be validated
+  // against it at load time), framed as the format-v2 list of arenas: always
+  // exactly one.
+  w.u32(1);
+  const auto size = static_cast<std::uint32_t>(chunks_.capacity());
+  w.u32(size);
+  for (ChunkId cid = 0; cid < size; ++cid) {
+    const Chunk& chunk = chunks_[cid];
+    w.u32(chunk.msg);
+    w.i32(chunk.bytes);
+    w.u8(static_cast<std::uint8_t>(chunk.hop_idx));
+    w.boolean(chunk.dropped);
+    w.u64(chunk.trace_serial);
+    save_route(w, chunk.route);
   }
-
-  // Chunk arenas (before routers/NICs so their queues can be validated
-  // against the pool at load time). One arena when unsharded.
-  w.u32(static_cast<std::uint32_t>(chunks_.lanes()));
-  for (int lane = 0; lane < chunks_.lanes(); ++lane) {
-    const std::uint32_t size = chunks_.arena_size(lane);
-    w.u32(size);
-    for (std::uint32_t i = 0; i < size; ++i) {
-      const ChunkId cid = (static_cast<ChunkId>(lane) << ChunkPool::kLaneShift) | i;
-      const Chunk& chunk = chunks_[cid];
-      w.u32(chunk.msg);
-      w.i32(chunk.bytes);
-      w.u8(static_cast<std::uint8_t>(chunk.hop_idx));
-      w.boolean(chunk.dropped);
-      w.u64(chunk.trace_serial);
-      save_route(w, chunk.route);
-    }
-    const std::vector<ChunkId>& free_list = chunks_.arena_free(lane);
-    w.size(free_list.size());
-    for (const ChunkId id : free_list) w.u32(id);
-  }
+  w.size(chunks_.free_list().size());
+  for (const ChunkId id : chunks_.free_list()) w.u32(id);
 
   w.size(msgs_.slots().size());
   for (const MessageRecord& m : msgs_.slots()) {
@@ -654,55 +526,44 @@ void Network::save_state(ckpt::Writer& w) const {
     w.u64(hs.routers_sum);
   }
 
-  w.u32(static_cast<std::uint32_t>(lane_stats_.size()));
-  for (const LaneStats& ls : lane_stats_) {
-    w.u64(ls.chunks_forwarded);
-    w.i64(ls.bytes_delivered);
-    w.i64(ls.bytes_injected);
-    w.i64(ls.bytes_dropped);
-    w.i64(ls.bytes_retransmitted);
-    w.i64(ls.in_fabric_delta);
-    w.i64(ls.chunks_dropped);
-    w.i64(ls.retransmit_events);
-  }
+  w.u32(1);  // counter blocks: format v2 frames a list, always exactly one
+  w.u64(totals_.chunks_forwarded);
+  w.i64(totals_.bytes_delivered);
+  w.i64(totals_.bytes_injected);
+  w.i64(totals_.bytes_dropped);
+  w.i64(totals_.bytes_retransmitted);
+  w.i64(totals_.in_fabric);
+  w.i64(totals_.chunks_dropped);
+  w.i64(totals_.retransmit_events);
   for (const std::uint64_t word : rng_.state()) w.u64(word);
-  if (sharded_) {
-    for (const Rng& lane_rng : lane_rngs_)
-      for (const std::uint64_t word : lane_rng.state()) w.u64(word);
-  }
 }
 
 void Network::load_state(ckpt::Reader& r) {
-  const std::uint32_t nlanes = r.u32();
-  if (nlanes != static_cast<std::uint32_t>(chunks_.lanes()))
-    bad_state("chunk arena lane count mismatch (serial vs sharded, or shard count)");
-  for (std::uint32_t lane = 0; lane < nlanes; ++lane) {
-    const std::uint32_t size = r.u32();
-    if (size > ChunkPool::kIndexMask) bad_state("chunk arena size out of range");
-    chunks_.restore_arena(static_cast<int>(lane), size);
-    for (std::uint32_t i = 0; i < size; ++i) {
-      const ChunkId cid = (lane << ChunkPool::kLaneShift) | i;
-      Chunk& chunk = chunks_[cid];
-      chunk.msg = r.u32();
-      chunk.bytes = r.i32();
-      chunk.hop_idx = static_cast<std::int8_t>(r.u8());
-      chunk.dropped = r.boolean();
-      chunk.trace_serial = r.u64();
-      chunk.route = load_route(r);
-      if (chunk.hop_idx > chunk.route.size()) bad_state("chunk hop index past route end");
-    }
-    const std::size_t nfree = r.count(4);
-    if (nfree > size) bad_state("chunk free list larger than arena");
-    std::vector<ChunkId> free_list;
-    free_list.reserve(nfree);
-    for (std::size_t i = 0; i < nfree; ++i) {
-      const ChunkId id = r.u32();
-      if ((id >> ChunkPool::kLaneShift) != lane || (id & ChunkPool::kIndexMask) >= size)
-        bad_state("chunk free-list id out of range");
-      free_list.push_back(id);
-    }
-    chunks_.set_arena_free(static_cast<int>(lane), std::move(free_list));
+  if (r.u32() != 1)
+    bad_state("chunk arena count is not 1; sharded snapshots are no longer supported");
+  const std::uint32_t size = r.u32();
+  if (size > ChunkPool::kMaxChunks) bad_state("chunk pool size out of range");
+  chunks_.restore(size);
+  for (ChunkId cid = 0; cid < size; ++cid) {
+    Chunk& chunk = chunks_[cid];
+    chunk.msg = r.u32();
+    chunk.bytes = r.i32();
+    chunk.hop_idx = static_cast<std::int8_t>(r.u8());
+    chunk.dropped = r.boolean();
+    chunk.trace_serial = r.u64();
+    chunk.route = load_route(r);
+    if (chunk.hop_idx > chunk.route.size()) bad_state("chunk hop index past route end");
   }
+  const std::size_t nfree = r.count(4);
+  if (nfree > size) bad_state("chunk free list larger than pool");
+  std::vector<ChunkId> free_list;
+  free_list.reserve(nfree);
+  for (std::size_t i = 0; i < nfree; ++i) {
+    const ChunkId id = r.u32();
+    if (id >= size) bad_state("chunk free-list id out of range");
+    free_list.push_back(id);
+  }
+  chunks_.set_free_list(std::move(free_list));
 
   const std::size_t msg_cap = r.count(16);
   std::vector<MessageRecord> msg_slots;
@@ -793,27 +654,19 @@ void Network::load_state(ckpt::Reader& r) {
     hs.routers_sum = r.u64();
   }
 
-  const std::uint32_t nstats = r.u32();
-  if (nstats != lane_stats_.size()) bad_state("lane-stats count mismatch");
-  for (LaneStats& ls : lane_stats_) {
-    ls.chunks_forwarded = r.u64();
-    ls.bytes_delivered = r.i64();
-    ls.bytes_injected = r.i64();
-    ls.bytes_dropped = r.i64();
-    ls.bytes_retransmitted = r.i64();
-    ls.in_fabric_delta = r.i64();
-    ls.chunks_dropped = r.i64();
-    ls.retransmit_events = r.i64();
-  }
+  if (r.u32() != 1)
+    bad_state("counter block count is not 1; sharded snapshots are no longer supported");
+  totals_.chunks_forwarded = r.u64();
+  totals_.bytes_delivered = r.i64();
+  totals_.bytes_injected = r.i64();
+  totals_.bytes_dropped = r.i64();
+  totals_.bytes_retransmitted = r.i64();
+  totals_.in_fabric = r.i64();
+  totals_.chunks_dropped = r.i64();
+  totals_.retransmit_events = r.i64();
   std::array<std::uint64_t, 4> rng_state;
   for (std::uint64_t& word : rng_state) word = r.u64();
   rng_.set_state(rng_state);
-  if (sharded_) {
-    for (Rng& lane_rng : lane_rngs_) {
-      for (std::uint64_t& word : rng_state) word = r.u64();
-      lane_rng.set_state(rng_state);
-    }
-  }
   if (!conservation_ok()) bad_state("conservation audit failed after restore");
 }
 

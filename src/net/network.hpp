@@ -20,17 +20,6 @@
 //                        upstream sender (one link latency later); the chunk
 //                        arrives downstream (kChunkArrive or kDeliver).
 //
-// Sharded engine support (enable_sharding, DESIGN.md §10): router/NIC/port
-// state partitions cleanly by dragonfly group, so fabric events classify to
-// the lane of the state they touch and the eight global counters become
-// per-lane blocks summed on read. Chunk allocation uses per-lane arenas;
-// cross-lane frees are deferred to the barrier. Message records are only
-// ever allocated/released in global context; the two message-side
-// transitions a shard cannot apply directly — delivery completion and drop
-// accounting — travel as lookahead-delayed events (kMsgDelivered,
-// kDropNotify). Remote-congestion routing (UGAL-G) reads fabric state along
-// the whole path, which no group owns; such runs keep every event on the
-// global lane and stay byte-identical to the serial engine.
 #pragma once
 
 #include <memory>
@@ -55,17 +44,6 @@ class Network : public EventHandler, public CongestionView {
   Network(Engine& engine, const DragonflyTopology& topo, const NetworkParams& params,
           const RoutingAlgorithm& routing, Rng rng, MessageSink* sink = nullptr);
 
-  /// Partitions network state per engine lane (call right after
-  /// Engine::enable_sharding, before any traffic): per-lane chunk arenas,
-  /// counter blocks and RNG streams, and the barrier quiesce hook for
-  /// deferred cross-lane frees. `lookahead` must equal the engine's (the
-  /// global-link latency). No-op — the network stays on the serial path,
-  /// which is still correct under a sharded engine because every event then
-  /// defaults to the global lane — when the routing algorithm reads remote
-  /// congestion (UGAL-G).
-  void enable_sharding(SimTime lookahead);
-  bool sharded() const { return sharded_; }
-
   void set_sink(MessageSink* sink) { sink_ = sink; }
 
   /// Installs (or, with nullptr, removes) the flight-recorder chunk tracer
@@ -74,15 +52,12 @@ class Network : public EventHandler, public CongestionView {
   void set_tracer(ChunkPathTracer* tracer) { tracer_ = tracer; }
 
   /// Queues a message for injection at `src`'s NIC (src != dst). May be
-  /// called before the simulation starts or from within event processing
-  /// (global context only when sharded — which replay/background/fault
-  /// handlers are).
+  /// called before the simulation starts or from within event processing.
   MsgId send(NodeId src, NodeId dst, Bytes bytes, std::uint64_t user_data = 0,
              bool notify_injected = false, bool notify_delivered = false);
 
   // EventHandler
   void handle_event(SimTime now, const EventPayload& payload) override;
-  int event_shard(const EventPayload& payload) const override;
 
   // CongestionView — output-queue occupancy at `router`'s `port`.
   Bytes queued_bytes(RouterId router, int port) const override;
@@ -92,8 +67,7 @@ class Network : public EventHandler, public CongestionView {
   /// discarded, every chunk queued for the port is purged (input-buffer
   /// credits return upstream), and the dropped bytes are handed to the owning
   /// NICs' retransmit timers. On link-up the port resumes sending. Call once
-  /// per direction after mutating the topology (FaultInjector does this —
-  /// always in global context, so the synchronous accounting is safe).
+  /// per direction after mutating the topology (FaultInjector does this).
   void on_link_state_changed(RouterId router, int port, bool up, SimTime now);
 
   /// Closes still-open saturation intervals at `end`; call once after run().
@@ -111,20 +85,20 @@ class Network : public EventHandler, public CongestionView {
   };
   const HopStats& hop_stats(NodeId src) const { return hop_stats_[src]; }
 
-  std::uint64_t chunks_forwarded() const { return sum(&LaneStats::chunks_forwarded); }
-  Bytes bytes_delivered() const { return sum(&LaneStats::bytes_delivered); }
+  std::uint64_t chunks_forwarded() const { return totals_.chunks_forwarded; }
+  Bytes bytes_delivered() const { return totals_.bytes_delivered; }
   std::size_t messages_in_flight() const { return msgs_.in_flight(); }
 
   // --- fault-recovery accounting ---
-  Bytes bytes_injected() const { return sum(&LaneStats::bytes_injected); }
-  Bytes bytes_dropped() const { return sum(&LaneStats::bytes_dropped); }
-  Bytes bytes_retransmitted() const { return sum(&LaneStats::bytes_retransmitted); }
-  Bytes in_fabric_bytes() const { return sum(&LaneStats::in_fabric_delta); }
+  Bytes bytes_injected() const { return totals_.bytes_injected; }
+  Bytes bytes_dropped() const { return totals_.bytes_dropped; }
+  Bytes bytes_retransmitted() const { return totals_.bytes_retransmitted; }
+  Bytes in_fabric_bytes() const { return totals_.in_fabric; }
   std::uint64_t chunks_dropped() const {
-    return static_cast<std::uint64_t>(sum(&LaneStats::chunks_dropped));
+    return static_cast<std::uint64_t>(totals_.chunks_dropped);
   }
   std::uint64_t retransmit_events() const {
-    return static_cast<std::uint64_t>(sum(&LaneStats::retransmit_events));
+    return static_cast<std::uint64_t>(totals_.retransmit_events);
   }
   /// Chunk-conservation audit: every injected byte must be delivered,
   /// dropped (awaiting retransmission), or still in the fabric.
@@ -144,12 +118,11 @@ class Network : public EventHandler, public CongestionView {
 
   /// Checkpoint support (src/ckpt/): serializes every piece of fabric state —
   /// per-port queues/credits/metrics, NIC queues and retransmit accounting,
-  /// the per-lane chunk arenas and the message pool with their free lists,
-  /// hop stats, the per-lane conservation counter blocks and the routing RNG
-  /// stream(s). load_state validates structural invariants (port counts, pool
-  /// indices, route lengths) and throws std::runtime_error on any mismatch;
-  /// it requires a freshly constructed Network over the same topology,
-  /// parameters, and lane partitioning.
+  /// the chunk and message pools with their free lists, hop stats, the
+  /// conservation counters and the routing RNG stream. load_state validates
+  /// structural invariants (port counts, pool indices, route lengths) and
+  /// throws std::runtime_error on any mismatch; it requires a freshly
+  /// constructed Network over the same topology and parameters.
   void save_state(ckpt::Writer& w) const;
   void load_state(ckpt::Reader& r);
 
@@ -163,88 +136,47 @@ class Network : public EventHandler, public CongestionView {
     kDeliver = 6,        // a=chunk
     kMsgInjected = 7,    // b=msg
     kRetransmit = 8,     // b=msg
-    // Sharded-mode transitions crossing from a shard into message-record
-    // territory, delayed by one lookahead so the conservative bound holds.
-    kMsgDelivered = 9,   // b=msg         (global lane: sink notify + release)
-    kDropNotify = 10,    // b=msg, c=bytes (source lane: message-side drop accounting)
+    // Pending events in checkpoints store these numbers: never renumber
+    // them, and do not reuse the retired 9 and 10.
   };
 
-  /// Per-lane slice of the global byte/chunk counters; each block is written
-  /// only by its lane's worker (or the coordinator in global context), and
-  /// the public accessors sum the blocks. One block when unsharded.
-  struct alignas(64) LaneStats {
+  /// Network-wide byte/chunk counters (conservation audit and telemetry).
+  struct Totals {
     std::uint64_t chunks_forwarded = 0;
     Bytes bytes_delivered = 0;
     Bytes bytes_injected = 0;
     Bytes bytes_dropped = 0;
     Bytes bytes_retransmitted = 0;
-    /// Signed: injections (+) land on the source lane, deliveries (−) on the
-    /// destination lane, so only the sum across lanes is meaningful.
-    Bytes in_fabric_delta = 0;
+    Bytes in_fabric = 0;
     Bytes chunks_dropped = 0;
     Bytes retransmit_events = 0;
   };
 
-  Bytes sum(Bytes LaneStats::* field) const {
-    Bytes total = 0;
-    for (const LaneStats& s : lane_stats_) total += s.*field;
-    return total;
-  }
-  std::uint64_t sum(std::uint64_t LaneStats::* field) const {
-    std::uint64_t total = 0;
-    for (const LaneStats& s : lane_stats_) total += s.*field;
-    return total;
-  }
-  /// The current execution context's stats shard. Guarded on the network's
-  /// own sharded_ flag, not the engine's: under the remote-congestion
-  /// fallback the engine is sharded (all network events on its global lane)
-  /// while the network keeps single-lane storage.
-  LaneStats& stats() {
-    return lane_stats_[sharded_ ? static_cast<std::size_t>(engine_.current_lane()) : 0];
-  }
-  Rng& lane_rng() {
-    return sharded_ ? lane_rngs_[static_cast<std::size_t>(engine_.current_lane())] : rng_;
-  }
-
   void try_inject(NodeId node, SimTime now);
   void try_send(RouterId router, int port, SimTime now);
   void release_if_done(MsgId id);
-  /// Releases a chunk back to its arena; a shard releasing another lane's
-  /// chunk defers the free to the barrier (drained in lane order).
-  void release_chunk(ChunkId cid);
-  void drain_deferred_frees();
   /// Returns the input-buffer space a dropped chunk occupies at its current
   /// router to the upstream sender (same delay formula as a normal departure).
   void return_upstream_credit(const Chunk& chunk, SimTime now);
-  /// Books a dropped chunk's bytes out of the fabric (lane-local part) and
-  /// routes the message-side part to the source lane.
+  /// Books a dropped chunk's bytes out of the fabric, rewinds its message's
+  /// injected count and queues the bytes for retransmission.
   void account_drop(ChunkId cid, SimTime now);
-  /// Message-side drop accounting: rewinds m.injected, queues the bytes for
-  /// retransmission. Runs on the source lane (kDropNotify) or in global
-  /// context (fault purge).
-  void apply_drop_to_message(MsgId id, Bytes bytes, SimTime now);
   void schedule_retransmit(MsgId id, SimTime now);
 
   Engine& engine_;
   const DragonflyTopology& topo_;
   NetworkParams params_;
   const RoutingAlgorithm& routing_;
-  Rng rng_;  ///< master routing stream; drawn from directly when unsharded
+  Rng rng_;  ///< routing stream
   MessageSink* sink_;
   ChunkPathTracer* tracer_ = nullptr;
-
-  bool sharded_ = false;
-  SimTime lookahead_ = 0;
-  std::vector<Rng> lane_rngs_;  ///< per-lane streams of rng_ (sharded only)
-  /// deferred_frees_[l]: chunks lane l released that belong to another lane.
-  std::vector<std::vector<ChunkId>> deferred_frees_;
 
   std::vector<Router> routers_;
   std::vector<Nic> nics_;
   ChunkPool chunks_;
   MessagePool msgs_;
   std::vector<HopStats> hop_stats_;
-  std::vector<LaneStats> lane_stats_;
+  Totals totals_;
 };
 
 }  // namespace dfly

@@ -97,12 +97,9 @@ RunTelemetry::RunTelemetry(Engine& engine, Network& network, RoutingAlgorithm& r
     : network_(network),
       routing_(routing),
       options_(options),
-      tracer_(trace_, options.sample_rate, network.sharded() ? &engine : nullptr),
+      tracer_(trace_, options.sample_rate),
       probe_(engine, registry_, options.snapshot_interval) {
   options_.validate();
-  // Sharded runs record routing decisions from worker threads; the stats
-  // vector must be at full size up front so record() never resizes it.
-  if (network.sharded()) routing_stats_.presize(network.topology().params().total_routers());
   network_.set_tracer(&tracer_);
   routing_.set_telemetry(&routing_stats_);
   register_engine_counters(registry_, engine);

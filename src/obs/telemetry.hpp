@@ -66,12 +66,8 @@ class RunTelemetry {
   /// Stops the probe from rescheduling (call from a completion callback so
   /// pending probes never keep a finished simulation alive).
   void request_stop() { probe_.request_stop(); }
-  /// Takes the final end-of-run counter snapshot and flushes the tracer's
-  /// per-lane hop buffers into the trace writer (sharded runs buffer).
-  void finish(SimTime end) {
-    tracer_.flush();
-    probe_.sample_now(end);
-  }
+  /// Takes the final end-of-run counter snapshot.
+  void finish(SimTime end) { probe_.sample_now(end); }
 
   /// Checkpoint support (src/ckpt/): tracer state, buffered chrome-trace
   /// hops, routing-decision stats and the probe's snapshot history. The

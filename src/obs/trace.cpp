@@ -5,7 +5,6 @@
 #include <map>
 #include <ostream>
 #include <stdexcept>
-#include <tuple>
 #include <type_traits>
 
 #include "ckpt/snapshot_io.hpp"
@@ -13,36 +12,22 @@
 
 namespace dfly {
 
-namespace {
-
-// Serial layout in sharded mode; mirrors the engine's event-sequence packing.
-constexpr int kSerialLaneShift = 48;
-
-}  // namespace
-
-ChunkPathTracer::ChunkPathTracer(TraceSink& sink, double sample_rate, const Engine* engine)
-    : sink_(sink), rate_(sample_rate), engine_(engine) {
+ChunkPathTracer::ChunkPathTracer(TraceSink& sink, double sample_rate)
+    : sink_(sink), rate_(sample_rate) {
   if (!(sample_rate >= 0.0 && sample_rate <= 1.0))
     throw std::invalid_argument("chunk tracer: sample_rate must be in [0, 1]");
-  if (engine_ && !engine_->sharded())
-    throw std::invalid_argument("chunk tracer: engine given but not sharded");
-  lanes_ = std::vector<Lane>(engine_ ? static_cast<std::size_t>(engine_->lanes()) : 1);
 }
 
 std::uint64_t ChunkPathTracer::on_chunk_injected(MsgId msg, NodeId src, NodeId dst, Bytes bytes,
                                                  SimTime now) {
-  Lane& l = lane();
-  ++l.seen;
-  l.acc += rate_;
-  if (l.acc < 1.0) return kNoTraceSerial;
-  l.acc -= 1.0;
-  ++l.sampled;
-  ++l.live_delta;
-  std::uint64_t serial = l.next++;
-  if (engine_)
-    serial |= static_cast<std::uint64_t>(lane_index()) << kSerialLaneShift;
-  else
-    sink_.on_chunk_sampled(serial, msg, src, dst, bytes, now);
+  ++seen_;
+  acc_ += rate_;
+  if (acc_ < 1.0) return kNoTraceSerial;
+  acc_ -= 1.0;
+  ++sampled_;
+  ++live_;
+  const std::uint64_t serial = next_++;
+  sink_.on_chunk_sampled(serial, msg, src, dst, bytes, now);
   return serial;
 }
 
@@ -61,77 +46,31 @@ void ChunkPathTracer::on_hop_enqueue(std::uint64_t serial, MsgId msg, NodeId src
   hop.bytes = bytes;
   hop.queue_depth = queue_depth;
   hop.enqueue_time = now;
-  lane().pending[serial] = hop;
+  pending_[serial] = hop;
 }
 
 void ChunkPathTracer::on_transmit_start(std::uint64_t serial, SimTime start, SimTime end) {
-  Lane& l = lane();
-  const auto it = l.pending.find(serial);
-  if (it == l.pending.end()) return;
+  const auto it = pending_.find(serial);
+  if (it == pending_.end()) return;
   HopEvent hop = it->second;
-  l.pending.erase(it);
+  pending_.erase(it);
   hop.start_time = start;
   hop.end_time = end;
-  ++l.hops;
-  if (engine_)
-    l.buffered.push_back(hop);
-  else
-    sink_.on_hop(hop);
+  ++hops_;
+  sink_.on_hop(hop);
 }
 
 void ChunkPathTracer::close(std::uint64_t serial, SimTime now, bool delivered) {
-  Lane& l = lane();
   // Discard a half-recorded hop (enqueued, never transmitted): the chunk died
-  // in a queue. Drops from global context (fault purges) may close a chunk
-  // whose pending hop lives on another lane — safe to reach into, every
-  // shard is parked then.
-  if (l.pending.erase(serial) == 0 && engine_ && lane_index() == engine_->global_lane()) {
-    for (Lane& other : lanes_) other.pending.erase(serial);
-  }
-  --l.live_delta;
-  if (!engine_) sink_.on_chunk_closed(serial, now, delivered);
+  // in a queue.
+  pending_.erase(serial);
+  --live_;
+  sink_.on_chunk_closed(serial, now, delivered);
 }
 
 void ChunkPathTracer::on_delivered(std::uint64_t serial, SimTime now) { close(serial, now, true); }
 
 void ChunkPathTracer::on_dropped(std::uint64_t serial, SimTime now) { close(serial, now, false); }
-
-void ChunkPathTracer::flush() {
-  std::vector<HopEvent> all;
-  for (Lane& l : lanes_) {
-    all.insert(all.end(), l.buffered.begin(), l.buffered.end());
-    l.buffered.clear();
-  }
-  std::sort(all.begin(), all.end(), [](const HopEvent& a, const HopEvent& b) {
-    return std::tie(a.enqueue_time, a.start_time, a.chunk, a.router, a.port) <
-           std::tie(b.enqueue_time, b.start_time, b.chunk, b.router, b.port);
-  });
-  for (const HopEvent& hop : all) sink_.on_hop(hop);
-}
-
-std::uint64_t ChunkPathTracer::chunks_seen() const {
-  std::uint64_t n = 0;
-  for (const Lane& l : lanes_) n += l.seen;
-  return n;
-}
-
-std::uint64_t ChunkPathTracer::chunks_sampled() const {
-  std::uint64_t n = 0;
-  for (const Lane& l : lanes_) n += l.sampled;
-  return n;
-}
-
-std::uint64_t ChunkPathTracer::hops_recorded() const {
-  std::uint64_t n = 0;
-  for (const Lane& l : lanes_) n += l.hops;
-  return n;
-}
-
-std::size_t ChunkPathTracer::live_chunks() const {
-  std::int64_t n = 0;
-  for (const Lane& l : lanes_) n += l.live_delta;
-  return n > 0 ? static_cast<std::size_t>(n) : 0;
-}
 
 namespace {
 
@@ -188,53 +127,49 @@ HopEvent load_hop(ckpt::Reader& r) {
 }  // namespace
 
 void ChunkPathTracer::save_state(ckpt::Writer& w) const {
-  w.u32(static_cast<std::uint32_t>(lanes_.size()));
-  for (const Lane& l : lanes_) {
-    w.f64(l.acc);
-    w.u64(l.next);
-    w.u64(l.seen);
-    w.u64(l.sampled);
-    w.u64(l.hops);
-    w.i64(l.live_delta);
-    // Sort by serial so the snapshot bytes don't depend on hash-map order.
-    std::vector<std::uint64_t> serials;
-    serials.reserve(l.pending.size());
-    // dfly-lint: allow(unordered-iter) reason=collects keys only; sorted below before any byte is written
-    for (const auto& [serial, hop] : l.pending) serials.push_back(serial);
-    std::sort(serials.begin(), serials.end());
-    w.size(serials.size());
-    for (const std::uint64_t serial : serials) save_hop(w, l.pending.at(serial));
-    w.size(l.buffered.size());
-    for (const HopEvent& hop : l.buffered) save_hop(w, hop);
-  }
+  // Format v2 frames the tracer as a list of lanes, each ending in a list of
+  // buffered hops; the serial tracer is always one lane with none buffered.
+  w.u32(1);
+  w.f64(acc_);
+  w.u64(next_);
+  w.u64(seen_);
+  w.u64(sampled_);
+  w.u64(hops_);
+  w.i64(live_);
+  // Sort by serial so the snapshot bytes don't depend on hash-map order.
+  std::vector<std::uint64_t> serials;
+  serials.reserve(pending_.size());
+  // dfly-lint: allow(unordered-iter) reason=collects keys only; sorted below before any byte is written
+  for (const auto& [serial, hop] : pending_) serials.push_back(serial);
+  std::sort(serials.begin(), serials.end());
+  w.size(serials.size());
+  for (const std::uint64_t serial : serials) save_hop(w, pending_.at(serial));
+  w.size(0);
 }
 
 void ChunkPathTracer::load_state(ckpt::Reader& r) {
-  const std::uint32_t nlanes = r.u32();
-  if (nlanes != lanes_.size())
-    throw std::runtime_error("snapshot: tracer lane count mismatch (serial vs sharded)");
-  for (Lane& l : lanes_) {
-    l.acc = r.f64();
-    l.next = r.u64();
-    l.seen = r.u64();
-    l.sampled = r.u64();
-    l.hops = r.u64();
-    l.live_delta = r.i64();
-    if (!(l.acc >= 0.0 && l.acc < 1.0))
-      throw std::runtime_error("snapshot: tracer sampling accumulator out of range");
-    const std::size_t npending = r.count(kHopBytes);
-    l.pending.clear();
-    l.pending.reserve(npending);
-    for (std::size_t i = 0; i < npending; ++i) {
-      HopEvent hop = load_hop(r);
-      if (!l.pending.emplace(hop.chunk, hop).second)
-        throw std::runtime_error("snapshot: duplicate pending hop serial");
-    }
-    const std::size_t nbuffered = r.count(kHopBytes);
-    l.buffered.clear();
-    l.buffered.reserve(nbuffered);
-    for (std::size_t i = 0; i < nbuffered; ++i) l.buffered.push_back(load_hop(r));
+  if (r.u32() != 1)
+    throw std::runtime_error(
+        "snapshot: tracer lane count is not 1; sharded snapshots are no longer supported");
+  acc_ = r.f64();
+  next_ = r.u64();
+  seen_ = r.u64();
+  sampled_ = r.u64();
+  hops_ = r.u64();
+  live_ = r.i64();
+  if (!(acc_ >= 0.0 && acc_ < 1.0))
+    throw std::runtime_error("snapshot: tracer sampling accumulator out of range");
+  const std::size_t npending = r.count(kHopBytes);
+  pending_.clear();
+  pending_.reserve(npending);
+  for (std::size_t i = 0; i < npending; ++i) {
+    HopEvent hop = load_hop(r);
+    if (!pending_.emplace(hop.chunk, hop).second)
+      throw std::runtime_error("snapshot: duplicate pending hop serial");
   }
+  if (r.count(kHopBytes) != 0)
+    throw std::runtime_error(
+        "snapshot: tracer holds buffered hops; sharded snapshots are no longer supported");
 }
 
 void ChromeTraceWriter::save_state(ckpt::Writer& w) const {

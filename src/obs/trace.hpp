@@ -13,17 +13,6 @@
 // really records one chunk in ten — no RNG, no long-run drift, reproducible
 // across runs.
 //
-// Sharded engine support (DESIGN.md §10): constructed over a sharded Engine,
-// the tracer keeps one state block per lane. Serials pack (lane << 48) | n
-// where n counts injections sampled on that lane — single-writer, and
-// identical at any worker-thread count. Hop records are buffered per lane
-// (the shared TraceSink cannot be called from concurrent workers) and
-// flush() hands them to the sink in one deterministic sorted pass; the
-// realtime on_chunk_sampled / on_chunk_closed sink callbacks are suppressed
-// in this mode for the same reason. Unsharded, behaviour is exactly the
-// classic single-stream tracer: plain 0,1,2,... serials, records forwarded
-// the moment they complete.
-//
 // ChromeTraceWriter renders the recorded hops as Chrome trace-event JSON
 // (load in chrome://tracing or https://ui.perfetto.dev): one process per
 // router, one thread per output port, one complete ("X") slice per hop
@@ -36,7 +25,6 @@
 #include <vector>
 
 #include "net/chunk.hpp"
-#include "sim/engine.hpp"
 #include "topo/dragonfly.hpp"
 #include "util/units.hpp"
 
@@ -71,23 +59,18 @@ class TraceSink {
  public:
   virtual ~TraceSink() = default;
   virtual void on_hop(const HopEvent& hop) = 0;
-  /// A chunk passed the sampling decision at injection time. Not delivered
-  /// when the tracer runs per-lane over a sharded engine.
+  /// A chunk passed the sampling decision at injection time.
   virtual void on_chunk_sampled(std::uint64_t /*serial*/, MsgId /*msg*/, NodeId /*src*/,
                                 NodeId /*dst*/, Bytes /*bytes*/, SimTime /*now*/) {}
   /// The sampled chunk left the fabric (delivered = false means dropped on a
   /// failed link; its bytes return via NIC retransmission as a new chunk).
-  /// Not delivered when the tracer runs per-lane over a sharded engine.
   virtual void on_chunk_closed(std::uint64_t /*serial*/, SimTime /*now*/, bool /*delivered*/) {}
 };
 
 class ChunkPathTracer {
  public:
   /// Records per-hop events for `sample_rate` (in [0, 1]) of injected chunks.
-  /// Pass the engine iff the network runs sharded on it (Network::sharded());
-  /// the tracer then partitions its state by the engine's lanes. With the
-  /// default nullptr it is the classic serial tracer.
-  ChunkPathTracer(TraceSink& sink, double sample_rate, const Engine* engine = nullptr);
+  ChunkPathTracer(TraceSink& sink, double sample_rate);
 
   // --- Network hooks (call sites branch on a null tracer pointer) ---
   /// Sampling decision for a freshly injected chunk. Returns the serial to
@@ -100,51 +83,31 @@ class ChunkPathTracer {
   void on_delivered(std::uint64_t serial, SimTime now);
   void on_dropped(std::uint64_t serial, SimTime now);
 
-  /// Hands all per-lane buffered hop records to the sink in one deterministic
-  /// order — (enqueue_time, start_time, serial, router, port) — and clears
-  /// the buffers. Call once after the run drains (RunTelemetry::finish does).
-  /// No-op for the unsharded tracer, which never buffers.
-  void flush();
-
-  /// Checkpoint support (src/ckpt/): per-lane sampling accumulators,
-  /// serial/counter state, half-recorded pending hops and buffered records.
+  /// Checkpoint support (src/ckpt/): the sampling accumulator, serial and
+  /// counter state, and the half-recorded pending hops.
   void save_state(ckpt::Writer& w) const;
   void load_state(ckpt::Reader& r);
 
   double sample_rate() const { return rate_; }
-  std::uint64_t chunks_seen() const;
-  std::uint64_t chunks_sampled() const;
-  std::uint64_t hops_recorded() const;
+  std::uint64_t chunks_seen() const { return seen_; }
+  std::uint64_t chunks_sampled() const { return sampled_; }
+  std::uint64_t hops_recorded() const { return hops_; }
   /// Sampled chunks still in the fabric (diagnostics; 0 after a clean drain).
-  std::size_t live_chunks() const;
+  std::size_t live_chunks() const { return live_ > 0 ? static_cast<std::size_t>(live_) : 0; }
 
  private:
-  /// Per-lane tracer state; single-writer by the owning lane's worker (or
-  /// the coordinator in global context). One instance when unsharded.
-  struct alignas(64) Lane {
-    double acc = 0;  ///< error-feedback sampling accumulator
-    std::uint64_t next = 0;  ///< low bits of the next serial minted here
-    std::uint64_t seen = 0;
-    std::uint64_t sampled = 0;
-    std::uint64_t hops = 0;
-    /// +1 per chunk sampled here, -1 per chunk closed here; a chunk may
-    /// close on a different lane than it was sampled on, so only the sum
-    /// across lanes is meaningful.
-    std::int64_t live_delta = 0;
-    /// Hops enqueued but not yet transmitted, by serial. Enqueue and
-    /// transmit-start of one hop happen on the same lane (same output port).
-    std::unordered_map<std::uint64_t, HopEvent> pending;
-    std::vector<HopEvent> buffered;  ///< completed hops awaiting flush (sharded)
-  };
-
-  int lane_index() const { return engine_ ? engine_->current_lane() : 0; }
-  Lane& lane() { return lanes_[static_cast<std::size_t>(lane_index())]; }
   void close(std::uint64_t serial, SimTime now, bool delivered);
 
   TraceSink& sink_;
   double rate_;
-  const Engine* engine_;  ///< non-null iff running per-lane (sharded)
-  std::vector<Lane> lanes_;
+  double acc_ = 0;  ///< error-feedback sampling accumulator
+  std::uint64_t next_ = 0;  ///< serial of the next sampled chunk
+  std::uint64_t seen_ = 0;
+  std::uint64_t sampled_ = 0;
+  std::uint64_t hops_ = 0;
+  std::int64_t live_ = 0;  ///< sampled chunks not yet delivered or dropped
+  /// Hops enqueued but not yet transmitted, by serial.
+  std::unordered_map<std::uint64_t, HopEvent> pending_;
 };
 
 /// Buffers hop events and renders them as Chrome trace-event JSON.

@@ -67,14 +67,10 @@ ThroughputTracker::Rates ThroughputTracker::rates(const Point& a, const Point& b
 // --- Profiler --------------------------------------------------------------
 
 Profiler::Profiler(const ProfOptions& options, int lanes, int threads)
-    : options_(options), threads_(threads), barrier_hist_(options.hist_bucket_bits) {
+    : options_(options), dispatch_hist_(options.hist_bucket_bits) {
   options_.validate();
-  if (lanes < 1) throw std::invalid_argument("prof: lanes must be >= 1");
-  lanes_.resize(static_cast<std::size_t>(lanes));
-  subsystems_.resize(static_cast<std::size_t>(lanes));
-  batch_busy_.resize(static_cast<std::size_t>(lanes), 0);
-  dispatch_hists_.reserve(static_cast<std::size_t>(lanes));
-  for (int i = 0; i < lanes; ++i) dispatch_hists_.emplace_back(options_.hist_bucket_bits);
+  if (lanes != 1 || threads != 0)
+    throw std::invalid_argument("prof: the engine is serial (lanes must be 1, threads 0)");
 }
 
 std::int64_t Profiler::now_ns() {
@@ -83,88 +79,18 @@ std::int64_t Profiler::now_ns() {
       .count();
 }
 
-void Profiler::add(Subsystem s, int lane, std::int64_t ns) {
-  SubsystemShard& shard = subsystems_[static_cast<std::size_t>(lane)];
-  shard.ns[static_cast<int>(s)] += std::max<std::int64_t>(ns, 0);
-  ++shard.calls[static_cast<int>(s)];
+void Profiler::add(Subsystem s, std::int64_t ns) {
+  ns_[static_cast<int>(s)] += std::max<std::int64_t>(ns, 0);
+  ++calls_[static_cast<int>(s)];
 }
 
-std::int64_t Profiler::subsystem_ns(Subsystem s) const {
-  std::int64_t total = 0;
-  for (const SubsystemShard& shard : subsystems_) total += shard.ns[static_cast<int>(s)];
-  return total;
-}
-
-std::uint64_t Profiler::subsystem_calls(Subsystem s) const {
-  std::uint64_t total = 0;
-  for (const SubsystemShard& shard : subsystems_) total += shard.calls[static_cast<int>(s)];
-  return total;
-}
-
-void Profiler::record_dispatch(int lane, std::int64_t ns) {
-  LaneProf& lp = lanes_[static_cast<std::size_t>(lane)];
-  lp.busy_ns += std::max<std::int64_t>(ns, 0);
-  ++lp.events;
-  dispatch_hists_[static_cast<std::size_t>(lane)].add(ns);
-  add(Subsystem::EventDispatch, lane, ns);
-}
-
-void Profiler::record_barrier_wait(int lane, std::int64_t wait_ns) {
-  LaneProf& lp = lanes_[static_cast<std::size_t>(lane)];
-  lp.barrier_wait_ns += std::max<std::int64_t>(wait_ns, 0);
-  ++lp.batches;
-  barrier_hist_.add(wait_ns);
-}
-
-void Profiler::add_flush(int lane, std::int64_t ns) {
-  lanes_[static_cast<std::size_t>(lane)].flush_ns += std::max<std::int64_t>(ns, 0);
-}
-
-void Profiler::begin_batch(const std::vector<int>& active_lanes) {
-  for (const int i : active_lanes)
-    batch_busy_[static_cast<std::size_t>(i)] = lanes_[static_cast<std::size_t>(i)].busy_ns;
-  batch_t0_ = now_ns();
-}
-
-void Profiler::end_batch(const std::vector<int>& active_lanes) {
-  const std::int64_t span = now_ns() - batch_t0_;
-  for (const int i : active_lanes) {
-    const std::int64_t busy =
-        lanes_[static_cast<std::size_t>(i)].busy_ns - batch_busy_[static_cast<std::size_t>(i)];
-    record_barrier_wait(i, std::max<std::int64_t>(span - busy, 0));
-  }
-}
-
-WallHistogram Profiler::dispatch_histogram() const {
-  WallHistogram merged(options_.hist_bucket_bits);
-  for (const WallHistogram& h : dispatch_hists_) merged.merge(h);
-  return merged;
+void Profiler::record_dispatch(std::int64_t ns) {
+  dispatch_hist_.add(ns);
+  add(Subsystem::EventDispatch, ns);
 }
 
 void Profiler::begin_run() { run_begin_ns_ = now_ns(); }
 
 void Profiler::end_run() { run_wall_ns_ += now_ns() - run_begin_ns_; }
-
-double Profiler::lane_imbalance() const {
-  std::int64_t busiest = 0;
-  std::int64_t total = 0;
-  for (const LaneProf& lp : lanes_) {
-    busiest = std::max(busiest, lp.busy_ns);
-    total += lp.busy_ns;
-  }
-  if (total == 0) return 0.0;
-  const double mean = static_cast<double>(total) / static_cast<double>(lanes_.size());
-  return static_cast<double>(busiest) / mean;
-}
-
-double Profiler::barrier_stall_fraction() const {
-  std::int64_t busy = 0;
-  std::int64_t wait = 0;
-  for (const LaneProf& lp : lanes_) {
-    busy += lp.busy_ns;
-    wait += lp.barrier_wait_ns;
-  }
-  return busy + wait > 0 ? static_cast<double>(wait) / static_cast<double>(busy + wait) : 0.0;
-}
 
 }  // namespace dfly::prof

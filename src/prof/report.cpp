@@ -47,8 +47,6 @@ void write_prof_report(std::ostream& os, const Profiler& profiler, const std::st
   w.begin_object();
   w.field("schema_version", kProfSchemaVersion);
   w.field("config", config);
-  w.field("threads", profiler.threads());
-  w.field("lanes", profiler.lanes());
   w.field("wall_ns", profiler.run_wall_ns());
 
   w.key("subsystems").begin_object();
@@ -61,26 +59,8 @@ void write_prof_report(std::ostream& os, const Profiler& profiler, const std::st
   }
   w.end_object();
 
-  w.key("lanes_breakdown").begin_array();
-  for (int i = 0; i < profiler.lanes(); ++i) {
-    const LaneProf& lp = profiler.lane(i);
-    w.begin_object();
-    w.field("lane", i);
-    w.field("busy_ns", lp.busy_ns);
-    w.field("barrier_wait_ns", lp.barrier_wait_ns);
-    w.field("flush_ns", lp.flush_ns);
-    w.field("events", lp.events);
-    w.field("batches", lp.batches);
-    w.end_object();
-  }
-  w.end_array();
-
-  w.field("lane_imbalance", profiler.lane_imbalance());
-  w.field("barrier_stall_fraction", profiler.barrier_stall_fraction());
-
   w.key("histograms").begin_object();
   write_histogram(w, "dispatch_ns", profiler.dispatch_histogram());
-  write_histogram(w, "barrier_wait_ns", profiler.barrier_histogram());
   w.end_object();
 
   const ThroughputTracker& t = profiler.throughput();

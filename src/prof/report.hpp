@@ -1,13 +1,13 @@
 // prof.json: the on-disk form of one run's wall-clock attribution.
 //
 // Written next to metrics.json (telemetry.out_dir/<config>/prof.json) whenever
-// [prof] enabled is set. Layout (schema_version 1):
+// [prof] enabled is set. Layout (schema_version 2; version 1 also carried
+// the sharded engine's threads/lanes, lanes_breakdown, lane_imbalance,
+// barrier_stall_fraction and histograms.barrier_wait_ns):
 //
-//   config/threads/lanes/wall_ns        run identity and total wall span
+//   config/wall_ns                      run identity and total wall span
 //   subsystems.<name>.{ns,calls}        inclusive wall attribution per target
-//   lanes[]                             per-lane busy / barrier-wait / flush
-//   lane_imbalance, barrier_stall_fraction
-//   histograms.{dispatch_ns,barrier_wait_ns}   HDR summaries + percentiles
+//   histograms.dispatch_ns              HDR summary + percentiles
 //   throughput.{cumulative,rolling}     events/s, chunks/s, sim-per-wall
 //
 // The file holds wall-clock values and is therefore the ONE artifact allowed
@@ -22,7 +22,7 @@ namespace dfly::prof {
 
 class Profiler;
 
-inline constexpr int kProfSchemaVersion = 1;
+inline constexpr int kProfSchemaVersion = 2;
 
 /// Renders the prof.json document for `profiler` into `os`.
 void write_prof_report(std::ostream& os, const Profiler& profiler, const std::string& config);

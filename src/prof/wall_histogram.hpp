@@ -43,7 +43,7 @@ class WallHistogram {
   std::int64_t percentile(double p) const;
 
   /// Adds every sample of `other` (same resolution required; throws
-  /// std::invalid_argument otherwise). Used to merge per-lane shards.
+  /// std::invalid_argument otherwise).
   void merge(const WallHistogram& other);
 
   int sub_bucket_bits() const { return bits_; }

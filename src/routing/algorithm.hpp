@@ -40,22 +40,9 @@ struct RouteDecisionStats {
 
 /// Decision telemetry an adaptive algorithm records into when a sink is
 /// installed via RoutingAlgorithm::set_telemetry (observability layer,
-/// src/obs/). Indexed by source router; grows lazily unless presize()d.
-///
-/// Thread-safety under the sharded engine: record() touches only the source
-/// router's slot, and routes are computed on the source's lane — distinct
-/// lanes write distinct slots. The aggregate totals are therefore *summed on
-/// read* instead of kept as shared counters, and a sharded run must
-/// presize() the vector up front so record() never resizes concurrently.
+/// src/obs/). Indexed by source router; grows lazily.
 class RoutingTelemetry {
  public:
-  /// Pre-allocates one slot per source router (required before sharded use;
-  /// unsharded runs may skip it and keep the lazily-grown vector).
-  void presize(int total_routers) {
-    if (static_cast<std::size_t>(total_routers) > per_source_.size())
-      per_source_.resize(static_cast<std::size_t>(total_routers));
-  }
-
   void record(RouterId src, bool chose_minimal, double winning_score, double best_minimal_score,
               double best_nonminimal_score) {
     if (static_cast<std::size_t>(src) >= per_source_.size()) per_source_.resize(src + 1);
@@ -108,9 +95,7 @@ class RoutingAlgorithm {
   virtual void on_topology_changed() {}
 
   /// True when compute() reads congestion state beyond the source router's
-  /// own output queues (UGAL-G scores whole candidate paths). The sharded
-  /// network cannot partition such reads by group, so it keeps these runs on
-  /// the serial dispatch path (Network::enable_sharding becomes a no-op).
+  /// own output queues (UGAL-G scores whole candidate paths).
   virtual bool uses_remote_congestion() const { return false; }
 
   virtual std::string name() const = 0;

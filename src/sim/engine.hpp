@@ -1,6 +1,4 @@
-// Discrete-event simulation engine: sequential by default, optionally
-// sharded into per-dragonfly-group logical processes with conservative
-// (lookahead-based) parallel synchronization.
+// Discrete-event simulation engine.
 //
 // Design notes:
 //  * Events carry a small POD payload and a handler pointer; dispatch is one
@@ -13,26 +11,12 @@
 //  * The pending-event set lives in a calendar queue (sim/event_queue.hpp):
 //    O(1) amortised scheduling for the near-monotonic event stream, with a
 //    heap-backed overflow tier for far-future timers.
-//  * Sharded mode (enable_sharding) gives every dragonfly group its own lane
-//    — a private calendar queue, sequence counter and outbox — plus one
-//    global lane for handlers that touch cross-group state. Shard lanes run
-//    in parallel inside lookahead-bounded batches; global events run alone,
-//    between batches, with every shard parked. The sequence number embeds the
-//    scheduling lane, so the total dispatch order per lane is a pure function
-//    of the configuration — a run with threads=N is bit-identical to the
-//    threads=1 run of the same sharded configuration (DESIGN.md §10).
-//  * threads=0 (the default, no enable_sharding call) keeps the original
-//    single-queue engine, bit-identical to the pre-sharding behaviour.
+//  * The engine is serial. Sweep parallelism lives one level up, in
+//    run_matrix (one configuration per worker, DESIGN.md §9).
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <utility>
-#include <vector>
 
 #include "sim/event_queue.hpp"
 #include "util/units.hpp"
@@ -43,63 +27,30 @@ namespace prof {
 class Profiler;
 }  // namespace prof
 
-/// Configuration for the sharded parallel engine (DESIGN.md §10).
-struct ShardingOptions {
-  int shards = 0;         ///< shard lanes; one per dragonfly group
-  SimTime lookahead = 0;  ///< conservative bound: min cross-shard latency (ns)
-  int threads = 1;        ///< worker threads incl. the coordinator (>= 1)
-};
-
 class Engine {
  public:
   Engine() = default;
-  ~Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Switches the engine into sharded mode. Must be called on a fresh engine
-  /// (no events scheduled, nothing processed). Spawns threads-1 helper
-  /// workers; threads=1 runs the same sharded semantics serially and is the
-  /// byte-equality oracle for threads>=2.
-  void enable_sharding(const ShardingOptions& opts);
-  bool sharded() const { return !lanes_.empty(); }
+  /// Always 0: the engine has a single lane. Kept so callers written against
+  /// the per-lane profiler API (prof::ProfScope's lane argument) still build.
+  int global_lane() const { return 0; }
 
-  /// Lane count: shards + 1 (global lane) when sharded, 1 otherwise.
-  /// Subsystems size their per-lane state (counters, RNG streams, chunk
-  /// arenas) from this.
-  int lanes() const { return sharded() ? static_cast<int>(lanes_.size()) : 1; }
-  /// Index of the global lane (== shard count); 0 when unsharded.
-  int global_lane() const { return sharded() ? static_cast<int>(lanes_.size()) - 1 : 0; }
-  /// The lane whose event is currently dispatching on this thread; the global
-  /// lane outside dispatch (setup, global handlers), 0 when unsharded.
-  int current_lane() const;
-  /// Events dispatched by one lane (sharded mode; used by the bench's
-  /// load-balance model).
-  std::uint64_t lane_processed(int lane) const;
-
-  /// Invoked by the coordinator at every safe-time barrier (after the shard
-  /// outboxes merge, before the next batch). The network drains its deferred
-  /// cross-lane chunk frees here, in deterministic lane order.
-  void set_quiesce_hook(std::function<void()> hook) { quiesce_hook_ = std::move(hook); }
-
-  /// Attaches a wall-clock profiler (src/prof/, DESIGN.md §11): dispatch
-  /// times, per-lane busy/barrier-wait/flush phases. The profiler's lane
-  /// count must match lanes(); nullptr detaches. Pure observability — the
-  /// hooks read the monotonic clock and write profiler-owned accumulators
-  /// only, so attaching one never changes simulation behaviour.
-  void set_profiler(prof::Profiler* p);
+  /// Attaches a wall-clock profiler (src/prof/, DESIGN.md §11) that times
+  /// every dispatch; nullptr detaches. Pure observability — the hooks read
+  /// the monotonic clock and write profiler-owned accumulators only, so
+  /// attaching one never changes simulation behaviour.
+  void set_profiler(prof::Profiler* p) { profiler_ = p; }
   prof::Profiler* profiler() const { return profiler_; }
 
   /// Schedules `payload` for delivery to `handler` at absolute time `when`.
-  /// `when` must not precede the current time. In sharded mode the event is
-  /// routed to handler->event_shard(payload)'s lane; cross-shard sends from a
-  /// shard must land strictly after the current batch bound (guaranteed by
-  /// the lookahead = the global-link latency).
+  /// `when` must not precede the current time.
   void schedule(SimTime when, EventHandler* handler, EventPayload payload);
 
-  /// Convenience: schedule relative to the dispatching event's time.
+  /// Convenience: schedule relative to the current time.
   void schedule_after(SimTime delay, EventHandler* handler, EventPayload payload) {
-    schedule(event_now() + delay, handler, payload);
+    schedule(now_ + delay, handler, payload);
   }
 
   /// Runs until no events remain. Returns the final simulation time.
@@ -118,108 +69,46 @@ class Engine {
 
   SimTime now() const { return now_; }
   std::uint64_t events_processed() const { return processed_; }
-  std::size_t pending() const;
+  std::size_t pending() const { return queue_.size(); }
 
   /// Aborts run() after this many further events (0 = unlimited); used by
-  /// tests as a deadlock/livelock watchdog. In sharded mode the limit is
-  /// checked at batch boundaries, so the overshoot is deterministic but may
-  /// exceed the limit by up to one batch.
+  /// tests as a deadlock/livelock watchdog.
   void set_event_limit(std::uint64_t limit) { event_limit_ = limit; }
   bool hit_event_limit() const { return hit_limit_; }
 
   /// Makes run()/run_until() return before dispatching any further event.
   /// Callable from inside an event handler (the HealthMonitor uses this to
-  /// halt a stalled simulation while its state is still inspectable). In
-  /// sharded mode it is honoured at the next batch boundary.
+  /// halt a stalled simulation while its state is still inspectable).
   void request_stop() { stop_requested_ = true; }
   bool stop_requested() const { return stop_requested_; }
 
   /// Occupancy and resize counters of the calendar scheduler (reported by
-  /// HealthMonitor and metrics/); summed across lanes in sharded mode.
-  const SchedulerStats& scheduler_stats() const;
+  /// HealthMonitor and metrics/).
+  const SchedulerStats& scheduler_stats() const { return queue_.stats(); }
 
-  /// Checkpoint support (src/ckpt/): serializes the clock, sequence
-  /// counter(s), processed count(s) and the complete pending-event set,
-  /// preceded by a mode byte (0 = serial, 1 = sharded; a snapshot only loads
-  /// into an engine in the same mode). Sharded state is saved per lane and is
-  /// independent of the thread count, so a run checkpointed at threads=2
-  /// resumes bit-exactly at threads=4 (or 1). Handlers are mapped to stable
-  /// small ids by `id_of` / `handler_of` (the checkpoint layer owns the
-  /// registry). load_state requires a freshly constructed (but possibly
-  /// already sharding-enabled) engine. Sharded saves are only taken at
-  /// quiesce points (run_slice boundaries), where every outbox is empty.
+  /// Checkpoint support (src/ckpt/): serializes the clock, sequence counter,
+  /// processed count and the complete pending-event set, preceded by a mode
+  /// byte that is always 0 (serial). load_state rejects any other mode byte:
+  /// those snapshots came from the sharded engine, which no longer exists.
+  /// Handlers are mapped to stable small ids by `id_of` / `handler_of` (the
+  /// checkpoint layer owns the registry). load_state requires a freshly
+  /// constructed engine.
   void save_state(ckpt::Writer& w,
                   const std::function<std::uint32_t(EventHandler*)>& id_of) const;
   void load_state(ckpt::Reader& r,
                   const std::function<EventHandler*(std::uint32_t)>& handler_of);
 
  private:
-  /// One logical process: a dragonfly group's private queue + counters, or
-  /// the global lane (index == shard count). alignas keeps lanes on separate
-  /// cache lines — each is written by exactly one worker per batch.
-  struct alignas(64) Lane {
-    CalendarEventQueue queue;
-    std::uint64_t counter = 0;    ///< events scheduled BY this lane
-    std::uint64_t processed = 0;  ///< events dispatched ON this lane
-    SimTime last_time = 0;        ///< time of this lane's last dispatched event
-    /// Cross-shard sends staged during a batch, released at the barrier.
-    std::vector<std::pair<int, QueuedEvent>> outbox;
-  };
-
-  /// Per-thread dispatch context, live while a worker executes one lane of
-  /// one batch (or the coordinator executes a global event).
-  struct BatchCtx {
-    Engine* engine;
-    int lane;
-    SimTime bound;  ///< batch safe-time bound (max SimTime for global events)
-    SimTime now;    ///< time of the event currently dispatching
-  };
-  static thread_local BatchCtx* tls_batch_;
-
   bool step();
-  SimTime run_slice_serial(SimTime deadline);
-  SimTime run_slice_sharded(SimTime deadline);
-  void run_batch(SimTime bound);
-  void run_lane(int lane, SimTime bound);
-  void work_lanes();
-  void worker_main();
-  void merge_outboxes();
-  SimTime event_now() const;
 
-  static std::uint64_t pack_seq(int lane, std::uint64_t counter) {
-    return (static_cast<std::uint64_t>(lane) << 48) | counter;
-  }
-
-  // --- serial (unsharded) state ---
   CalendarEventQueue queue_;
   std::uint64_t seq_ = 0;
-
-  // --- shared state ---
   SimTime now_ = 0;
   std::uint64_t processed_ = 0;
   std::uint64_t event_limit_ = 0;
   bool hit_limit_ = false;
   bool stop_requested_ = false;
-  mutable SchedulerStats agg_stats_;
   prof::Profiler* profiler_ = nullptr;
-
-  // --- sharded state (empty/idle when unsharded) ---
-  std::vector<Lane> lanes_;  ///< shards + 1 (last = global lane)
-  SimTime lookahead_ = 0;
-  int threads_ = 1;
-  std::function<void()> quiesce_hook_;
-  std::vector<int> active_;  ///< lane indices participating in this batch
-  SimTime batch_bound_ = 0;
-  // Worker pool: threads_-1 helpers; condvar generation start, atomic lane
-  // grab, condvar done-count. threads_=1 touches none of this.
-  std::vector<std::thread> pool_;
-  std::mutex mu_;
-  std::condition_variable cv_start_;
-  std::condition_variable cv_done_;
-  std::uint64_t generation_ = 0;
-  int done_workers_ = 0;
-  bool shutdown_ = false;
-  std::atomic<int> next_active_{0};
 };
 
 }  // namespace dfly

@@ -40,22 +40,8 @@ struct EventPayload {
 /// Implemented by any subsystem that receives events (network, replay, ...).
 class EventHandler {
  public:
-  /// event_shard() result meaning "not bound to any shard": the engine runs
-  /// such events on its global lane, alone, with every shard parked — so a
-  /// global handler may safely touch any state.
-  static constexpr int kGlobalShard = -1;
-
   virtual ~EventHandler() = default;
   virtual void handle_event(SimTime now, const EventPayload& payload) = 0;
-
-  /// Which shard (dragonfly group) the event's state lives in, or
-  /// kGlobalShard. Only consulted when the engine runs sharded; handlers that
-  /// don't override it (replay, probes, faults, health, background) stay on
-  /// the global lane and need no thread-safety work.
-  virtual int event_shard(const EventPayload& payload) const {
-    (void)payload;
-    return kGlobalShard;
-  }
 };
 
 struct QueuedEvent {

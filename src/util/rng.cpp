@@ -62,13 +62,4 @@ Rng Rng::fork(std::uint64_t tag) {
   return Rng(sm.next());
 }
 
-Rng Rng::stream(std::uint64_t index) const {
-  // Fold all four state words with the index through SplitMix64 so streams of
-  // distinct indices (and the parent itself) are statistically independent.
-  SplitMix64 sm(s_[0] ^ rotl(s_[1], 13) ^ rotl(s_[2], 29) ^ rotl(s_[3], 47) ^
-                (index * 0xd1342543de82ef95ULL + 0x9e3779b97f4a7c15ULL));
-  sm.next();  // decorrelate from the raw state fold
-  return Rng(sm.next());
-}
-
 }  // namespace dfly

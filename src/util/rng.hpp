@@ -67,13 +67,6 @@ class Rng {
   /// statistically independent of each other and of the parent.
   Rng fork(std::uint64_t tag);
 
-  /// Derives the `index`-th member of a counter-based family of streams
-  /// WITHOUT advancing this generator (unlike fork). Sharded subsystems use
-  /// this to give every lane its own stream from one master seed: the family
-  /// depends only on (master state, index), never on derivation order, so a
-  /// parallel run and a serial run get identical per-lane sequences.
-  Rng stream(std::uint64_t index) const;
-
   /// The four xoshiro256** state words, for checkpoint/restore: a stream
   /// restored via set_state continues the exact draw sequence.
   std::array<std::uint64_t, 4> state() const { return {s_[0], s_[1], s_[2], s_[3]}; }

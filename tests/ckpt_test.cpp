@@ -1,10 +1,11 @@
 // Checkpoint/restore tests: snapshot container robustness (truncation, bit
 // flips, wrong kind, hostile counts), bit-exact resume for minimal and
-// adaptive routing under fault injection, identity validation, and the
-// run_matrix sweep resume protocol.
+// adaptive routing under fault injection, identity validation, rejection of
+// sharded-engine snapshots, and the run_matrix sweep resume protocol.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -16,6 +17,10 @@
 #include "core/experiment.hpp"
 #include "core/run_matrix.hpp"
 #include "fault/fault.hpp"
+#include "net/network.hpp"
+#include "obs/trace.hpp"
+#include "routing/minimal.hpp"
+#include "sim/engine.hpp"
 #include "workload/synthetic.hpp"
 
 namespace dfly {
@@ -370,6 +375,140 @@ TEST(CheckpointResume, CorruptSnapshotsThrowNeverCrash) {
         << "flipped byte " << pos;
   }
   std::remove(snapshot.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Format v2 single-lane fields: the serial engine writes mode byte 0, one
+// chunk arena, one counter block and one tracer lane. Any other value came
+// from the removed sharded engine and must be refused with a clear message.
+// ---------------------------------------------------------------------------
+
+class NullHandler : public EventHandler {
+ public:
+  void handle_event(SimTime, const EventPayload&) override {}
+};
+
+std::string patch_u32(std::string payload, std::size_t at, std::uint32_t value) {
+  std::memcpy(payload.data() + at, &value, sizeof value);
+  return payload;
+}
+
+template <typename Load>
+void expect_sharded_snapshot_rejected(const std::string& payload, Load load) {
+  ckpt::Reader r(payload);
+  try {
+    load(r);
+    ADD_FAILURE() << "a sharded-layout snapshot was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("sharded snapshots are no longer supported"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(CheckpointFormat, EngineModeByteMustBeSerial) {
+  NullHandler handler;
+  Engine engine;
+  engine.schedule(5, &handler, EventPayload{});
+  ckpt::Writer w;
+  engine.save_state(w, [](EventHandler*) { return 0u; });
+  const auto handler_of = [&handler](std::uint32_t) -> EventHandler* { return &handler; };
+  ASSERT_EQ(w.buffer()[0], 0);
+
+  ckpt::Reader ok(w.buffer());
+  Engine restored;
+  restored.load_state(ok, handler_of);
+  EXPECT_EQ(restored.pending(), 1u);
+
+  std::string sharded = w.buffer();
+  sharded[0] = 1;
+  expect_sharded_snapshot_rejected(sharded, [&](ckpt::Reader& r) {
+    Engine fresh;
+    fresh.load_state(r, handler_of);
+  });
+}
+
+struct NetworkRig {
+  NetworkRig()
+      : topo(TopoParams::tiny()), routing(topo), network(engine, topo, params, routing, Rng(3)) {}
+  Engine engine;
+  DragonflyTopology topo;
+  NetworkParams params = NetworkParams::theta();
+  MinimalRouting routing;
+  Network network;
+};
+
+/// A network snapshot taken mid-flight, with chunks in the pool.
+std::string midflight_network_payload() {
+  NetworkRig rig;
+  rig.network.send(0, 5, 64 * units::kKiB);
+  rig.engine.run_until(2 * units::kMicrosecond);
+  ckpt::Writer w;
+  rig.network.save_state(w);
+  return w.buffer();
+}
+
+TEST(CheckpointFormat, NetworkChunkArenaCountMustBeOne) {
+  const std::string payload = midflight_network_payload();
+  std::uint32_t arenas = 0;
+  std::memcpy(&arenas, payload.data(), sizeof arenas);
+  ASSERT_EQ(arenas, 1u);
+  {
+    NetworkRig restored;
+    ckpt::Reader r(payload);
+    restored.network.load_state(r);
+    EXPECT_GT(restored.network.bytes_injected(), 0);
+  }
+  expect_sharded_snapshot_rejected(patch_u32(payload, 0, 2), [](ckpt::Reader& r) {
+    NetworkRig fresh;
+    fresh.network.load_state(r);
+  });
+}
+
+TEST(CheckpointFormat, NetworkCounterBlockCountMustBeOne) {
+  // The payload ends with the counter-block count, eight 8-byte counters
+  // and the four 8-byte routing RNG words.
+  const std::string payload = midflight_network_payload();
+  const std::size_t at = payload.size() - (4 + 8 * 8 + 4 * 8);
+  std::uint32_t blocks = 0;
+  std::memcpy(&blocks, payload.data() + at, sizeof blocks);
+  ASSERT_EQ(blocks, 1u);
+  expect_sharded_snapshot_rejected(patch_u32(payload, at, 3), [](ckpt::Reader& r) {
+    NetworkRig fresh;
+    fresh.network.load_state(r);
+  });
+}
+
+TEST(CheckpointFormat, TracerLaneCountMustBeOne) {
+  ChromeTraceWriter sink;
+  ChunkPathTracer tracer(sink, 1.0);
+  const std::uint64_t serial = tracer.on_chunk_injected(0, 0, 1, 4096, 0);
+  tracer.on_hop_enqueue(serial, 0, 0, 1, 4096, 0, 2, PortKind::LocalRow, 0, 0, 10);
+  ckpt::Writer w;
+  tracer.save_state(w);
+  const std::string& payload = w.buffer();
+  std::uint32_t lanes = 0;
+  std::memcpy(&lanes, payload.data(), sizeof lanes);
+  ASSERT_EQ(lanes, 1u);
+
+  ChromeTraceWriter restored_sink;
+  ChunkPathTracer restored(restored_sink, 1.0);
+  ckpt::Reader ok(payload);
+  restored.load_state(ok);
+  EXPECT_EQ(restored.live_chunks(), 1u);
+
+  const auto load_fresh = [](ckpt::Reader& r) {
+    ChromeTraceWriter fresh_sink;
+    ChunkPathTracer fresh(fresh_sink, 1.0);
+    fresh.load_state(r);
+  };
+  expect_sharded_snapshot_rejected(patch_u32(payload, 0, 10), load_fresh);
+  // Only the sharded tracer buffered hops: the trailing count must be 0.
+  std::string buffered = payload;
+  const std::uint64_t one = 1;
+  std::memcpy(buffered.data() + buffered.size() - sizeof one, &one, sizeof one);
+  buffered.append(128, '\0');  // room for one record, so the count is plausible
+  expect_sharded_snapshot_rejected(buffered, load_fresh);
 }
 
 // ---------------------------------------------------------------------------

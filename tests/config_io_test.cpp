@@ -269,6 +269,32 @@ TEST(ConfigIo, RejectsRemovedFarmAndHeartbeatKeys) {
   }
 }
 
+// The engine has one (serial) execution mode. The [engine] threads key that
+// selected the removed sharded engine is no longer rendered, and any value
+// for it fails to load instead of silently running serially.
+
+TEST(ParallelEquivalence, EngineThreadsRoundTripsThroughConfig) {
+  const std::string text = render_config(ExperimentOptions{});
+  EXPECT_EQ(text.find("[engine]"), std::string::npos);
+  std::istringstream is(text);
+  const ExperimentOptions parsed = parse_config(is, ExperimentOptions{});
+  EXPECT_EQ(render_config(parsed), text);
+  for (const char* stale : {"[engine]\nthreads = 0\n", "[engine]\nthreads = 4\n"}) {
+    std::istringstream in(stale);
+    try {
+      parse_config(in, ExperimentOptions{});
+      ADD_FAILURE() << "accepted: " << stale;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown key"), std::string::npos) << e.what();
+    }
+  }
+}
+
+TEST(ParallelEquivalence, NegativeEngineThreadsIsRejected) {
+  std::istringstream is("[engine]\nthreads = -3\n");
+  EXPECT_THROW(parse_config(is, ExperimentOptions{}), std::runtime_error);
+}
+
 TEST(ConfigIo, DefaultsArePreservedForUnsetKeys) {
   ExperimentOptions defaults;
   defaults.msg_scale = 0.125;

@@ -103,6 +103,17 @@ TEST(Experiment, AdaptiveNeverShorterThanMinimalHops) {
   EXPECT_LE(percentile(min.metrics.avg_hops, 50.0), percentile(adp.metrics.avg_hops, 50.0) + 1e-9);
 }
 
+TEST(Experiment, NonzeroEngineThreadsIsRejected) {
+  // The engine is serial; sweep parallelism is run_matrix's thread count.
+  const ExperimentConfig config;
+  for (const int threads : {1, 4, -1}) {
+    ExperimentOptions options = tiny_options();
+    options.threads = threads;
+    EXPECT_THROW(run_experiment(small_workload(), config, options), std::invalid_argument)
+        << "threads=" << threads;
+  }
+}
+
 TEST(Experiment, MsgScaleIncreasesCommTime) {
   const Workload w = small_workload();
   ExperimentOptions options = tiny_options();

@@ -121,7 +121,7 @@ TEST(LintRawRng, FlagsCRandAndStdEngines) {
 }
 
 TEST(LintRawRng, AllowsSeededRngStreams) {
-  EXPECT_TRUE(lint_one("routing/adaptive.cpp", "Rng rng = Rng::stream(seed, 3);\n").clean());
+  EXPECT_TRUE(lint_one("routing/adaptive.cpp", "Rng rng = Rng(seed).fork(3);\n").clean());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 // Profiler suite (DESIGN.md §11): the wall-clock attribution subsystem and
 // its cardinal invariant — profiling must not perturb the simulation. The
-// differential tests run the same experiment with [prof] off and on (serial
-// and sharded), across thread counts, and through a checkpoint interrupt +
-// resume, and require every existing artifact to stay byte-identical;
+// differential tests run the same experiment with [prof] off and on, and
+// through a checkpoint interrupt + resume, and require every existing
+// artifact to stay byte-identical;
 // prof.json is the one artifact allowed to carry wall-clock values. Plus unit
 // coverage for the HDR-style histogram edge cases, the sim-vs-wall throughput
 // tracker, and the [prof] config section.
@@ -204,11 +204,10 @@ TEST(ProfConfig, RejectsBadValues) {
 
 Workload prof_workload() { return {"ring", make_ring_trace(24, 32 * units::kKiB, 2)}; }
 
-ExperimentOptions prof_options(const std::string& telemetry_dir, int threads) {
+ExperimentOptions prof_options(const std::string& telemetry_dir) {
   ExperimentOptions o;
   o.topo = TopoParams::tiny();
   o.seed = 11;
-  o.threads = threads;
   o.max_events = 100'000'000;
   o.telemetry.enabled = true;
   o.telemetry.sample_rate = 0.05;
@@ -229,16 +228,16 @@ void expect_artifacts_byte_equal(const ExperimentOptions& a, const ExperimentOpt
   }
 }
 
-void expect_prof_does_not_perturb(int threads, const std::string& tag) {
+TEST(ProfDifferential, SerialRunIsByteIdenticalWithProfilingOnOrOff) {
   const ExperimentConfig config{PlacementKind::Contiguous, RoutingKind::Adaptive};
   const Workload workload = prof_workload();
 
-  ExperimentOptions off = prof_options(tag + "-off", threads);
+  ExperimentOptions off = prof_options("prof-serial-off");
   const ExperimentResult r_off = run_experiment(workload, config, off);
   ASSERT_TRUE(r_off.conservation_ok);
   ASSERT_GT(r_off.metrics.events, 0u);
 
-  ExperimentOptions on = prof_options(tag + "-on", threads);
+  ExperimentOptions on = prof_options("prof-serial-on");
   on.prof.enabled = true;
   const ExperimentResult r_on = run_experiment(workload, config, on);
   EXPECT_EQ(r_on.metrics.events, r_off.metrics.events);
@@ -250,42 +249,18 @@ void expect_prof_does_not_perturb(int threads, const std::string& tag) {
   EXPECT_TRUE(fs::exists(on.telemetry.out_dir + "/" + config.name() + "/prof.json"));
 }
 
-TEST(ProfDifferential, SerialRunIsByteIdenticalWithProfilingOnOrOff) {
-  expect_prof_does_not_perturb(/*threads=*/0, "prof-serial");
-}
-
-TEST(ProfDifferential, ShardedRunIsByteIdenticalWithProfilingOnOrOff) {
-  expect_prof_does_not_perturb(/*threads=*/2, "prof-shard");
-}
-
-TEST(ProfDifferential, ThreadCountsAgreeByteForByteWithProfilingOn) {
-  const ExperimentConfig config{PlacementKind::RandomNode, RoutingKind::Adaptive};
-  const Workload workload = prof_workload();
-
-  ExperimentOptions oracle = prof_options("prof-t1", 1);
-  oracle.prof.enabled = true;
-  const ExperimentResult r1 = run_experiment(workload, config, oracle);
-  ASSERT_TRUE(r1.conservation_ok);
-
-  ExperimentOptions par = prof_options("prof-t2", 2);
-  par.prof.enabled = true;
-  const ExperimentResult r2 = run_experiment(workload, config, par);
-  EXPECT_EQ(r2.metrics.events, r1.metrics.events);
-  expect_artifacts_byte_equal(oracle, par, config.name(), "threads 1 vs 2, profiling on");
-}
-
 TEST(ProfDifferential, CheckpointResumeWithProfilingOnStaysByteIdentical) {
   const ExperimentConfig config{PlacementKind::Contiguous, RoutingKind::Adaptive};
   const Workload workload = prof_workload();
 
-  ExperimentOptions golden_opts = prof_options("prof-ck-golden", 2);
+  ExperimentOptions golden_opts = prof_options("prof-ck-golden");
   golden_opts.prof.enabled = true;
   const ExperimentResult golden = run_experiment(workload, config, golden_opts);
   const SimTime makespan = static_cast<SimTime>(golden.metrics.makespan_ms * 1e6);
   ASSERT_GT(makespan, 0);
 
   const std::string snapshot = temp_path("prof-ck.ckpt");
-  ExperimentOptions interrupted = prof_options("prof-ck-resumed", 2);
+  ExperimentOptions interrupted = prof_options("prof-ck-resumed");
   interrupted.prof.enabled = true;
   interrupted.checkpoint.interval = makespan / 6 > 0 ? makespan / 6 : 1;
   interrupted.checkpoint.path = snapshot;
@@ -305,30 +280,27 @@ TEST(ProfDifferential, CheckpointResumeWithProfilingOnStaysByteIdentical) {
 }
 
 TEST(ProfReport, ProfJsonCarriesAttributionAndLaneBreakdown) {
+  // The serial engine's report: attribution, the dispatch histogram and
+  // throughput. Schema version 2 dropped every per-lane and barrier field.
   const ExperimentConfig config{PlacementKind::Contiguous, RoutingKind::Minimal};
-  ExperimentOptions o = prof_options("prof-report", 2);
+  ExperimentOptions o = prof_options("prof-report");
   o.prof.enabled = true;
   const ExperimentResult r = run_experiment(prof_workload(), config, o);
   ASSERT_GT(r.metrics.events, 0u);
 
   const std::string text = slurp(o.telemetry.out_dir + "/" + config.name() + "/prof.json");
   ASSERT_FALSE(text.empty());
-  EXPECT_TRUE(contains(text, "\"schema_version\": 1"));
+  EXPECT_TRUE(contains(text, "\"schema_version\": 2"));
   for (const char* subsystem :
        {"event_dispatch", "routing", "nic_retransmit", "checkpoint_io", "telemetry_export"})
     EXPECT_TRUE(contains(text, subsystem)) << subsystem;
-  EXPECT_TRUE(contains(text, "\"lanes_breakdown\""));
-  EXPECT_TRUE(contains(text, "\"barrier_wait_ns\""));
-  EXPECT_TRUE(contains(text, "\"lane_imbalance\""));
-  EXPECT_TRUE(contains(text, "\"barrier_stall_fraction\""));
+  EXPECT_TRUE(contains(text, "\"dispatch_ns\""));
   EXPECT_TRUE(contains(text, "\"throughput\""));
   EXPECT_TRUE(contains(text, "\"p99.9\""));
-  // threads=2 shards per group: more than one lane must appear.
-  std::size_t lane_entries = 0;
-  for (std::size_t at = text.find("\"lane\":"); at != std::string::npos;
-       at = text.find("\"lane\":", at + 1))
-    ++lane_entries;
-  EXPECT_GT(lane_entries, 1u);
+  for (const char* removed : {"\"threads\"", "\"lanes\"", "\"lanes_breakdown\"", "\"lane\"",
+                              "\"barrier_wait_ns\"", "\"lane_imbalance\"",
+                              "\"barrier_stall_fraction\""})
+    EXPECT_FALSE(contains(text, removed)) << removed;
 
   // The other new artifact fields ride along: schema versions in the
   // telemetry exports.
@@ -336,6 +308,13 @@ TEST(ProfReport, ProfJsonCarriesAttributionAndLaneBreakdown) {
                        "\"schema_version\": 2"));
   EXPECT_TRUE(contains(slurp(o.telemetry.out_dir + "/" + config.name() + "/counters.jsonl"),
                        "\"schema_version\":2"));
+}
+
+TEST(ProfReport, ProfilerRejectsAnythingButOneLane) {
+  EXPECT_NO_THROW(prof::Profiler(prof::ProfOptions{}, 1, 0));
+  EXPECT_THROW(prof::Profiler(prof::ProfOptions{}, 10, 0), std::invalid_argument);
+  EXPECT_THROW(prof::Profiler(prof::ProfOptions{}, 0, 0), std::invalid_argument);
+  EXPECT_THROW(prof::Profiler(prof::ProfOptions{}, 1, 2), std::invalid_argument);
 }
 
 // Checkpointed sweeps: profiling rides along without extra files

@@ -264,5 +264,40 @@ TEST(RoutingFactory, NamesAndKinds) {
   EXPECT_STREQ(to_string(RoutingKind::Adaptive), "adp");
 }
 
+// --- bounded Valiant intermediate picker --------------------------------
+
+TEST(ValiantIntermediate, DegenerateTopologiesTerminateWithMinimalFallback) {
+  Rng rng(7);
+  // Formerly an infinite rejection loop: with <= 2 routers every draw hits an
+  // endpoint. Now it degenerates to the minimal route (via == r_dst).
+  EXPECT_EQ(pick_valiant_intermediate(1, 0, 0, rng), 0);
+  EXPECT_EQ(pick_valiant_intermediate(2, 0, 1, rng), 1);
+  EXPECT_EQ(pick_valiant_intermediate(2, 1, 0, rng), 0);
+}
+
+TEST(ValiantIntermediate, SmallestRealTopologyAlwaysPicksTheThirdParty) {
+  // With 3 routers exactly one valid intermediate exists; the bounded picker
+  // must find it (by draw or by the deterministic fallback scan), never spin.
+  for (std::uint64_t seed = 0; seed < 64; ++seed) {
+    Rng rng(seed);
+    const RouterId via = pick_valiant_intermediate(3, 0, 1, rng);
+    EXPECT_EQ(via, 2) << "seed " << seed;
+  }
+}
+
+TEST(ValiantIntermediate, PicksExcludeEndpointsAndCoverTheTable) {
+  Rng rng(13);
+  std::set<RouterId> seen;
+  for (int i = 0; i < 512; ++i) {
+    const RouterId via = pick_valiant_intermediate(24, 3, 17, rng);
+    ASSERT_NE(via, 3);
+    ASSERT_NE(via, 17);
+    ASSERT_GE(via, 0);
+    ASSERT_LT(via, 24);
+    seen.insert(via);
+  }
+  EXPECT_GT(seen.size(), 16u);  // still samples broadly, not a point mass
+}
+
 }  // namespace
 }  // namespace dfly

@@ -211,5 +211,31 @@ INSTANTIATE_TEST_SUITE_P(Configs, TopologyTest,
                                                           : std::string("theta");
                          });
 
+// --- 32-bit channel-id overflow guard -----------------------------------
+
+TEST(TopoParamsValidate, RejectsChannelSpaceOverflowing32BitIds) {
+  // channel id = router * ports_per_router + port must fit an int32; the
+  // guard computes in 64-bit so the probe values themselves cannot overflow.
+  TopoParams p;
+  p.groups = 2;
+  p.rows = 10'000;
+  p.cols = 10'000;
+  p.nodes_per_router = 1;
+  p.global_ports_per_router = 1;
+  p.chassis_per_cabinet = 1;
+  EXPECT_THROW(p.validate(), std::invalid_argument);
+}
+
+TEST(TopoParamsValidate, AcceptsChannelSpaceJustUnderTheBound) {
+  TopoParams p;
+  p.groups = 2;
+  p.rows = 1;
+  p.cols = 16'384;  // 32768 routers x 16385 ports ~= 5.4e8 < 2^31 - 1
+  p.nodes_per_router = 1;
+  p.global_ports_per_router = 1;
+  p.chassis_per_cabinet = 1;
+  EXPECT_NO_THROW(p.validate());
+}
+
 }  // namespace
 }  // namespace dfly
