@@ -1,5 +1,6 @@
 #include "fault/health.hpp"
 
+#include <bit>
 #include <sstream>
 #include <stdexcept>
 
@@ -39,7 +40,7 @@ std::string HealthReport::to_string() const {
   for (const PortDiag& pd : stuck_ports) {
     out << "  router " << pd.router << " port " << pd.port << " (" << dfly::to_string(pd.kind)
         << "): " << pd.queued_chunks << " chunks / " << pd.queued_bytes << " B queued, "
-        << pd.starved_vcs << " starved VC(s)\n";
+        << pd.blocked_vcs << " blocked VC(s)\n";
   }
   out << "per-VC queued bytes:";
   for (std::size_t vc = 0; vc < vc_occupancy.size(); ++vc) {
@@ -83,7 +84,6 @@ HealthReport HealthMonitor::capture(SimTime now) const {
     }
   }
 
-  const Bytes chunk_bytes = network_.params().chunk_bytes;
   const int routers = topo.params().total_routers();
   for (RouterId rid = 0; rid < routers && static_cast<int>(r.stuck_ports.size()) < kMaxListed;
        ++rid) {
@@ -97,11 +97,15 @@ HealthReport HealthMonitor::capture(SimTime now) const {
       pd.kind = op.kind;
       pd.queued_bytes = op.queued_bytes;
       pd.queued_chunks = static_cast<int>(op.queue.size());
-      for (const Bytes credit : op.credits)
-        if (credit < chunk_bytes) ++pd.starved_vcs;
-      // Report only ports that look wedged: demand present and at least one
-      // VC out of downstream space (an actively draining port is healthy).
-      const bool wedged = op.is_terminal() ? op.blocked_since >= 0 : pd.starved_vcs > 0;
+      std::uint32_t queued_vcs = 0, sendable_vcs = 0;
+      for (const QueuedChunk& e : op.queue) {
+        queued_vcs |= 1u << e.vc;
+        if (op.is_terminal() || op.credits[e.vc] >= e.bytes) sendable_vcs |= 1u << e.vc;
+      }
+      pd.blocked_vcs = std::popcount(queued_vcs & ~sendable_vcs);
+      // Report only ports that look wedged: at least one VC holds chunks none
+      // of which fit downstream (an actively draining port is healthy).
+      const bool wedged = op.is_terminal() ? op.blocked_since >= 0 : pd.blocked_vcs > 0;
       if (!wedged) continue;
       r.stuck_ports.push_back(pd);
       if (static_cast<int>(r.stuck_ports.size()) >= kMaxListed) break;

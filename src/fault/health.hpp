@@ -1,8 +1,8 @@
 // Simulation health monitoring: periodic progress checks, chunk-conservation
 // audits, and a structured diagnostic snapshot for deadlocked or stalled
 // runs (replacing a bare "experiment deadlocked" exception with the state
-// needed to debug one: which NICs are blocked, which ports are starved of
-// credits, where the bytes are).
+// needed to debug one: which NICs are blocked, which ports hold chunks no
+// downstream buffer can take, where the bytes are).
 #pragma once
 
 #include <functional>
@@ -32,8 +32,10 @@ struct PortDiag {
   PortKind kind = PortKind::Terminal;
   Bytes queued_bytes = 0;
   int queued_chunks = 0;
-  /// VCs on this port whose downstream credit is below one full chunk.
-  int starved_vcs = 0;
+  /// VCs on this port that hold queued chunks none of which fit in the VC's
+  /// downstream credit. A VC short of credit with nothing queued is not
+  /// blocked.
+  int blocked_vcs = 0;
 };
 
 /// Snapshot of simulation health at one instant; to_string() renders the
@@ -53,7 +55,7 @@ struct HealthReport {
   std::uint64_t events_processed = 0;
   int blocked_nics = 0;
   std::vector<NodeId> blocked_nic_ids;  ///< capped sample of blocked NICs
-  std::vector<PortDiag> stuck_ports;    ///< capped sample of starved ports
+  std::vector<PortDiag> stuck_ports;    ///< capped sample of wedged ports
   std::vector<Bytes> vc_occupancy;      ///< queued bytes per VC, fabric-wide
   SchedulerStats scheduler;             ///< calendar-queue occupancy/resizes
 

@@ -139,24 +139,24 @@ void Network::try_send(RouterId rid, int port, SimTime now) {
   // Pick a sendable chunk (one whose VC has downstream space; terminal
   // ports always have space). FirstSendable takes the oldest such chunk;
   // RoundRobinVc rotates service across VCs for fairness under contention.
+  // Each entry is checked against its own VC's credits, not only the VC
+  // head's: a partial chunk may bypass a blocked full-size one on its VC.
   const std::size_t npos = op.queue.size();
   std::size_t pick = npos;
   if (params_.arbitration == Arbitration::FirstSendable || op.is_terminal()) {
-    for (std::size_t i = 0; i < op.queue.size(); ++i) {
-      const Chunk& ch = chunks_[op.queue[i]];
-      const Hop& hop = ch.route[ch.hop_idx];
-      if (op.is_terminal() || op.credits[hop.vc] >= ch.bytes) {
+    for (std::size_t i = 0; i < npos; ++i) {
+      const QueuedChunk& e = op.queue[i];
+      if (op.is_terminal() || op.credits[e.vc] >= e.bytes) {
         pick = i;
         break;
       }
     }
   } else {
     int best_key = kMaxRouteHops + 1;
-    for (std::size_t i = 0; i < op.queue.size(); ++i) {
-      const Chunk& ch = chunks_[op.queue[i]];
-      const Hop& hop = ch.route[ch.hop_idx];
-      if (op.credits[hop.vc] < ch.bytes) continue;
-      const int key = (hop.vc - op.last_vc_served + kMaxRouteHops - 1) % kMaxRouteHops;
+    for (std::size_t i = 0; i < npos; ++i) {
+      const QueuedChunk& e = op.queue[i];
+      if (op.credits[e.vc] < e.bytes) continue;
+      const int key = (e.vc - op.last_vc_served + kMaxRouteHops - 1) % kMaxRouteHops;
       if (key < best_key) {
         best_key = key;
         pick = i;
@@ -166,14 +166,14 @@ void Network::try_send(RouterId rid, int port, SimTime now) {
   // Saturation ("the link has used up all its buffers", §III-E): demand is
   // present but every queued chunk is blocked on downstream buffer space —
   // whether or not the wire is currently busy.
-  if (pick == op.queue.size()) {
+  if (pick == npos) {
     op.begin_blocked(now);
     return;
   }
   op.end_blocked(now);
   if (now < op.busy_until) return;
 
-  const ChunkId cid = op.queue[pick];
+  const ChunkId cid = op.queue[pick].id;
   op.queue.erase(op.queue.begin() + static_cast<std::ptrdiff_t>(pick));
   Chunk& chunk = chunks_[cid];
   const Hop hop = chunk.route[chunk.hop_idx];
@@ -251,7 +251,7 @@ void Network::handle_event(SimTime now, const EventPayload& payload) {
         tracer_->on_hop_enqueue(chunk.trace_serial, chunk.msg, m.src, m.dst, chunk.bytes, rid,
                                 hop.port, op.kind, hop.vc, op.queued_bytes, now);
       }
-      op.queue.push_back(cid);
+      op.queue.push_back(QueuedChunk{cid, chunk.bytes, hop.vc});
       op.queued_bytes += chunk.bytes;
       try_send(rid, hop.port, now);
       break;
@@ -403,10 +403,10 @@ void Network::on_link_state_changed(RouterId rid, int port, bool up, SimTime now
   }
   // Purge everything queued for the dead port: free this router's input
   // buffer back to the upstream senders and queue the bytes for retransmit.
-  for (const ChunkId cid : op.queue) {
-    return_upstream_credit(chunks_[cid], now);
-    account_drop(cid, now);
-    chunks_.release(cid);
+  for (const QueuedChunk& e : op.queue) {
+    return_upstream_credit(chunks_[e.id], now);
+    account_drop(e.id, now);
+    chunks_.release(e.id);
   }
   op.queue.clear();
   op.queued_bytes = 0;
@@ -490,7 +490,7 @@ void Network::save_state(ckpt::Writer& w) const {
       const OutPort& op = router.port(p);
       w.i64(op.busy_until);
       w.size(op.queue.size());
-      for (const ChunkId id : op.queue) w.u32(id);
+      for (const QueuedChunk& e : op.queue) w.u32(e.id);
       w.i64(op.queued_bytes);
       w.size(op.credits.size());
       for (const Bytes c : op.credits) w.i64(c);
@@ -552,7 +552,8 @@ void Network::load_state(ckpt::Reader& r) {
     chunk.dropped = r.boolean();
     chunk.trace_serial = r.u64();
     chunk.route = load_route(r);
-    if (chunk.hop_idx > chunk.route.size()) bad_state("chunk hop index past route end");
+    if (chunk.hop_idx < 0 || chunk.hop_idx > chunk.route.size())
+      bad_state("chunk hop index past route end");
   }
   const std::size_t nfree = r.count(4);
   if (nfree > size) bad_state("chunk free list larger than pool");
@@ -598,17 +599,29 @@ void Network::load_state(ckpt::Reader& r) {
 
   const std::size_t nrouters = r.count(8);
   if (nrouters != routers_.size()) bad_state("router count mismatch");
-  for (Router& router : routers_) {
+  // Queue entries are rebuilt from the chunks, so each queued chunk must sit
+  // at a hop of its route that leaves through this very port, and only once.
+  std::vector<bool> queued(size, false);
+  for (RouterId rid = 0; rid < static_cast<RouterId>(routers_.size()); ++rid) {
+    Router& router = routers_[rid];
     if (r.i32() != router.num_ports()) bad_state("port count mismatch");
     for (int p = 0; p < router.num_ports(); ++p) {
       OutPort& op = router.port(p);
       op.busy_until = r.i64();
       const std::size_t qn = r.count(4);
       op.queue.clear();
+      op.queue.reserve(qn);
       for (std::size_t i = 0; i < qn; ++i) {
         const ChunkId id = r.u32();
         if (!chunks_.valid(id)) bad_state("queued chunk id out of range");
-        op.queue.push_back(id);
+        if (queued[id]) bad_state("chunk queued twice");
+        queued[id] = true;
+        const Chunk& chunk = chunks_[id];
+        if (chunk.hop_idx >= chunk.route.size()) bad_state("queued chunk has no current hop");
+        const Hop& hop = chunk.route[chunk.hop_idx];
+        if (hop.router != rid || hop.port != p)
+          bad_state("queued chunk's current hop is another port");
+        op.queue.push_back(QueuedChunk{id, chunk.bytes, hop.vc});
       }
       op.queued_bytes = r.i64();
       const std::size_t ncredits = r.count(8);
@@ -674,10 +687,7 @@ std::vector<Bytes> Network::vc_occupancy() const {
   std::vector<Bytes> occupancy(kMaxRouteHops, 0);
   for (const Router& router : routers_) {
     for (int p = 0; p < router.num_ports(); ++p) {
-      for (const ChunkId cid : router.port(p).queue) {
-        const Chunk& chunk = chunks_[cid];
-        occupancy[chunk.route[chunk.hop_idx].vc] += chunk.bytes;
-      }
+      for (const QueuedChunk& e : router.port(p).queue) occupancy[e.vc] += e.bytes;
     }
   }
   return occupancy;

@@ -8,7 +8,7 @@
 // when the chunk departs.
 #pragma once
 
-#include <deque>
+#include <cstdint>
 #include <vector>
 
 #include "net/chunk.hpp"
@@ -18,10 +18,19 @@
 
 namespace dfly {
 
+/// One chunk waiting for an output port: the chunk's id plus the two fields
+/// arbitration reads (its size and the VC of its current hop), so a scan
+/// walks contiguous 12-byte entries and never touches the chunk pool.
+struct QueuedChunk {
+  ChunkId id;
+  std::int32_t bytes;
+  std::int32_t vc;
+};
+
 struct OutPort {
   PortKind kind = PortKind::Terminal;
   SimTime busy_until = 0;
-  std::deque<ChunkId> queue;  ///< chunks awaiting this channel, FIFO arrival order
+  std::vector<QueuedChunk> queue;  ///< chunks awaiting this channel, in arrival order
   Bytes queued_bytes = 0;
   /// Free space in the downstream input buffer, per VC. Empty for terminal
   /// (ejection) ports: the node sink always accepts.

@@ -74,7 +74,7 @@ QueuedEvent CalendarEventQueue::pop_min() {
   Bucket& bk = slot(cur_b_);
   QueuedEvent ev = bk.events.back();
   bk.events.pop_back();
-  if (bk.events.empty()) bk.sorted = false;
+  if (bk.events.empty()) release(bk);
   --cal_size_;
   --size_;
   pop_times_[pop_times_next_] = ev.time;
@@ -139,6 +139,17 @@ void CalendarEventQueue::promote_overflow() {
   overflow_min_b_ = overflow_.empty() ? kNoBucket : bucket_of(overflow_.top().time);
 }
 
+void CalendarEventQueue::release(Bucket& bk) {
+  std::vector<QueuedEvent>().swap(bk.events);
+  bk.sorted = false;
+}
+
+std::size_t CalendarEventQueue::reserved_events() const {
+  std::size_t slots = 0;
+  for (const Bucket& bk : buckets_) slots += bk.events.capacity();
+  return slots;
+}
+
 void CalendarEventQueue::insert_calendar(const QueuedEvent& ev) {
   Bucket& bk = slot(bucket_of(ev.time));
   if (bk.sorted) {
@@ -166,6 +177,7 @@ void CalendarEventQueue::rewind(std::uint64_t new_cur) {
       --cal_size_;
     }
     bk.events.erase(keep_end, bk.events.end());
+    if (bk.events.empty()) release(bk);
   }
 }
 
@@ -320,13 +332,11 @@ void CalendarEventQueue::resize(std::size_t nbuckets) {
   // under the new width, and the lazy promotion in locate_min() does the rest.
   std::vector<QueuedEvent> all;
   all.reserve(cal_size_);
-  for (Bucket& bk : buckets_) {
-    all.insert(all.end(), bk.events.begin(), bk.events.end());
-    bk.events.clear();
-    bk.sorted = false;
-  }
+  for (const Bucket& bk : buckets_) all.insert(all.end(), bk.events.begin(), bk.events.end());
   width_shift_ = tuned_width_shift(all);
-  buckets_.assign(nbuckets, Bucket{});
+  // A fresh array: assigning over the old one would keep every bucket's
+  // largest-ever capacity.
+  buckets_ = std::vector<Bucket>(nbuckets);
   bucket_mask_ = nbuckets - 1;
   cal_size_ = 0;
   // Anchor the window at the global minimum so no pending event — calendar or

@@ -94,6 +94,11 @@ struct SchedulerStats {
 /// window slides over them. The array doubles/halves and the bucket width is
 /// retuned from the live event spacing whenever occupancy skews.
 ///
+/// A bucket owns storage only while it holds events: draining one frees its
+/// vector, and a resize builds a fresh array. Without that rule every bucket
+/// keeps its largest-ever capacity, and a long run hoards slots for millions
+/// of events while a few thousand are pending.
+///
 /// All event times must be non-negative. pop_min()/min() return events in
 /// strict (time, seq) order — identical to HeapEventQueue.
 class CalendarEventQueue {
@@ -119,6 +124,12 @@ class CalendarEventQueue {
   /// back to live handlers. Throws std::runtime_error on malformed input.
   void load_state(ckpt::Reader& r,
                   const std::function<EventHandler*(std::uint32_t)>& handler_of);
+
+  /// Event slots the bucket array holds allocated (sum of bucket
+  /// capacities). A bucket owns storage only while it holds events, so this
+  /// tracks the pending calendar events, not their high-water mark. Kept out
+  /// of SchedulerStats so the metrics artifacts stay unchanged.
+  std::size_t reserved_events() const;
 
   const SchedulerStats& stats() const {
     stats_.buckets = buckets_.size();
@@ -146,6 +157,8 @@ class CalendarEventQueue {
   /// Moves every overflow event whose bucket is inside the current window
   /// into the calendar array.
   void promote_overflow();
+  /// Frees a drained bucket's storage.
+  static void release(Bucket& bk);
   /// Inserts into the calendar tier (ordered insert if the slot is sorted).
   void insert_calendar(const QueuedEvent& ev);
   /// Moves the serving position back to `new_cur` (a push landed before the

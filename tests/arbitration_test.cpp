@@ -1,6 +1,9 @@
 // Tests for output-port arbitration policies.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "fixed_routing.hpp"
 #include "net/network.hpp"
 #include "replay/replay.hpp"
 #include "routing/adaptive.hpp"
@@ -48,6 +51,44 @@ TEST(Arbitration, RoundRobinIsDeterministic) {
   const SimTime a = run_heavy_traffic(Arbitration::RoundRobinVc);
   const SimTime b = run_heavy_traffic(Arbitration::RoundRobinVc);
   EXPECT_EQ(a, b);
+}
+
+// The bytes of each transmission on the first port of a 2.25-chunk message's
+// route, in the order they leave. The downstream VC buffer holds 1.5 chunks,
+// so after the first chunk departs the second (full-size) one is blocked on
+// credits while the 0.25-chunk tail queued behind it on the same VC fits.
+std::vector<Bytes> same_vc_send_order(Arbitration policy) {
+  Engine engine;
+  DragonflyTopology topo(TopoParams::tiny());
+  NetworkParams params = NetworkParams::theta();
+  params.arbitration = policy;
+  params.local_vc_buffer = params.chunk_bytes * 3 / 2;
+  FixedRouting routing(topo);
+  const RouterId from = 0, to = 1;  // same row of group 0
+  const NodeId src = 0, dst = 2 * topo.params().nodes_per_router - 1;
+  routing.pin(src, dst, {from, to});
+  Network network(engine, topo, params, routing, Rng(1));
+  network.send(src, dst, 2 * params.chunk_bytes + params.chunk_bytes / 4);
+
+  const OutPort& port = network.router(from).port(topo.local_port_to(from, to));
+  std::vector<Bytes> sent;
+  Bytes traffic = 0;
+  for (SimTime t = 0; engine.pending() > 0 && t < 100 * units::kMicrosecond; ++t) {
+    engine.run_until(t);
+    if (port.traffic != traffic) {
+      sent.push_back(port.traffic - traffic);
+      traffic = port.traffic;
+    }
+  }
+  EXPECT_EQ(network.bytes_delivered(), 2 * params.chunk_bytes + params.chunk_bytes / 4);
+  return sent;
+}
+
+TEST(Arbitration, PartialChunkBypassesCreditBlockedChunkOnItsVc) {
+  const Bytes full = NetworkParams::theta().chunk_bytes;
+  const std::vector<Bytes> expected{full, full / 4, full};
+  EXPECT_EQ(same_vc_send_order(Arbitration::FirstSendable), expected);
+  EXPECT_EQ(same_vc_send_order(Arbitration::RoundRobinVc), expected);
 }
 
 TEST(Arbitration, Names) {

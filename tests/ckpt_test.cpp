@@ -512,6 +512,115 @@ TEST(CheckpointFormat, TracerLaneCountMustBeOne) {
 }
 
 // ---------------------------------------------------------------------------
+// Queued chunks: the loader rebuilds each port-queue entry from its chunk's
+// current hop, so a snapshot whose queues disagree with the chunks' routes
+// must be refused, not left to trip an assert (or misroute) later.
+// ---------------------------------------------------------------------------
+
+/// Byte offsets, in a network payload, of the fields the tests below patch.
+struct NetworkPayloadMap {
+  std::vector<std::size_t> hop_idx_at;  ///< per chunk id
+  std::vector<int> route_len;           ///< per chunk id
+  struct Entry {
+    std::size_t at;  ///< offset of the queued chunk id
+    ChunkId id;
+  };
+  std::vector<Entry> queued;  ///< every port-queue entry, in payload order
+};
+
+NetworkPayloadMap map_network_payload(const std::string& payload) {
+  NetworkPayloadMap map;
+  ckpt::Reader r(payload);
+  const auto at = [&] { return payload.size() - r.remaining(); };
+  const auto skip = [&](std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) r.u8();
+  };
+  r.u32();  // chunk arena count
+  const std::uint32_t chunks = r.u32();
+  for (std::uint32_t c = 0; c < chunks; ++c) {
+    skip(4 + 4);  // msg, bytes
+    map.hop_idx_at.push_back(at());
+    skip(1 + 1 + 8);  // hop_idx, dropped, trace serial
+    const int len = r.u8();
+    map.route_len.push_back(len);
+    skip(12 * static_cast<std::size_t>(len));
+  }
+  skip(4 * r.u64());                                    // chunk free list
+  skip((4 + 4 + 8 * 4 + 4 + 1 + 1 + 8 + 3) * r.u64());  // message slots
+  skip(4 * r.u64());                                    // message free list
+  const std::uint64_t routers = r.u64();
+  for (std::uint64_t router = 0; router < routers; ++router) {
+    const std::int32_t ports = r.i32();
+    for (std::int32_t p = 0; p < ports; ++p) {
+      skip(8);  // busy_until
+      const std::uint64_t qn = r.u64();
+      for (std::uint64_t i = 0; i < qn; ++i) {
+        const std::size_t entry_at = at();
+        map.queued.push_back({entry_at, r.u32()});
+      }
+      skip(8);            // queued_bytes
+      skip(8 * r.u64());  // credits
+      skip(4 + 4 + 4 + 8 * 3);  // last VC, tx chunk and VC, traffic, saturation
+    }
+  }
+  return map;
+}
+
+/// A network snapshot with several chunks waiting on output ports: eight
+/// sources converge on one destination.
+std::string queued_network_payload() {
+  NetworkRig rig;
+  for (NodeId src = 0; src < 8; ++src) rig.network.send(src, 9, 16 * units::kKiB);
+  rig.engine.run_until(3 * units::kMicrosecond);
+  ckpt::Writer w;
+  rig.network.save_state(w);
+  return w.buffer();
+}
+
+void expect_network_rejected(const std::string& payload, const std::string& reason) {
+  ckpt::Reader r(payload);
+  NetworkRig fresh;
+  try {
+    fresh.network.load_state(r);
+    ADD_FAILURE() << "snapshot accepted; expected: " << reason;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(reason), std::string::npos) << e.what();
+  }
+}
+
+TEST(CheckpointFormat, QueuedChunkPastItsRouteEndIsRejected) {
+  const std::string payload = queued_network_payload();
+  const NetworkPayloadMap map = map_network_payload(payload);
+  ASSERT_FALSE(map.queued.empty());
+  const ChunkId id = map.queued.front().id;
+  std::string patched = payload;
+  patched[map.hop_idx_at[id]] = static_cast<char>(map.route_len[id]);
+  expect_network_rejected(patched, "queued chunk has no current hop");
+}
+
+TEST(CheckpointFormat, QueuedChunkAtAnotherHopIsRejected) {
+  const std::string payload = queued_network_payload();
+  const NetworkPayloadMap map = map_network_payload(payload);
+  ASSERT_FALSE(map.queued.empty());
+  const ChunkId id = map.queued.front().id;
+  ASSERT_GE(map.route_len[id], 2);
+  // Every hop of a route leaves a different router, so any other valid hop
+  // index names a port other than the one the chunk is queued on.
+  const auto hop_idx = static_cast<int>(payload[map.hop_idx_at[id]]);
+  std::string patched = payload;
+  patched[map.hop_idx_at[id]] = static_cast<char>(hop_idx > 0 ? hop_idx - 1 : hop_idx + 1);
+  expect_network_rejected(patched, "queued chunk's current hop is another port");
+}
+
+TEST(CheckpointFormat, ChunkQueuedTwiceIsRejected) {
+  const std::string payload = queued_network_payload();
+  const NetworkPayloadMap map = map_network_payload(payload);
+  ASSERT_GE(map.queued.size(), 2u);
+  const std::string patched = patch_u32(payload, map.queued[1].at, map.queued[0].id);
+  expect_network_rejected(patched, "chunk queued twice");
+}
+
+// ---------------------------------------------------------------------------
 // Sweep resume protocol (run_matrix checkpoint directory)
 // ---------------------------------------------------------------------------
 

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "core/experiment.hpp"
+#include "fixed_routing.hpp"
 #include "routing/minimal.hpp"
 #include "trace/trace.hpp"
 #include "workload/synthetic.hpp"
@@ -100,6 +102,98 @@ TEST(Health, CaptureReportsFabricState) {
   const std::string text = report.to_string();
   EXPECT_NE(text.find("simulation health report"), std::string::npos);
   EXPECT_NE(text.find("messages in flight: 1"), std::string::npos);
+}
+
+/// Calls Network::send when its event fires, so a test can start a flow at a
+/// chosen time.
+class SendAt : public EventHandler {
+ public:
+  SendAt(Network& network, NodeId src, NodeId dst, Bytes bytes)
+      : network_(network), src_(src), dst_(dst), bytes_(bytes) {}
+  void handle_event(SimTime, const EventPayload&) override { network_.send(src_, dst_, bytes_); }
+
+ private:
+  Network& network_;
+  NodeId src_, dst_;
+  Bytes bytes_;
+};
+
+TEST(Health, DrainingPortWithAStarvedIdleVcIsNotReported) {
+  // One-chunk VC buffers. Flow X (router 0 -> 1) crosses router 0's port
+  // towards router 1 on VC 0; flow Y (router 2 -> 0 -> 1) crosses it on VC 1.
+  // X is started so that it takes the port just before Y arrives: Y then
+  // waits, sendable, while VC 0 has no credit and nothing queued.
+  Engine engine;
+  DragonflyTopology topo(TopoParams::tiny());
+  NetworkParams params = NetworkParams::theta();
+  params.local_vc_buffer = params.chunk_bytes;
+  const int npr = topo.params().nodes_per_router;
+  const NodeId x_src = 0, y_src = 2 * npr, x_dst = npr, y_dst = npr + 1;
+  FixedRouting routing(topo);
+  routing.pin(x_src, x_dst, {0, 1});
+  routing.pin(y_src, y_dst, {2, 0, 1});
+  Network network(engine, topo, params, routing, Rng(1));
+  HealthMonitor monitor(engine, network);
+  SendAt start_x(network, x_src, x_dst, params.chunk_bytes);
+  network.send(y_src, y_dst, params.chunk_bytes);
+  const SimTime t_local =
+      units::transfer_time(params.chunk_bytes, params.bandwidth(PortKind::LocalRow));
+  engine.schedule(params.local_latency + params.router_delay + t_local / 2, &start_x,
+                  EventPayload{});
+
+  const int shared = topo.local_port_to(0, 1);
+  const OutPort& op = network.router(0).port(shared);
+  int observed = 0;
+  for (SimTime t = 0; engine.pending() > 0 && t < 100 * units::kMicrosecond; ++t) {
+    engine.run_until(t);
+    if (op.queue.empty()) continue;
+    std::vector<bool> queued(op.credits.size(), false);
+    bool all_sendable = true;
+    for (const QueuedChunk& e : op.queue) {
+      queued[e.vc] = true;
+      all_sendable = all_sendable && op.credits[e.vc] >= e.bytes;
+    }
+    bool idle_starved = false;
+    for (std::size_t vc = 0; vc < queued.size(); ++vc)
+      idle_starved = idle_starved || (!queued[vc] && op.credits[vc] < params.chunk_bytes);
+    if (!all_sendable || !idle_starved) continue;
+    ++observed;
+    const HealthReport report = monitor.capture(t);
+    EXPECT_TRUE(report.stuck_ports.empty()) << report.to_string();
+  }
+  EXPECT_GT(observed, 0) << "the draining-port state never occurred";
+  EXPECT_EQ(network.bytes_delivered(), 2 * params.chunk_bytes);
+}
+
+TEST(Health, PortWhoseQueuedChunksDoNotFitIsReportedWithItsBlockedVc) {
+  // A 1.5-chunk VC buffer: after the first chunk of a two-chunk message
+  // leaves, the second waits on VC 0 until credit returns.
+  Engine engine;
+  DragonflyTopology topo(TopoParams::tiny());
+  NetworkParams params = NetworkParams::theta();
+  params.local_vc_buffer = params.chunk_bytes * 3 / 2;
+  const NodeId src = 0, dst = topo.params().nodes_per_router;
+  FixedRouting routing(topo);
+  routing.pin(src, dst, {0, 1});
+  Network network(engine, topo, params, routing, Rng(1));
+  HealthMonitor monitor(engine, network);
+  network.send(src, dst, 2 * params.chunk_bytes);
+
+  const int port = topo.local_port_to(0, 1);
+  const OutPort& op = network.router(0).port(port);
+  int observed = 0;
+  for (SimTime t = 0; engine.pending() > 0 && t < 100 * units::kMicrosecond; ++t) {
+    engine.run_until(t);
+    if (op.queue.empty() || op.credits[0] >= op.queue.front().bytes) continue;
+    ++observed;
+    const HealthReport report = monitor.capture(t);
+    ASSERT_EQ(report.stuck_ports.size(), 1u) << report.to_string();
+    EXPECT_EQ(report.stuck_ports[0].router, 0);
+    EXPECT_EQ(report.stuck_ports[0].port, port);
+    EXPECT_EQ(report.stuck_ports[0].blocked_vcs, 1);
+    EXPECT_NE(report.to_string().find("1 blocked VC(s)"), std::string::npos);
+  }
+  EXPECT_GT(observed, 0) << "the blocked-port state never occurred";
 }
 
 TEST(Health, DeadlockThrowsStructuredReport) {

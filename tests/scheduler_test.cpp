@@ -6,6 +6,7 @@
 // ties, in-handler scheduling, and far-future backoff times.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <queue>
 #include <vector>
 
@@ -246,6 +247,34 @@ TEST(CalendarQueue, EngineMatchesReferenceHeapLoop) {
           << handler.trace[i].kind << "), want (" << expected[i].time << ", " << expected[i].kind
           << ")";
   }
+}
+
+TEST(CalendarQueue, DrainedBucketsGiveTheirStorageBack) {
+  // Bursts of same-time events, each burst a bucket further along and the
+  // later ones beyond the window, interleaved with draining the previous
+  // burst. A bucket that kept its largest-ever capacity would make the
+  // reserved slots grow with the number of buckets ever used.
+  NullHandler handler;
+  CalendarEventQueue calendar;
+  constexpr int kBurst = 300;
+  constexpr int kRounds = 64;
+  std::uint64_t seq = 0;
+  std::size_t worst = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    const SimTime when = static_cast<SimTime>(round) * 5 * units::kMicrosecond;
+    for (int i = 0; i < kBurst; ++i)
+      calendar.push(QueuedEvent{when, seq++, &handler, EventPayload{}});
+    worst = std::max(worst, calendar.reserved_events());
+    while (calendar.size() > static_cast<std::size_t>(kBurst)) {
+      calendar.pop_min();
+      worst = std::max(worst, calendar.reserved_events());
+    }
+  }
+  while (!calendar.empty()) calendar.pop_min();
+  EXPECT_EQ(calendar.reserved_events(), 0u);
+  const std::size_t peak = calendar.stats().peak_pending;
+  EXPECT_GE(peak, static_cast<std::size_t>(kBurst));
+  EXPECT_LE(worst, 4 * peak) << "peak pending " << peak;
 }
 
 TEST(Engine, SchedulerStatsExposed) {
