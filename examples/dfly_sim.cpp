@@ -11,6 +11,7 @@
 //   dfly_sim --app=amg --all-configs          # Fig. 3 AMG column
 //   dfly_sim --app=cr --placement=rand --routing=min --scale=0.5
 //   dfly_sim --dump-config > theta.conf       # reference config file
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -40,6 +41,17 @@ bool has_flag(int argc, char** argv, const char* name) {
   for (int i = 1; i < argc; ++i)
     if (flag == argv[i]) return true;
   return false;
+}
+
+// Parses the whole flag value: "--scale=0.25x" is an error, not 0.25.
+template <typename T>
+T parse_whole(const char* name, const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end)
+    throw std::runtime_error(std::string("bad --") + name + " value '" + text + "'");
+  return value;
 }
 
 Workload make_app(const std::string& app, double scale) {
@@ -97,10 +109,11 @@ int main(int argc, char** argv) {
       std::cout << render_config(options);
       return 0;
     }
-    if (const auto seed = arg_value(argc, argv, "seed")) options.seed = std::stoull(*seed);
+    if (const auto seed = arg_value(argc, argv, "seed"))
+      options.seed = parse_whole<std::uint64_t>("seed", *seed);
 
-    const double scale =
-        arg_value(argc, argv, "scale") ? std::stod(*arg_value(argc, argv, "scale")) : 0.25;
+    const auto scale_arg = arg_value(argc, argv, "scale");
+    const double scale = scale_arg ? parse_whole<double>("scale", *scale_arg) : 0.25;
     const Workload workload = make_app(arg_value(argc, argv, "app").value_or("amg"), scale);
 
     if (const auto bg = arg_value(argc, argv, "bg")) {

@@ -40,7 +40,8 @@ namespace ckpt {
 /// run's optional subsystems and their presence is recorded in (and validated
 /// against) the snapshot — a checkpoint taken with fault injection cannot
 /// silently resume without it.
-// dfly-lint: allow(pod-assert) reason=wiring struct of live-object pointers; serialized field-wise by save_checkpoint, never byte-framed
+/// No POD assert: a wiring struct of live-object pointers, serialized
+/// field-wise by save_checkpoint and never byte-framed.
 struct SimSnapshotParts {
   std::string config;        ///< experiment config name ("cont-min", ...)
   std::uint64_t seed = 0;    ///< master seed; both are identity-checked on load
@@ -67,7 +68,8 @@ void save_checkpoint(const std::string& path, const SimSnapshotParts& parts);
 void load_checkpoint(const std::string& path, SimSnapshotParts& parts);
 
 /// Summary header of a snapshot, readable without reconstructing the run.
-// dfly-lint: allow(pod-assert) reason=holds std::string config; written field-wise via Writer, never memcpy-framed
+/// No POD assert: holds a std::string config and is written field-wise via
+/// Writer, never memcpy-framed.
 struct CheckpointInfo {
   std::string config;
   std::uint64_t seed = 0;

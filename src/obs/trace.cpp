@@ -136,10 +136,10 @@ void ChunkPathTracer::save_state(ckpt::Writer& w) const {
   w.u64(sampled_);
   w.u64(hops_);
   w.i64(live_);
-  // Sort by serial so the snapshot bytes don't depend on hash-map order.
+  // Sort by serial so the snapshot bytes don't depend on hash-map order: the
+  // hash-map loop only collects keys, sorted before any byte is written.
   std::vector<std::uint64_t> serials;
   serials.reserve(pending_.size());
-  // dfly-lint: allow(unordered-iter) reason=collects keys only; sorted below before any byte is written
   for (const auto& [serial, hop] : pending_) serials.push_back(serial);
   std::sort(serials.begin(), serials.end());
   w.size(serials.size());

@@ -66,15 +66,4 @@ std::int64_t WallHistogram::percentile(double p) const {
   return max_;  // unreachable: counts sum to count_
 }
 
-void WallHistogram::merge(const WallHistogram& other) {
-  if (other.bits_ != bits_)
-    throw std::invalid_argument("wall histogram: cannot merge different resolutions");
-  if (other.count_ == 0) return;
-  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
-  min_ = count_ ? std::min(min_, other.min_) : other.min_;
-  max_ = count_ ? std::max(max_, other.max_) : other.max_;
-  count_ += other.count_;
-  sum_ += other.sum_;
-}
-
 }  // namespace dfly::prof

@@ -42,10 +42,6 @@ class WallHistogram {
   /// linear buckets. Returns 0 for an empty histogram; p clamps into range.
   std::int64_t percentile(double p) const;
 
-  /// Adds every sample of `other` (same resolution required; throws
-  /// std::invalid_argument otherwise).
-  void merge(const WallHistogram& other);
-
   int sub_bucket_bits() const { return bits_; }
   std::size_t buckets() const { return counts_.size(); }
   std::uint64_t bucket_count(std::size_t i) const { return counts_[i]; }

@@ -43,7 +43,8 @@ std::size_t Trace::total_ops() const {
 }
 
 void Trace::scale_message_sizes(double factor) {
-  if (factor <= 0) throw std::invalid_argument("scale factor must be positive");
+  if (!(std::isfinite(factor) && factor > 0))
+    throw std::invalid_argument("scale factor must be finite and positive");
   for (auto& rank_ops : ops_) {
     for (TraceOp& op : rank_ops) {
       if (is_send(op.kind) || is_recv(op.kind)) {

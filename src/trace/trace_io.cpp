@@ -35,7 +35,8 @@ void put(std::ostream& os, T value) {
   // meaningless.
   static_assert(std::is_trivially_copyable_v<T> && (std::is_integral_v<T> || std::is_enum_v<T>),
                 "trace format writes fixed-width integer scalars only");
-  // dfly-lint: allow(raw-bytes) reason=versioned DFTR container with byte-order sentinel; predates and parallels ckpt/snapshot_io
+  // Raw bytes on purpose: the versioned DFTR container carries a byte-order
+  // sentinel; it predates and parallels ckpt/snapshot_io.
   os.write(reinterpret_cast<const char*>(&value), sizeof value);
 }
 
@@ -44,7 +45,8 @@ T get(std::istream& is) {
   static_assert(std::is_trivially_copyable_v<T> && (std::is_integral_v<T> || std::is_enum_v<T>),
                 "trace format reads fixed-width integer scalars only");
   T value{};
-  // dfly-lint: allow(raw-bytes) reason=versioned DFTR container with byte-order sentinel; predates and parallels ckpt/snapshot_io
+  // Raw bytes on purpose: the versioned DFTR container carries a byte-order
+  // sentinel; it predates and parallels ckpt/snapshot_io.
   is.read(reinterpret_cast<char*>(&value), sizeof value);
   if (!is) throw std::runtime_error("trace: truncated input");
   return value;

@@ -20,6 +20,7 @@ int grid_rank(int x, int y, int z, const AmgParams& p) {
 // message size"). The vcycles separated by barriers are the three
 // short-duration surges of Fig. 2(f).
 Workload make_amg(const AmgParams& params) {
+  check_scale(params.scale, "amg");
   Trace trace(params.ranks());
   TagAllocator tags;
 

@@ -9,6 +9,7 @@ namespace dfly {
 // +-1..+-radius exchanges each iteration. Message sizes are constant
 // (~190 KB), matching Fig. 2(d)'s steady load.
 Workload make_crystal_router(const CrParams& params) {
+  check_scale(params.scale, "crystal router");
   Trace trace(params.ranks);
   TagAllocator tags;
   const Bytes msg = scaled(params.message_bytes, params.scale);

@@ -1,7 +1,10 @@
 // Shared building blocks for trace generators.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 #include "trace/trace.hpp"
@@ -45,6 +48,13 @@ inline Bytes hashed_size(std::uint64_t seed, std::uint64_t key, Bytes lo, Bytes 
   sm.next();
   const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
   return lo + static_cast<Bytes>(sm.next() % span);
+}
+
+/// Rejects a message scale that is not a finite positive multiplier (NaN
+/// would reach the float-to-integer cast in scaled(), which is undefined).
+inline void check_scale(double scale, const char* workload) {
+  if (!(std::isfinite(scale) && scale > 0))
+    throw std::invalid_argument(std::string(workload) + ": message scale must be finite and positive");
 }
 
 /// Applies the sensitivity scale to one message size (>= 1 byte).

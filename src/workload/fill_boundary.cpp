@@ -20,6 +20,7 @@ int wrap(int v, int n) { return (v % n + n) % n; }
 // 2(e)), followed by a light many-to-many stage across the rank set (the
 // cross-set communication visible in Fig. 2(b)).
 Workload make_fill_boundary(const FbParams& params) {
+  check_scale(params.scale, "fill boundary");
   Trace trace(params.ranks());
   TagAllocator tags;
 

@@ -106,21 +106,6 @@ TEST(WallHistogramTest, PercentilesAreMonotonicAndBoundSamples) {
   EXPECT_EQ(h.percentile(200.0), p100);
 }
 
-TEST(WallHistogramTest, MergeSumsSamplesAndRequiresSameResolution) {
-  WallHistogram a(3);
-  WallHistogram b(3);
-  a.add(10);
-  b.add(30);
-  b.add(50);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 3u);
-  EXPECT_EQ(a.sum(), 90);
-  EXPECT_EQ(a.min(), 10);
-  EXPECT_EQ(a.max(), 50);
-  const WallHistogram coarser(2);
-  EXPECT_THROW(a.merge(coarser), std::invalid_argument);
-}
-
 // ---------------------------------------------------------------------------
 // ThroughputTracker (explicit wall clock — no sleeping in tests)
 // ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@
 
 #include <limits>
 #include <set>
+#include <stdexcept>
 
 #include "workload/characterize.hpp"
 #include "workload/synthetic.hpp"
@@ -63,6 +64,26 @@ TEST(CrystalRouter, ScaleMultipliesLoad) {
   p.scale = 0.5;
   const Bytes half = make_crystal_router(p).trace.total_send_bytes();
   EXPECT_EQ(half, base / 2);
+}
+
+// A NaN, infinite, zero or negative message scale is rejected up front: NaN
+// would reach the float-to-Bytes cast (undefined), and a negative scale would
+// silently clamp every message to one byte.
+TEST(Workloads, RejectNonFiniteOrNonPositiveScale) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), 0.0, -1.0}) {
+    CrParams cr = small_cr();
+    cr.scale = bad;
+    EXPECT_THROW(make_crystal_router(cr), std::invalid_argument) << bad;
+    FbParams fb;
+    fb.scale = bad;
+    EXPECT_THROW(make_fill_boundary(fb), std::invalid_argument) << bad;
+    AmgParams amg;
+    amg.scale = bad;
+    EXPECT_THROW(make_amg(amg), std::invalid_argument) << bad;
+    Trace ring = make_ring_trace(4, 1000);
+    EXPECT_THROW(ring.scale_message_sizes(bad), std::invalid_argument) << bad;
+  }
 }
 
 TEST(FillBoundary, TraceIsBalanced) {
@@ -234,7 +255,7 @@ TEST(Characterize, PerRankSendBytes) {
   EXPECT_EQ(sum, w.trace.total_send_bytes());
 }
 
-// Regression for the dfly_lint unordered-iteration audit (DESIGN.md par.12):
+// Unordered-iteration guard (DESIGN.md par.12):
 // CommMatrix stores rows as unordered_map and its aggregations iterate them.
 // That is only safe because every consumer is a commutative integer
 // reduction. Pin it: two traces with identical traffic but opposite per-rank
