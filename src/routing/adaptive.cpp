@@ -1,5 +1,7 @@
 #include "routing/adaptive.hpp"
 
+#include <algorithm>
+
 #include "routing/adaptive_global.hpp"
 #include "routing/minimal.hpp"
 #include "routing/valiant.hpp"
@@ -13,10 +15,13 @@ AdaptiveRouting::AdaptiveRouting(const DragonflyTopology& topo, Bytes bias_bytes
 
 double AdaptiveRouting::score(const Route& route, const CongestionView& congestion,
                               bool minimal) const {
-  const Hop& first = route.first();
-  const Bytes queued = congestion.queued_bytes(first.router, first.port);
-  const double base = static_cast<double>(queued + bias_bytes_) * route.routers_traversed();
+  const double base =
+      static_cast<double>(sensed_queue(route, congestion) + bias_bytes_) * route.routers_traversed();
   return minimal ? base : base * nonminimal_penalty_;
+}
+
+Bytes AdaptiveRouting::sensed_queue(const Route& route, const CongestionView& congestion) const {
+  return congestion.queued_bytes(route.first().router, route.first().port);
 }
 
 Route AdaptiveRouting::compute(NodeId src, NodeId dst, const CongestionView& congestion,
@@ -24,47 +29,39 @@ Route AdaptiveRouting::compute(NodeId src, NodeId dst, const CongestionView& con
   const Coordinates& c = table_.topology().coords();
   const RouterId r_src = c.router_of_node(src);
   const RouterId r_dst = c.router_of_node(dst);
+  const int eject = c.slot_of_node(dst);
   if (r_src == r_dst) {
     Route route;
-    route.push(r_dst, c.slot_of_node(dst));
+    route.push(r_dst, eject);
     return route;
   }
 
   // Two independent minimal instantiations (tie-breaks differ), then two
-  // Valiant detours through random intermediate routers.
-  Route best;
-  double best_score = 0;
-  bool best_is_minimal = false;
-  double best_minimal = 0, best_nonminimal = 0;  // per-class bests, telemetry
-  bool seen_minimal = false, seen_nonminimal = false;
-  auto consider = [&](Route candidate, bool is_minimal) {
-    const double s = score(candidate, congestion, is_minimal);
-    double& class_best = is_minimal ? best_minimal : best_nonminimal;
-    bool& class_seen = is_minimal ? seen_minimal : seen_nonminimal;
-    if (!class_seen || s < class_best) class_best = s;
-    class_seen = true;
-    const bool better =
-        best.empty() || s < best_score || (s == best_score && is_minimal && !best_is_minimal);
-    if (better) {
-      best = candidate;
-      best_score = s;
-      best_is_minimal = is_minimal;
-    }
-  };
-
-  for (int i = 0; i < 2; ++i) {
+  // Valiant detours through random intermediate routers, each built in place
+  // (a braced list is evaluated left to right, so the RNG order is fixed).
+  auto minimal = [&] {
     Route route;
     table_.append_minimal(route, r_src, r_dst, rng);
-    route.push(r_dst, c.slot_of_node(dst));
-    consider(route, true);
-  }
-  for (int i = 0; i < 2; ++i) {
+    route.push(r_dst, eject);
+    return route;
+  };
+  auto valiant = [&] {
     const RouterId via = pick_valiant_intermediate(table_.topology(), r_src, r_dst, rng);
-    consider(valiant_route(table_, src, dst, via, rng), false);
+    return valiant_route(table_, r_src, via, r_dst, eject, rng);
+  };
+  const Route cand[4] = {minimal(), minimal(), valiant(), valiant()};
+  // Strict < over (min, min, val, val): the earliest candidate wins a tie, so
+  // a minimal route beats a nonminimal one of equal score.
+  double scores[4];
+  int best = 0;
+  for (int i = 0; i < 4; ++i) {
+    scores[i] = score(cand[i], congestion, i < 2);
+    if (scores[i] < scores[best]) best = i;
   }
   if (telemetry_)
-    telemetry_->record(r_src, best_is_minimal, best_score, best_minimal, best_nonminimal);
-  return best;
+    telemetry_->record(r_src, best < 2, scores[best], std::min(scores[0], scores[1]),
+                       std::min(scores[2], scores[3]));
+  return cand[best];
 }
 
 const char* to_string(RoutingKind kind) {

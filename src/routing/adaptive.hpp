@@ -7,7 +7,8 @@
 //     (queued bytes on its first-hop channel + one chunk) * hop count
 // and the lowest score wins; ties prefer the minimal candidates. This is the
 // locally-sensed UGAL variant — the same information a per-hop adaptive
-// implementation uses at the injection decision point.
+// implementation uses at the injection decision point. AdaptiveGlobalRouting
+// shares this chooser and overrides only the queue a candidate is scored by.
 #pragma once
 
 #include "routing/algorithm.hpp"
@@ -30,6 +31,10 @@ class AdaptiveRouting : public RoutingAlgorithm {
                 Rng& rng) const override;
   std::string name() const override { return "adaptive"; }
   void on_topology_changed() override { table_.refresh(); }
+
+ protected:
+  /// Queue depth a candidate is scored by: its first hop's queued bytes.
+  virtual Bytes sensed_queue(const Route& route, const CongestionView& congestion) const;
 
  private:
   double score(const Route& route, const CongestionView& congestion, bool minimal) const;

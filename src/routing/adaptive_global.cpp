@@ -2,69 +2,14 @@
 
 #include <algorithm>
 
-#include "routing/valiant.hpp"
-#include "topo/dragonfly.hpp"
-
 namespace dfly {
 
-AdaptiveGlobalRouting::AdaptiveGlobalRouting(const DragonflyTopology& topo, Bytes bias_bytes,
-                                             double nonminimal_penalty)
-    : table_(topo), bias_bytes_(bias_bytes), nonminimal_penalty_(nonminimal_penalty) {}
-
-double AdaptiveGlobalRouting::score(const Route& route, const CongestionView& congestion,
-                                    bool minimal) const {
+Bytes AdaptiveGlobalRouting::sensed_queue(const Route& route,
+                                          const CongestionView& congestion) const {
   Bytes bottleneck = 0;
   for (int i = 0; i < route.size(); ++i)
     bottleneck = std::max(bottleneck, congestion.queued_bytes(route[i].router, route[i].port));
-  const double base =
-      static_cast<double>(bottleneck + bias_bytes_) * route.routers_traversed();
-  return minimal ? base : base * nonminimal_penalty_;
-}
-
-Route AdaptiveGlobalRouting::compute(NodeId src, NodeId dst, const CongestionView& congestion,
-                                     Rng& rng) const {
-  const Coordinates& c = table_.topology().coords();
-  const RouterId r_src = c.router_of_node(src);
-  const RouterId r_dst = c.router_of_node(dst);
-  if (r_src == r_dst) {
-    Route route;
-    route.push(r_dst, c.slot_of_node(dst));
-    return route;
-  }
-
-  Route best;
-  double best_score = 0;
-  bool best_is_minimal = false;
-  double best_minimal = 0, best_nonminimal = 0;  // per-class bests, telemetry
-  bool seen_minimal = false, seen_nonminimal = false;
-  auto consider = [&](Route candidate, bool is_minimal) {
-    const double s = score(candidate, congestion, is_minimal);
-    double& class_best = is_minimal ? best_minimal : best_nonminimal;
-    bool& class_seen = is_minimal ? seen_minimal : seen_nonminimal;
-    if (!class_seen || s < class_best) class_best = s;
-    class_seen = true;
-    const bool better =
-        best.empty() || s < best_score || (s == best_score && is_minimal && !best_is_minimal);
-    if (better) {
-      best = candidate;
-      best_score = s;
-      best_is_minimal = is_minimal;
-    }
-  };
-
-  for (int i = 0; i < 2; ++i) {
-    Route route;
-    table_.append_minimal(route, r_src, r_dst, rng);
-    route.push(r_dst, c.slot_of_node(dst));
-    consider(route, true);
-  }
-  for (int i = 0; i < 2; ++i) {
-    const RouterId via = pick_valiant_intermediate(table_.topology(), r_src, r_dst, rng);
-    consider(valiant_route(table_, src, dst, via, rng), false);
-  }
-  if (telemetry_)
-    telemetry_->record(r_src, best_is_minimal, best_score, best_minimal, best_nonminimal);
-  return best;
+  return bottleneck;
 }
 
 }  // namespace dfly

@@ -1,34 +1,26 @@
 // Adaptive routing with global congestion knowledge (UGAL-G).
 //
-// Identical candidate generation to AdaptiveRouting (2 minimal + 2 Valiant),
-// but each candidate is scored by the *bottleneck* queue along its entire
-// path rather than the source router's local view. Physically unrealizable
-// (no router knows remote queues instantaneously) but a useful upper bound on
-// what adaptive routing could achieve — included for the ablation study.
+// Identical candidate generation and choice to AdaptiveRouting (2 minimal + 2
+// Valiant), but each candidate is scored by the *bottleneck* queue along its
+// entire path rather than the source router's local view. Physically
+// unrealizable (no router knows remote queues instantaneously) but a useful
+// upper bound on what adaptive routing could achieve — included for the
+// ablation study.
 #pragma once
 
-#include "routing/algorithm.hpp"
-#include "routing/router_table.hpp"
+#include "routing/adaptive.hpp"
 
 namespace dfly {
 
-class AdaptiveGlobalRouting : public RoutingAlgorithm {
+class AdaptiveGlobalRouting : public AdaptiveRouting {
  public:
-  explicit AdaptiveGlobalRouting(const DragonflyTopology& topo, Bytes bias_bytes = 2048,
-                                 double nonminimal_penalty = 2.0);
+  using AdaptiveRouting::AdaptiveRouting;
 
-  Route compute(NodeId src, NodeId dst, const CongestionView& congestion,
-                Rng& rng) const override;
   std::string name() const override { return "adaptive-global"; }
-  void on_topology_changed() override { table_.refresh(); }
   bool uses_remote_congestion() const override { return true; }
 
- private:
-  double score(const Route& route, const CongestionView& congestion, bool minimal) const;
-
-  MinimalPathTable table_;
-  Bytes bias_bytes_;
-  double nonminimal_penalty_;
+ protected:
+  Bytes sensed_queue(const Route& route, const CongestionView& congestion) const override;
 };
 
 }  // namespace dfly

@@ -2,16 +2,40 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
+#include <stdexcept>
 
 namespace dfly {
 
 MinimalPathTable::MinimalPathTable(const DragonflyTopology& topo) : topo_(topo) {
   const TopoParams& p = topo_.params();
-  table_.resize(static_cast<std::size_t>(p.total_routers()) * p.groups);
+  const Coordinates& c = topo_.coords();
+  row_.resize(static_cast<std::size_t>(p.total_routers()));
+  col_.resize(row_.size());
+  for (RouterId r = 0; r < p.total_routers(); ++r) {
+    row_[r] = static_cast<std::int16_t>(c.row_of_router(r));
+    col_[r] = static_cast<std::int16_t>(c.col_of_router(r));
+  }
+  // A span's capacity is its as-built size: every link, up or down, whose
+  // source shares the router's row or column. Failures only shrink a span.
+  spans_.resize(static_cast<std::size_t>(p.total_routers()) * p.groups);
+  std::size_t offset = 0;
+  for (RouterId r = 0; r < p.total_routers(); ++r) {
+    const GroupId g = c.group_of_router(r);
+    for (GroupId peer = 0; peer < p.groups; ++peer) {
+      spans_[span_index(r, peer)].begin = static_cast<std::int32_t>(offset);
+      if (peer == g) continue;
+      for (const GlobalLink& link : topo_.all_global_links(g, peer))
+        offset += row_[r] == row_[link.src_router] || col_[r] == col_[link.src_router];
+      if (offset > static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max()))
+        throw std::length_error("MinimalPathTable: too many near links for 32-bit offsets");
+    }
+  }
+  links_.resize(offset);
   pair_seen_.resize(static_cast<std::size_t>(p.groups) * p.groups);
   local_seen_.resize(static_cast<std::size_t>(p.groups));
   for (RouterId r = 0; r < p.total_routers(); ++r) {
-    const GroupId g = topo_.coords().group_of_router(r);
+    const GroupId g = c.group_of_router(r);
     for (GroupId peer = 0; peer < p.groups; ++peer) {
       if (peer != g) rebuild_entry(r, peer);
     }
@@ -24,23 +48,28 @@ MinimalPathTable::MinimalPathTable(const DragonflyTopology& topo) : topo_(topo) 
   epoch_seen_ = topo_.epoch();
 }
 
+MinimalPathTable::NearLink MinimalPathTable::near_link(const GlobalLink& link) const {
+  return {link.src_router, link.dst_router, static_cast<std::int16_t>(link.src_port),
+          row_[link.dst_router], col_[link.dst_router]};
+}
+
 void MinimalPathTable::rebuild_entry(RouterId r, GroupId peer) {
   const GroupId g = topo_.coords().group_of_router(r);
   assert(peer != g);
-  Candidates& cand = table_[static_cast<std::size_t>(r) * topo_.params().groups + peer];
-  std::vector<GlobalLink> bucket0;
-  std::vector<GlobalLink> bucket1;
-  for (const GlobalLink& link : topo_.global_links(g, peer)) {
-    const int lh = local_hops(r, link.src_router);
-    if (lh == 0) bucket0.push_back(link);
-    else if (lh == 1) bucket1.push_back(link);
+  const std::size_t index = span_index(r, peer);
+  Span& span = spans_[index];
+  [[maybe_unused]] const std::size_t capacity =
+      index + 1 < spans_.size() ? spans_[index + 1].begin : links_.size();
+  std::int32_t n = span.begin;
+  for (int bucket = 0; bucket < 2; ++bucket) {
+    if (bucket == 1) span.bucket1_begin = n;
+    for (const GlobalLink& link : topo_.global_links(g, peer)) {
+      if (local_hops(r, link.src_router) != bucket) continue;
+      assert(static_cast<std::size_t>(n) < capacity);
+      links_[n++] = near_link(link);
+    }
   }
-  cand.near_links = std::move(bucket0);
-  cand.bucket1_begin = static_cast<int>(cand.near_links.size());
-  cand.near_links.insert(cand.near_links.end(), bucket1.begin(), bucket1.end());
-  if (cand.bucket1_begin > 0) cand.best_src_cost = 1;
-  else if (!cand.near_links.empty()) cand.best_src_cost = 2;
-  else cand.best_src_cost = 3;
+  span.end = n;
 }
 
 void MinimalPathTable::refresh() {
@@ -71,77 +100,82 @@ void MinimalPathTable::refresh() {
   epoch_seen_ = topo_.epoch();
 }
 
+int MinimalPathTable::port_to(RouterId from, RouterId to) const {
+  assert(from != to && topo_.coords().group_of_router(from) == topo_.coords().group_of_router(to));
+  const int fr = row_[from], fc = col_[from], tr = row_[to], tc = col_[to];
+  if (fr == tr) return topo_.first_row_port() + (tc < fc ? tc : tc - 1);
+  if (fc == tc) return topo_.first_col_port() + (tr < fr ? tr : tr - 1);
+  return -1;
+}
+
 int MinimalPathTable::local_hops(RouterId a, RouterId b) const {
+  return local_hops(a, row_[a], col_[a], b, row_[b], col_[b]);
+}
+
+int MinimalPathTable::local_hops(RouterId a, int a_row, int a_col, RouterId b, int b_row,
+                                 int b_col) const {
+  assert(topo_.coords().group_of_router(a) == topo_.coords().group_of_router(b));
   if (a == b) return 0;
-  const Coordinates& c = topo_.coords();
-  const RouterCoord ca = c.coord(a);
-  const RouterCoord cb = c.coord(b);
-  assert(ca.group == cb.group);
-  if (ca.row != cb.row && ca.col != cb.col) return 2;
+  if (a_row != b_row && a_col != b_col) return 2;
   if (topo_.disabled_local_links() == 0) return 1;
   // Same row or column but the direct link may be down; the topology's
   // connectivity guard guarantees a 2-hop alternative exists.
-  return topo_.port_enabled(a, topo_.local_port_to(a, b)) ? 1 : 2;
-}
-
-const MinimalPathTable::Candidates& MinimalPathTable::candidates(RouterId router,
-                                                                 GroupId peer) const {
-  return table_[static_cast<std::size_t>(router) * topo_.params().groups + peer];
+  return topo_.port_enabled(a, port_to(a, b)) ? 1 : 2;
 }
 
 void MinimalPathTable::append_local(Route& route, RouterId from, RouterId to, Rng& rng) const {
   if (from == to) return;
-  const Coordinates& c = topo_.coords();
+  const int direct = port_to(from, to);
+  const int fr = row_[from], fc = col_[from], tr = row_[to], tc = col_[to];
+  const int cols = topo_.params().cols;
   if (topo_.disabled_local_links() == 0) {
     // Healthy fast path; keep the RNG draw sequence identical to the
     // pre-fault-API behaviour so seeded runs stay bit-reproducible.
-    const int direct = topo_.local_port_to(from, to);
     if (direct >= 0) {
       route.push(from, direct);
       return;
     }
     // Two intersection candidates: (from.row, to.col) and (to.row, from.col).
-    const RouterCoord a = c.coord(from);
-    const RouterCoord b = c.coord(to);
-    const RouterId via_row = c.router_at(a.group, a.row, b.col);
-    const RouterId via_col = c.router_at(a.group, b.row, a.col);
+    const RouterId via_row = from + (tc - fc);
+    const RouterId via_col = from + (tr - fr) * cols;
     const RouterId mid = rng.bernoulli(0.5) ? via_row : via_col;
-    route.push(from, topo_.local_port_to(from, mid));
-    route.push(mid, topo_.local_port_to(mid, to));
+    route.push(from, port_to(from, mid));
+    route.push(mid, port_to(mid, to));
     return;
   }
 
-  const int direct = topo_.local_port_to(from, to);
   if (direct >= 0 && topo_.port_enabled(from, direct)) {
     route.push(from, direct);
     return;
   }
-  // Direct link missing or down: collect the 2-hop mids whose both legs are
-  // up and pick one uniformly. The connectivity guard keeps this non-empty.
+  // Direct link missing or down: pick uniformly among the 2-hop mids whose
+  // both legs are up, counting them first and then walking to the drawn one.
+  // The connectivity guard keeps them non-empty.
   auto hop_ok = [&](RouterId x, RouterId y) {
-    const int port = topo_.local_port_to(x, y);
+    const int port = port_to(x, y);
     return port >= 0 && topo_.port_enabled(x, port);
   };
-  const RouterCoord a = c.coord(from);
-  const RouterCoord b = c.coord(to);
-  std::vector<RouterId> mids;
-  auto consider_mid = [&](RouterId m) {
-    if (hop_ok(from, m) && hop_ok(m, to)) mids.push_back(m);
+  // Visits the usable mids in order until `stop` returns true.
+  auto for_each_mid = [&](auto&& stop) {
+    auto visit = [&](RouterId m) { return hop_ok(from, m) && hop_ok(m, to) && stop(m); };
+    if (fr == tr) {
+      for (int col = 0; col < cols; ++col)
+        if (col != fc && col != tc && visit(from + (col - fc))) return;
+    } else if (fc == tc) {
+      for (int row = 0; row < topo_.params().rows; ++row)
+        if (row != fr && row != tr && visit(from + (row - fr) * cols)) return;
+    } else if (!visit(from + (tc - fc))) {
+      visit(from + (tr - fr) * cols);
+    }
   };
-  if (a.row == b.row) {
-    for (int col = 0; col < topo_.params().cols; ++col)
-      if (col != a.col && col != b.col) consider_mid(c.router_at(a.group, a.row, col));
-  } else if (a.col == b.col) {
-    for (int row = 0; row < topo_.params().rows; ++row)
-      if (row != a.row && row != b.row) consider_mid(c.router_at(a.group, row, a.col));
-  } else {
-    consider_mid(c.router_at(a.group, a.row, b.col));
-    consider_mid(c.router_at(a.group, b.row, a.col));
-  }
-  assert(!mids.empty() && "connectivity guard violated");
-  const RouterId mid = mids[rng.uniform(mids.size())];
-  route.push(from, topo_.local_port_to(from, mid));
-  route.push(mid, topo_.local_port_to(mid, to));
+  std::uint64_t usable = 0;
+  for_each_mid([&](RouterId) { ++usable; return false; });
+  assert(usable > 0 && "connectivity guard violated");
+  std::uint64_t pick = rng.uniform(usable);
+  RouterId mid = to;
+  for_each_mid([&](RouterId m) { mid = m; return pick-- == 0; });
+  route.push(from, port_to(from, mid));
+  route.push(mid, port_to(mid, to));
 }
 
 void MinimalPathTable::append_minimal(Route& route, RouterId from, RouterId to, Rng& rng) const {
@@ -156,12 +190,13 @@ void MinimalPathTable::append_minimal(Route& route, RouterId from, RouterId to, 
 
   // Pick a global link minimizing src_hops + 1 + dst_hops; ties broken
   // uniformly by reservoir sampling over the candidate stream.
-  const Candidates& cand = candidates(from, gt);
+  const int to_row = row_[to], to_col = col_[to];
   int best_cost = 100;
-  GlobalLink best{};
+  NearLink best{};
   std::uint64_t ties = 0;
-  auto consider = [&](const GlobalLink& link, int src_hops) {
-    const int cost = src_hops + 1 + local_hops(link.dst_router, to);
+  auto consider = [&](const NearLink& link, int src_hops) {
+    const int cost =
+        src_hops + 1 + local_hops(link.dst_router, link.dst_row, link.dst_col, to, to_row, to_col);
     if (cost < best_cost) {
       best_cost = cost;
       best = link;
@@ -172,16 +207,16 @@ void MinimalPathTable::append_minimal(Route& route, RouterId from, RouterId to, 
     }
   };
 
-  for (int i = 0; i < cand.bucket1_begin; ++i) consider(cand.near_links[i], 0);
+  const Span& span = spans_[span_index(from, gt)];
+  for (std::int32_t i = span.begin; i < span.bucket1_begin; ++i) consider(links_[i], 0);
   // Bucket 1 can only help if the current best has dst-side hops >= 1.
   if (best_cost > 2) {
-    for (std::size_t i = cand.bucket1_begin; i < cand.near_links.size(); ++i)
-      consider(cand.near_links[i], 1);
+    for (std::int32_t i = span.bucket1_begin; i < span.end; ++i) consider(links_[i], 1);
   }
   // Bucket 2 (2 src-side hops) can only help if best > 3.
   if (best_cost > 3) {
     for (const GlobalLink& link : topo_.global_links(gf, gt)) {
-      if (local_hops(from, link.src_router) == 2) consider(link, 2);
+      if (local_hops(from, link.src_router) == 2) consider(near_link(link), 2);
     }
   }
   assert(best_cost < 100);
@@ -197,13 +232,13 @@ int MinimalPathTable::min_hops(RouterId from, RouterId to) const {
   const GroupId gf = c.group_of_router(from);
   const GroupId gt = c.group_of_router(to);
   if (gf == gt) return local_hops(from, to);
-  const Candidates& cand = candidates(from, gt);
+  const Span& span = spans_[span_index(from, gt)];
   int best = 100;
-  for (int i = 0; i < cand.bucket1_begin && best > 1; ++i)
-    best = std::min(best, 1 + local_hops(cand.near_links[i].dst_router, to));
+  for (std::int32_t i = span.begin; i < span.bucket1_begin && best > 1; ++i)
+    best = std::min(best, 1 + local_hops(links_[i].dst_router, to));
   if (best > 2) {
-    for (std::size_t i = cand.bucket1_begin; i < cand.near_links.size() && best > 2; ++i)
-      best = std::min(best, 2 + local_hops(cand.near_links[i].dst_router, to));
+    for (std::int32_t i = span.bucket1_begin; i < span.end && best > 2; ++i)
+      best = std::min(best, 2 + local_hops(links_[i].dst_router, to));
   }
   if (best > 3) {
     for (const GlobalLink& link : topo_.global_links(gf, gt)) {

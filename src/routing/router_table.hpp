@@ -1,16 +1,26 @@
 // Precomputed minimal-path helper for the Cascade dragonfly.
 //
 // Intra-group minimal paths are pure coordinate arithmetic (direct, or via
-// one of the two row/column intersection routers). Inter-group paths must
-// pick one of the many global links between the two groups; to keep per-chunk
-// routing O(few) we precompute, for every (router, peer group), the links
-// bucketed by source-side local hop count (0: on this router, 1: in its row
-// or column). Links needing two source-side hops are resolved by scanning the
-// full pair list, which only happens when buckets 0 and 1 are both worse.
+// one of the two row/column intersection routers), done on per-router
+// row/column arrays so no hop needs a division. Inter-group paths must pick
+// one of the many global links between the two groups. For every (router,
+// peer group) the table keeps a span of one flat array of compact near-link
+// entries: first the links whose source router is the router itself (bucket
+// 0), then those whose source shares its row or column (bucket 1). Links
+// needing two source-side hops are resolved by scanning the topology's pair
+// list, which only happens when buckets 0 and 1 are both worse.
 //
-// The table is a snapshot of the topology's enabled-link state. When links
-// fail or recover at runtime, refresh() rebuilds just the entries whose
-// inputs changed, driven by the topology's pair/local version counters.
+// The candidate stream order (bucket 0, bucket 1, then the pair list, each in
+// the topology's link order) and the reservoir draws over it are what keeps
+// seeded routes bit-for-bit stable; RoutingDigest.SeededRoutesMatchParent
+// pins them.
+//
+// The table is a snapshot of the topology's enabled-link state. Each span's
+// capacity is its as-built size (every link whose source shares the router's
+// row or column), and link failures only remove links from a span, so when
+// links fail or recover at runtime refresh() rebuilds just the spans whose
+// inputs changed, in place, driven by the topology's pair/local version
+// counters.
 #pragma once
 
 #include <cstdint>
@@ -41,25 +51,40 @@ class MinimalPathTable {
   const DragonflyTopology& topology() const { return topo_; }
 
  private:
-  struct Candidates {
-    /// Links from this router's group toward the peer group whose source
-    /// router is `router` itself (bucket 0) or shares its row/column
-    /// (bucket 1), concatenated; bucket 0 is [0, bucket1_begin).
-    std::vector<GlobalLink> near_links;
-    int bucket1_begin = 0;
-    /// Minimum achievable total hops from this router into the peer group's
-    /// landing router (source-side hops + 1 global hop), i.e. before counting
-    /// destination-side hops.
-    int best_src_cost = 3;
+  /// One global link toward the peer group, with its landing router's
+  /// coordinates cached for the destination-side hop count.
+  struct NearLink {
+    RouterId src_router;
+    RouterId dst_router;
+    std::int16_t src_port;
+    std::int16_t dst_row;
+    std::int16_t dst_col;
+  };
+  /// links_[begin, bucket1_begin) is bucket 0, [bucket1_begin, end) bucket 1.
+  struct Span {
+    std::int32_t begin = 0;
+    std::int32_t bucket1_begin = 0;
+    std::int32_t end = 0;
   };
 
-  const Candidates& candidates(RouterId router, GroupId peer) const;
+  std::size_t span_index(RouterId router, GroupId peer) const {
+    return static_cast<std::size_t>(router) * topo_.params().groups + peer;
+  }
+  NearLink near_link(const GlobalLink& link) const;
   void rebuild_entry(RouterId router, GroupId peer);
   void append_local(Route& route, RouterId from, RouterId to, Rng& rng) const;
+  /// Local port on `from` toward `to` (same group, distinct), or -1 when they
+  /// share neither row nor column.
+  int port_to(RouterId from, RouterId to) const;
   int local_hops(RouterId a, RouterId b) const;
+  /// local_hops(a, b) with both routers' coordinates already at hand.
+  int local_hops(RouterId a, int a_row, int a_col, RouterId b, int b_row, int b_col) const;
 
   const DragonflyTopology& topo_;
-  std::vector<Candidates> table_;  ///< indexed router * groups + peer group
+  std::vector<std::int16_t> row_;  ///< per router
+  std::vector<std::int16_t> col_;  ///< per router
+  std::vector<NearLink> links_;    ///< every span's entries, back to back
+  std::vector<Span> spans_;        ///< indexed router * groups + peer group
 
   // Topology versions this table was built against (see refresh()).
   std::uint64_t epoch_seen_ = 0;

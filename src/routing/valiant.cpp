@@ -6,15 +6,12 @@ namespace dfly {
 
 ValiantRouting::ValiantRouting(const DragonflyTopology& topo) : table_(topo) {}
 
-Route valiant_route(const MinimalPathTable& table, NodeId src, NodeId dst, RouterId via,
-                    Rng& rng) {
-  const Coordinates& c = table.topology().coords();
+Route valiant_route(const MinimalPathTable& table, RouterId r_src, RouterId via, RouterId r_dst,
+                    int eject_port, Rng& rng) {
   Route route;
-  const RouterId r_src = c.router_of_node(src);
-  const RouterId r_dst = c.router_of_node(dst);
   table.append_minimal(route, r_src, via, rng);
   table.append_minimal(route, via, r_dst, rng);
-  route.push(r_dst, c.slot_of_node(dst));
+  route.push(r_dst, eject_port);
   return route;
 }
 
@@ -54,7 +51,7 @@ Route ValiantRouting::compute(NodeId src, NodeId dst, const CongestionView& /*co
     return route;
   }
   const RouterId via = pick_valiant_intermediate(table_.topology(), r_src, r_dst, rng);
-  return valiant_route(table_, src, dst, via, rng);
+  return valiant_route(table_, r_src, via, r_dst, c.slot_of_node(dst), rng);
 }
 
 }  // namespace dfly

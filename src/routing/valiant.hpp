@@ -22,10 +22,11 @@ class ValiantRouting : public RoutingAlgorithm {
   MinimalPathTable table_;
 };
 
-/// Shared helper: appends minimal(src -> via) + minimal(via -> dst) followed
-/// by the ejection hop. `via` must differ from both routers or equal one of
-/// them (then it degenerates to the minimal path).
-Route valiant_route(const MinimalPathTable& table, NodeId src, NodeId dst, RouterId via, Rng& rng);
+/// Shared helper: minimal(r_src -> via) + minimal(via -> r_dst) followed by
+/// the ejection hop on `eject_port`. `via` must differ from both routers or
+/// equal one of them (then it degenerates to the minimal path).
+Route valiant_route(const MinimalPathTable& table, RouterId r_src, RouterId via, RouterId r_dst,
+                    int eject_port, Rng& rng);
 
 /// Picks a Valiant intermediate router: uniform over routers outside the
 /// source and destination routers (matching "randomly selecting an

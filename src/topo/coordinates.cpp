@@ -42,6 +42,11 @@ void TopoParams::validate() const {
   const std::int64_t ports64 =
       std::int64_t{nodes_per_router} + (cols - 1) + (rows - 1) + global_ports_per_router;
   constexpr std::int64_t kIdMax = std::numeric_limits<std::int32_t>::max();
+  // Routes store ports (and routing tables rows/columns) as int16_t.
+  constexpr std::int64_t kPortMax = std::numeric_limits<std::int16_t>::max();
+  if (ports64 > kPortMax)
+    fail(std::to_string(ports64) + " ports per router exceed the 16-bit hop port limit of " +
+         std::to_string(kPortMax));
   if (routers64 * ports64 > kIdMax)
     fail("channel id space overflows 32-bit ids: " + std::to_string(routers64) + " routers x " +
          std::to_string(ports64) + " ports per router exceeds " + std::to_string(kIdMax));

@@ -1,10 +1,12 @@
 // Unit and property tests for minimal / Valiant / adaptive routing.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <optional>
 #include <set>
 
 #include "routing/adaptive.hpp"
+#include "routing/adaptive_global.hpp"
 #include "routing/minimal.hpp"
 #include "routing/valiant.hpp"
 #include "topo/dragonfly.hpp"
@@ -297,6 +299,189 @@ TEST(ValiantIntermediate, PicksExcludeEndpointsAndCoverTheTable) {
     seen.insert(via);
   }
   EXPECT_GT(seen.size(), 16u);  // still samples broadly, not a point mass
+}
+
+// --- route digest: every seeded route, byte for byte ----------------------
+
+/// Deterministic, never-idle congestion: a hash of (router, port) spread over
+/// 1..48 x 256 B, with one channel in eight hot (64 KiB), so adaptive winners
+/// differ between candidates and sources.
+class HashedCongestion : public CongestionView {
+ public:
+  Bytes queued_bytes(RouterId router, int port) const override {
+    std::uint64_t h = static_cast<std::uint64_t>(router) * 0x9e3779b97f4a7c15ULL ^
+                      static_cast<std::uint64_t>(port) * 0xc2b2ae3d27d4eb4fULL;
+    h ^= h >> 29;
+    h *= 0xbf58476d1ce4e5b9ULL;
+    h ^= h >> 32;
+    if (h % 8 == 0) return 64 * units::kKiB;
+    return static_cast<Bytes>(1 + (h >> 3) % 48) * 256;
+  }
+};
+
+struct Fnv1a {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  }
+};
+
+/// FNV-1a over every hop (router, port, vc) of every route, the final RNG
+/// state and the decision telemetry, for one algorithm over `pairs`.
+std::uint64_t route_digest(const RoutingAlgorithm& algo,
+                           const std::vector<std::pair<NodeId, NodeId>>& pairs,
+                           std::uint64_t seed) {
+  HashedCongestion congestion;
+  Rng rng(seed);
+  Fnv1a fnv;
+  for (const auto& [src, dst] : pairs) {
+    const Route route = algo.compute(src, dst, congestion, rng);
+    fnv.add(static_cast<std::uint64_t>(route.size()));
+    for (int i = 0; i < route.size(); ++i) {
+      fnv.add(static_cast<std::uint64_t>(route[i].router));
+      fnv.add(static_cast<std::uint64_t>(route[i].port));
+      fnv.add(static_cast<std::uint64_t>(route[i].vc));
+    }
+  }
+  for (const std::uint64_t word : rng.state()) fnv.add(word);
+  return fnv.h;
+}
+
+std::uint64_t telemetry_digest(const RoutingTelemetry& telemetry) {
+  Fnv1a fnv;
+  for (const RouteDecisionStats& d : telemetry.per_source()) {
+    fnv.add(d.minimal);
+    fnv.add(d.nonminimal);
+    fnv.add(std::bit_cast<std::uint64_t>(d.winning_score_sum));
+    fnv.add(std::bit_cast<std::uint64_t>(d.minimal_score_sum));
+    fnv.add(std::bit_cast<std::uint64_t>(d.nonminimal_score_sum));
+  }
+  return fnv.h;
+}
+
+/// Every ordered router pair (tiny) or a fixed sample of node pairs (Theta).
+std::vector<std::pair<NodeId, NodeId>> digest_pairs(const TopoParams& p, int sample) {
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  const Coordinates c(p);
+  if (sample == 0) {
+    for (RouterId a = 0; a < p.total_routers(); ++a)
+      for (RouterId b = 0; b < p.total_routers(); ++b)
+        pairs.emplace_back(c.node_of(a, 0), c.node_of(b, a == b ? 1 : (a + b) % p.nodes_per_router));
+    return pairs;
+  }
+  Rng pick(2024);
+  const auto nodes = static_cast<std::uint64_t>(p.total_nodes());
+  while (static_cast<int>(pairs.size()) < sample) {
+    const auto src = static_cast<NodeId>(pick.uniform(nodes));
+    const auto dst = static_cast<NodeId>(pick.uniform(nodes));
+    if (src != dst) pairs.emplace_back(src, dst);
+  }
+  return pairs;
+}
+
+// Table spans have a fixed capacity (their as-built size), so a table built
+// on a degraded fabric must grow back to the healthy one when links recover,
+// and a healthy one must shrink to the degraded one, with the same routes and
+// draws as a table built fresh on the final state.
+TEST(MinimalPathTable, RefreshMatchesAFreshTableInBothDirections) {
+  const TopoParams p = TopoParams::tiny();
+  const auto pairs = digest_pairs(p, 0);
+  DragonflyTopology topo(p);
+  const Coordinates& c = topo.coords();
+  auto set_faults = [&](bool up) {
+    for (int i = 0; i < 3; ++i) topo.set_global_link_state(0, 2, i, up);
+    topo.set_local_link_state(c.router_at(2, 0, 1), c.router_at(2, 0, 2), up);
+  };
+  for (const bool start_degraded : {true, false}) {
+    set_faults(!start_degraded);
+    AdaptiveRouting refreshed(topo);
+    set_faults(start_degraded);
+    refreshed.on_topology_changed();
+    const AdaptiveRouting fresh(topo);
+    EXPECT_EQ(route_digest(refreshed, pairs, 5), route_digest(fresh, pairs, 5))
+        << (start_degraded ? "recovery" : "failure");
+  }
+}
+
+// Pins the exact routes, RNG consumption and adaptive telemetry of every
+// algorithm, on a healthy fabric and again after global and local link
+// failures (exercising MinimalPathTable::refresh and the faulted local path).
+// The constants were generated before the flat path-table rewrite; a change
+// that alters them changes seeded simulation results and must re-baseline
+// the fig3 goldens along with them (tests/golden/README.md).
+TEST(RoutingDigest, SeededRoutesMatchParent) {
+  struct Expected {
+    const char* topo;
+    const char* state;
+    RoutingKind kind;
+    std::uint64_t routes;
+    std::uint64_t telemetry;
+  };
+  const Expected expected[] = {
+      {"tiny", "healthy", RoutingKind::Minimal, 0xf86cbe2d96b1c9ceULL, 0xcbf29ce484222325ULL},
+      {"tiny", "healthy", RoutingKind::Adaptive, 0x7f8fb16e0328ed1bULL, 0x4e33dbcd72b6492dULL},
+      {"tiny", "healthy", RoutingKind::Valiant, 0x89aff5f92b804fdcULL, 0xcbf29ce484222325ULL},
+      {"tiny", "healthy", RoutingKind::AdaptiveGlobal, 0x83f41253309f97cdULL, 0x1cfce7adaf7bd226ULL},
+      {"tiny", "faulted", RoutingKind::Minimal, 0x0dea4ced7e5412adULL, 0xcbf29ce484222325ULL},
+      {"tiny", "faulted", RoutingKind::Adaptive, 0xaeed57e91baedb5cULL, 0x72b83cf08e3e2b17ULL},
+      {"tiny", "faulted", RoutingKind::Valiant, 0x15933def2e9bce4eULL, 0xcbf29ce484222325ULL},
+      {"tiny", "faulted", RoutingKind::AdaptiveGlobal, 0xf029ca0aaf361cffULL, 0xe92e935b262d9571ULL},
+      {"theta", "healthy", RoutingKind::Minimal, 0xbc164ac7ad37e9a1ULL, 0xcbf29ce484222325ULL},
+      {"theta", "healthy", RoutingKind::Adaptive, 0x88847e20e6764beeULL, 0xeae00b0ec234a56cULL},
+      {"theta", "healthy", RoutingKind::Valiant, 0x6e12e600b18423c4ULL, 0xcbf29ce484222325ULL},
+      {"theta", "healthy", RoutingKind::AdaptiveGlobal, 0x2a4fc0323c3670b8ULL, 0x6cddbacb3d28c676ULL},
+      {"theta", "faulted", RoutingKind::Minimal, 0x54dbe835ee005fb3ULL, 0xcbf29ce484222325ULL},
+      {"theta", "faulted", RoutingKind::Adaptive, 0xe0b5ddebc5655297ULL, 0x2e8b6e1fc1987fc7ULL},
+      {"theta", "faulted", RoutingKind::Valiant, 0x86dea435f811d48fULL, 0xcbf29ce484222325ULL},
+      {"theta", "faulted", RoutingKind::AdaptiveGlobal, 0x52d87c4406af2d77ULL, 0xea689f40ef63dc53ULL},
+  };
+  std::vector<Expected> actual;
+  for (const bool theta : {false, true}) {
+    const TopoParams p = theta ? TopoParams::theta() : TopoParams::tiny();
+    DragonflyTopology topo(p);
+    const auto pairs = digest_pairs(p, theta ? 200000 : 0);
+    const RoutingKind kinds[] = {RoutingKind::Minimal, RoutingKind::Adaptive,
+                                 RoutingKind::Valiant, RoutingKind::AdaptiveGlobal};
+    std::vector<std::unique_ptr<RoutingAlgorithm>> algos;
+    for (const RoutingKind kind : kinds) algos.push_back(make_routing(kind, topo));
+    for (const bool faulted : {false, true}) {
+      if (faulted) {
+        const Coordinates& c = topo.coords();
+        ASSERT_TRUE(topo.set_global_link_state(0, 1, 0, false));
+        ASSERT_TRUE(topo.set_global_link_state(1, 2, 1, false));
+        ASSERT_TRUE(topo.set_local_link_state(c.router_at(0, 0, 0), c.router_at(0, 0, 1), false));
+        ASSERT_TRUE(topo.set_local_link_state(c.router_at(1, 1, 2), c.router_at(1, 1, 3), false));
+        for (auto& algo : algos) algo->on_topology_changed();
+      }
+      for (std::size_t k = 0; k < algos.size(); ++k) {
+        RoutingTelemetry telemetry;
+        algos[k]->set_telemetry(&telemetry);
+        const std::uint64_t routes = route_digest(*algos[k], pairs, 77 + k);
+        algos[k]->set_telemetry(nullptr);
+        if (kinds[k] == RoutingKind::Adaptive || kinds[k] == RoutingKind::AdaptiveGlobal) {
+          EXPECT_GT(telemetry.minimal_total(), 0u);
+          EXPECT_GT(telemetry.nonminimal_total(), 0u) << "congestion must make detours win";
+        }
+        actual.push_back({theta ? "theta" : "tiny", faulted ? "faulted" : "healthy", kinds[k],
+                          routes, telemetry_digest(telemetry)});
+      }
+    }
+  }
+  ASSERT_EQ(actual.size(), std::size(expected));
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    const Expected& a = actual[i];
+    const Expected& e = expected[i];
+    ASSERT_STREQ(a.topo, e.topo);
+    ASSERT_STREQ(a.state, e.state);
+    ASSERT_EQ(a.kind, e.kind);
+    EXPECT_EQ(a.routes, e.routes) << a.topo << " " << a.state << " " << to_string(a.kind)
+                                  << ": routes 0x" << std::hex << a.routes;
+    EXPECT_EQ(a.telemetry, e.telemetry) << a.topo << " " << a.state << " " << to_string(a.kind)
+                                        << ": telemetry 0x" << std::hex << a.telemetry;
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <map>
 #include <set>
+#include <stdexcept>
 
 namespace dfly {
 namespace {
@@ -234,6 +235,29 @@ TEST(TopoParamsValidate, AcceptsChannelSpaceJustUnderTheBound) {
   p.nodes_per_router = 1;
   p.global_ports_per_router = 1;
   p.chassis_per_cabinet = 1;
+  EXPECT_NO_THROW(p.validate());
+}
+
+// --- 16-bit hop port guard ------------------------------------------------
+
+TEST(TopoParamsValidate, RejectsPortCountBeyondHopPortWidth) {
+  // Hop::port is int16_t: 40002 ports per router used to validate and then
+  // wrap, so MinimalRouting::compute(0, 3, ...) returned first-hop port -30773.
+  TopoParams p;
+  p.groups = 2;
+  p.rows = 1;
+  p.cols = 2;
+  p.nodes_per_router = 1;
+  p.global_ports_per_router = 40'000;
+  p.chassis_per_cabinet = 1;
+  try {
+    p.validate();
+    FAIL() << "40002 ports per router must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "TopoParams: 40002 ports per router exceed the 16-bit hop port limit of 32767");
+  }
+  p.global_ports_per_router = 32'767 - 2;  // 1 terminal + 1 row port: exactly INT16_MAX
   EXPECT_NO_THROW(p.validate());
 }
 
