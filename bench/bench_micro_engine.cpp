@@ -128,7 +128,7 @@ BENCHMARK(BM_NetworkRandomTraffic)->Unit(benchmark::kMillisecond);
 // fixed occupancy and every dispatched event schedules a successor.
 //  * monotonic mix — every successor lands a short uniform delay ahead, the
 //    distribution of chunk/credit/port events in a running network.
-//  * backoff-heavy mix — 10% of successors are retransmit backoff timers at
+//  * backoff-heavy mix — 10% of successors are exponential-backoff timers at
 //    20 us << k (k in [0,16)), seconds into the future; stresses the
 //    overflow tier.
 // ---------------------------------------------------------------------------

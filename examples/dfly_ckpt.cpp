@@ -7,12 +7,12 @@
 //
 //   dfly_ckpt selfcheck [out_dir]
 //     Bit-exactness proof of the checkpoint layer on a small system, for one
-//     minimal- and one adaptive-routing configuration, both with mid-run link
-//     faults: run each config straight through (golden), run it again but
-//     stop at the first snapshot past T/2 (emulating a killed job), resume
-//     from the snapshot, and byte-compare every telemetry artifact
-//     (metrics.json, counters.jsonl, heatmap.csv, trace.json) of the resumed
-//     run against the golden run. Exits nonzero on any difference.
+//     minimal- and one adaptive-routing configuration: run each config
+//     straight through (golden), run it again but stop at the first snapshot
+//     past T/2 (emulating a killed job), resume from the snapshot, and
+//     byte-compare every telemetry artifact (metrics.json, counters.jsonl,
+//     heatmap.csv, trace.json) of the resumed run against the golden run.
+//     Exits nonzero on any difference.
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -22,7 +22,6 @@
 
 #include "ckpt/checkpoint.hpp"
 #include "core/experiment.hpp"
-#include "fault/fault.hpp"
 #include "workload/synthetic.hpp"
 
 namespace {
@@ -39,9 +38,9 @@ int cmd_info(const std::string& path) {
               static_cast<unsigned long long>(info.events_processed));
   std::printf("pending events   : %llu\n",
               static_cast<unsigned long long>(info.pending_events));
-  std::printf("subsystems       : replay network%s%s%s%s\n",
-              info.has_background ? " background" : "", info.has_injector ? " faults" : "",
-              info.has_monitor ? " health" : "", info.has_telemetry ? " telemetry" : "");
+  std::printf("subsystems       : replay network%s%s%s\n",
+              info.has_background ? " background" : "", info.has_monitor ? " health" : "",
+              info.has_telemetry ? " telemetry" : "");
   return 0;
 }
 
@@ -82,20 +81,6 @@ int cmd_selfcheck(const std::string& out_dir) {
   base.telemetry.snapshot_interval = 20 * units::kMicrosecond;
   const Workload workload{"ring",
                           make_ring_trace(/*ranks=*/24, 64 * units::kKiB, /*iterations=*/4)};
-
-  // Mid-run link faults: down a quarter of the global links early, restore
-  // one of them later — the checkpoint must carry the degraded link state,
-  // the retransmit timers and the not-yet-fired recovery event.
-  {
-    const DragonflyTopology topo(base.topo);
-    Rng rng(99);
-    base.faults = random_global_fault_schedule(topo, 0.25, 30 * units::kMicrosecond, rng);
-    if (!base.faults.empty()) {
-      const FaultEvent& first = base.faults.front();
-      base.faults.push_back(
-          FaultEvent::global_up(90 * units::kMicrosecond, first.a, first.b, first.index));
-    }
-  }
 
   bool all_ok = true;
   for (const ExperimentConfig config :

@@ -1,20 +1,14 @@
 #include "ckpt/checkpoint.hpp"
 
-#include <array>
-#include <set>
 #include <stdexcept>
-#include <tuple>
-#include <utility>
 #include <vector>
 
 #include "core/experiment.hpp"
-#include "fault/fault.hpp"
 #include "fault/health.hpp"
 #include "net/network.hpp"
 #include "obs/telemetry.hpp"
 #include "replay/replay.hpp"
 #include "sim/engine.hpp"
-#include "topo/dragonfly.hpp"
 #include "workload/background.hpp"
 
 namespace dfly::ckpt {
@@ -26,128 +20,24 @@ namespace {
 }
 
 // --- handler registry ------------------------------------------------------
-// Queue events reference handlers by these ids. The order is part of format
-// version 1: extend only by appending.
-enum HandlerId : std::uint32_t {
-  kIdNetwork = 0,
-  kIdReplay = 1,
-  kIdBackground = 2,
-  kIdInjector = 3,
-  kIdMonitor = 4,
-  kIdProbe = 5,
-  kHandlerCount = 6,
-};
-
+// Queue events reference handlers by their index in this table. The order is
+// part of the format: extend only by appending.
 std::vector<EventHandler*> handler_table(const SimSnapshotParts& parts) {
-  return {parts.network,
-          parts.replay,
-          parts.background,
-          parts.injector,
-          parts.monitor,
+  return {parts.network, parts.replay, parts.background, parts.monitor,
           parts.telemetry != nullptr ? &parts.telemetry->probe() : nullptr};
-}
-
-// --- topology link state ---------------------------------------------------
-
-void save_topology(Writer& w, const DragonflyTopology& topo) {
-  const int groups = topo.params().groups;
-  std::vector<std::array<std::int32_t, 3>> down_global;
-  for (GroupId a = 0; a < groups; ++a) {
-    for (GroupId b = a + 1; b < groups; ++b) {
-      const auto all = topo.all_global_links(a, b);
-      for (std::size_t i = 0; i < all.size(); ++i) {
-        if (!topo.port_enabled(all[i].src_router, all[i].src_port))
-          down_global.push_back({a, b, static_cast<std::int32_t>(i)});
-      }
-    }
-  }
-  w.size(down_global.size());
-  for (const auto& [a, b, idx] : down_global) {
-    w.i32(a);
-    w.i32(b);
-    w.i32(idx);
-  }
-
-  std::vector<std::pair<RouterId, RouterId>> down_local;
-  for (RouterId u = 0; u < topo.params().total_routers(); ++u) {
-    for (int p = topo.first_row_port(); p < topo.first_global_port(); ++p) {
-      const RouterId v = topo.neighbor(u, p);
-      if (v > u && !topo.port_enabled(u, p)) down_local.emplace_back(u, v);
-    }
-  }
-  w.size(down_local.size());
-  for (const auto& [u, v] : down_local) {
-    w.i32(u);
-    w.i32(v);
-  }
-}
-
-void load_topology(Reader& r, DragonflyTopology& topo) {
-  const int groups = topo.params().groups;
-  const std::size_t nglobal = r.count(12);
-  std::set<std::tuple<GroupId, GroupId, int>> down_global;
-  for (std::size_t i = 0; i < nglobal; ++i) {
-    const GroupId a = r.i32();
-    const GroupId b = r.i32();
-    const int idx = r.i32();
-    if (a < 0 || b <= a || b >= groups) corrupt("disabled global link names a bad group pair");
-    if (idx < 0 || static_cast<std::size_t>(idx) >= topo.all_global_links(a, b).size())
-      corrupt("disabled global link index out of range");
-    down_global.emplace(a, b, idx);
-  }
-  const std::size_t nlocal = r.count(8);
-  std::set<std::pair<RouterId, RouterId>> down_local;
-  for (std::size_t i = 0; i < nlocal; ++i) {
-    const RouterId u = r.i32();
-    const RouterId v = r.i32();
-    if (u < 0 || v <= u || v >= topo.params().total_routers() || topo.local_port_to(u, v) < 0)
-      corrupt("disabled local link endpoints are not neighbors");
-    down_local.emplace(u, v);
-  }
-
-  // Two passes: enable everything that should be up first, then disable.
-  // Enabling never trips the connectivity guard, and by the time the disable
-  // pass runs, each intermediate state has a superset of the (guard-valid)
-  // final state's enabled links — so the guard passes in any order.
-  try {
-    for (int pass = 0; pass < 2; ++pass) {
-      const bool disabling = pass == 1;
-      for (GroupId a = 0; a < groups; ++a) {
-        for (GroupId b = a + 1; b < groups; ++b) {
-          const std::size_t n = topo.all_global_links(a, b).size();
-          for (std::size_t i = 0; i < n; ++i) {
-            const bool down = down_global.count({a, b, static_cast<int>(i)}) > 0;
-            if (down == disabling) topo.set_global_link_state(a, b, static_cast<int>(i), !down);
-          }
-        }
-      }
-      for (RouterId u = 0; u < topo.params().total_routers(); ++u) {
-        for (int p = topo.first_row_port(); p < topo.first_global_port(); ++p) {
-          const RouterId v = topo.neighbor(u, p);
-          if (v <= u) continue;
-          const bool down = down_local.count({u, v}) > 0;
-          if (down == disabling) topo.set_local_link_state(u, v, !down);
-        }
-      }
-    }
-  } catch (const std::invalid_argument& e) {
-    corrupt(std::string("checkpointed link state rejected by topology: ") + e.what());
-  }
 }
 
 std::uint8_t presence_mask(const SimSnapshotParts& parts) {
   std::uint8_t mask = 0;
   if (parts.background != nullptr) mask |= 1u << 0;
-  if (parts.injector != nullptr) mask |= 1u << 1;
-  if (parts.monitor != nullptr) mask |= 1u << 2;
-  if (parts.telemetry != nullptr) mask |= 1u << 3;
+  if (parts.monitor != nullptr) mask |= 1u << 1;
+  if (parts.telemetry != nullptr) mask |= 1u << 2;
   return mask;
 }
 
 void require_parts(const SimSnapshotParts& parts) {
-  if (parts.engine == nullptr || parts.topo == nullptr || parts.network == nullptr ||
-      parts.replay == nullptr)
-    throw std::logic_error("checkpoint: engine/topo/network/replay are mandatory");
+  if (parts.engine == nullptr || parts.network == nullptr || parts.replay == nullptr)
+    throw std::logic_error("checkpoint: engine/network/replay are mandatory");
 }
 
 }  // namespace
@@ -170,12 +60,10 @@ void save_checkpoint(const std::string& path, const SimSnapshotParts& parts) {
   w.u64(parts.engine->pending());
   w.u8(presence_mask(parts));
 
-  save_topology(w, *parts.topo);
   parts.engine->save_state(w, id_of);
   parts.network->save_state(w);
   parts.replay->save_state(w);
   if (parts.background != nullptr) parts.background->save_state(w);
-  if (parts.injector != nullptr) parts.injector->save_state(w);
   if (parts.monitor != nullptr) parts.monitor->save_state(w);
   if (parts.telemetry != nullptr) parts.telemetry->save_state(w);
 
@@ -198,7 +86,7 @@ void load_checkpoint(const std::string& path, SimSnapshotParts& parts) {
   if (seed != parts.seed) corrupt("checkpoint was taken with a different seed");
   if (mask != presence_mask(parts))
     corrupt("subsystem lineup differs from the checkpointed run "
-            "(background/fault/health/telemetry mismatch)");
+            "(background/health/telemetry mismatch)");
 
   const std::vector<EventHandler*> table = handler_table(parts);
   const auto handler_of = [&table](std::uint32_t id) -> EventHandler* {
@@ -207,12 +95,10 @@ void load_checkpoint(const std::string& path, SimSnapshotParts& parts) {
     return table[id];
   };
 
-  load_topology(r, *parts.topo);
   parts.engine->load_state(r, handler_of);
   parts.network->load_state(r);
   parts.replay->load_state(r);
   if (parts.background != nullptr) parts.background->load_state(r);
-  if (parts.injector != nullptr) parts.injector->load_state(r);
   if (parts.monitor != nullptr) parts.monitor->load_state(r);
   if (parts.telemetry != nullptr) parts.telemetry->load_state(r);
   r.expect_end();
@@ -229,9 +115,8 @@ CheckpointInfo inspect_checkpoint(const std::string& path) {
   info.pending_events = r.u64();
   const std::uint8_t mask = r.u8();
   info.has_background = (mask & (1u << 0)) != 0;
-  info.has_injector = (mask & (1u << 1)) != 0;
-  info.has_monitor = (mask & (1u << 2)) != 0;
-  info.has_telemetry = (mask & (1u << 3)) != 0;
+  info.has_monitor = (mask & (1u << 1)) != 0;
+  info.has_telemetry = (mask & (1u << 2)) != 0;
   return info;
 }
 
@@ -277,9 +162,6 @@ void save_result(const std::string& path, const ExperimentResult& result) {
   w.u64(m.scheduler.overflow_promotions);
   w.i64(result.background_bytes);
   w.boolean(result.hit_event_limit);
-  w.i64(result.bytes_dropped);
-  w.i64(result.bytes_retransmitted);
-  w.i32(result.faults_fired);
   w.boolean(result.stalled);
   w.boolean(result.conservation_ok);
   w.str(result.health_report);
@@ -314,9 +196,6 @@ ExperimentResult load_result(const std::string& path) {
   m.scheduler.overflow_promotions = r.u64();
   result.background_bytes = r.i64();
   result.hit_event_limit = r.boolean();
-  result.bytes_dropped = r.i64();
-  result.bytes_retransmitted = r.i64();
-  result.faults_fired = r.i32();
   result.stalled = r.boolean();
   result.conservation_ok = r.boolean();
   result.health_report = r.str();

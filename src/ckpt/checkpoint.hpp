@@ -5,15 +5,15 @@
 // continue bit-identically: the engine clock, sequence counter and the full
 // event queue (including the calendar queue's tuning state, so resumed
 // SchedulerStats match), per-router VC buffers and credit counters, NIC
-// injection queues and retransmit accounting, the in-flight chunk/message
-// pools, every RNG stream, the replay engine's per-rank cursors, the fault
-// injector's cursor (the schedule itself is rebuilt from the config and
-// digest-checked), and the telemetry accumulators — so a resumed run produces
-// byte-identical metrics.json and counters.jsonl.
+// injection queues, the in-flight chunk/message pools, every RNG stream, the
+// replay engine's per-rank cursors and the telemetry accumulators — so a
+// resumed run produces byte-identical metrics.json and counters.jsonl. The
+// topology is immutable during a run and is not part of the snapshot: resume
+// against the same topology the checkpointed run used.
 //
 // Event-queue entries reference their EventHandler by a small stable id
-// (handler registry below) instead of a pointer; the registry order is part
-// of the format and must never change for version 1.
+// (handler registry in checkpoint.cpp) instead of a pointer; the registry
+// order is part of the format.
 #pragma once
 
 #include <string>
@@ -24,11 +24,9 @@
 namespace dfly {
 
 class Engine;
-class DragonflyTopology;
 class Network;
 class ReplayEngine;
 class BackgroundDriver;
-class FaultInjector;
 class HealthMonitor;
 class RunTelemetry;
 struct ExperimentResult;
@@ -38,7 +36,7 @@ namespace ckpt {
 /// The live objects of one experiment run, wired together by
 /// core/experiment.cpp. `engine`..`replay` are mandatory; the rest mirror the
 /// run's optional subsystems and their presence is recorded in (and validated
-/// against) the snapshot — a checkpoint taken with fault injection cannot
+/// against) the snapshot — a checkpoint taken with background traffic cannot
 /// silently resume without it.
 /// No POD assert: a wiring struct of live-object pointers, serialized
 /// field-wise by save_checkpoint and never byte-framed.
@@ -46,11 +44,9 @@ struct SimSnapshotParts {
   std::string config;        ///< experiment config name ("cont-min", ...)
   std::uint64_t seed = 0;    ///< master seed; both are identity-checked on load
   Engine* engine = nullptr;
-  DragonflyTopology* topo = nullptr;
   Network* network = nullptr;
   ReplayEngine* replay = nullptr;
   BackgroundDriver* background = nullptr;
-  FaultInjector* injector = nullptr;
   HealthMonitor* monitor = nullptr;
   RunTelemetry* telemetry = nullptr;
 };
@@ -61,10 +57,10 @@ struct SimSnapshotParts {
 void save_checkpoint(const std::string& path, const SimSnapshotParts& parts);
 
 /// Restores a SimState snapshot into freshly constructed `parts` (same
-/// config, seed, topology parameters and subsystem lineup as the
-/// checkpointed run — all validated). After this call the engine's clock,
-/// queue and every subsystem hold the checkpointed state; do NOT call any
-/// start() method, the restored queue already contains the pending events.
+/// config, seed, topology and subsystem lineup as the checkpointed run; all
+/// but the topology are validated). After this call the engine's clock, queue
+/// and every subsystem hold the checkpointed state; do NOT call any start()
+/// method, the restored queue already contains the pending events.
 void load_checkpoint(const std::string& path, SimSnapshotParts& parts);
 
 /// Summary header of a snapshot, readable without reconstructing the run.
@@ -77,7 +73,6 @@ struct CheckpointInfo {
   std::uint64_t events_processed = 0;
   std::uint64_t pending_events = 0;
   bool has_background = false;
-  bool has_injector = false;
   bool has_monitor = false;
   bool has_telemetry = false;
 };

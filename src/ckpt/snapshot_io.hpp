@@ -33,7 +33,10 @@ static_assert(std::endian::native == std::endian::little,
 // blocks, tracer lanes), plus chunk trace serials. The sharded engine that
 // wrote other values is gone: snapshots are written, and only accepted, with
 // mode byte 0 and exactly one block in each list.
-inline constexpr std::uint32_t kFormatVersion = 2;
+// v3: the topology link-state and fault-injector sections and every drop /
+// retransmit field are gone (the topology is immutable during a run); the
+// handler registry and the subsystem presence mask lost the injector slot.
+inline constexpr std::uint32_t kFormatVersion = 3;
 /// Value of the byte-order sentinel field as written; a byte-swapped file
 /// reads back 0x04030201 and is rejected with a clear message.
 inline constexpr std::uint32_t kByteOrderSentinel = 0x01020304u;

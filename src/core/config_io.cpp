@@ -100,51 +100,12 @@ const std::map<std::string, Setter>& setters() {
        set_int([](ExperimentOptions& o) -> Bytes& { return o.net.local_vc_buffer; })},
       {"network.global_vc_buffer",
        set_int([](ExperimentOptions& o) -> Bytes& { return o.net.global_vc_buffer; })},
-      {"network.retransmit_timeout_ns",
-       set_int([](ExperimentOptions& o) -> SimTime& { return o.net.retransmit_timeout; })},
-      {"network.retransmit_max_backoff",
-       set_int([](ExperimentOptions& o) -> int& { return o.net.retransmit_max_backoff; })},
       {"health.enabled",
        set_int([](ExperimentOptions& o) -> bool& { return o.health.enabled; })},
       {"health.interval_ns",
        set_int([](ExperimentOptions& o) -> SimTime& { return o.health.interval; })},
       {"health.stall_ticks",
        set_int([](ExperimentOptions& o) -> int& { return o.health.stall_ticks; })},
-      // Repeatable: each line appends one timed fault event. Grammar:
-      //   link = <down|up> global <group_a> <group_b> <all_link_index> <time_ns>
-      //   link = <down|up> local <router_u> <router_v> <time_ns>
-      {"faults.link",
-       Setter([](ExperimentOptions& o, const std::string& k, const std::string& v) {
-         std::istringstream in(v);
-         std::string state, scope;
-         if (!(in >> state >> scope) || (state != "down" && state != "up"))
-           throw std::runtime_error("config: bad fault line for " + k + ": '" + v + "'");
-         const bool down = state == "down";
-         if (scope == "global") {
-           long long a = 0, b = 0, index = 0, t = 0;
-           if (!(in >> a >> b >> index >> t))
-             throw std::runtime_error("config: bad global fault for " + k + ": '" + v + "'");
-           o.faults.push_back(down ? FaultEvent::global_down(t, static_cast<GroupId>(a),
-                                                             static_cast<GroupId>(b),
-                                                             static_cast<int>(index))
-                                   : FaultEvent::global_up(t, static_cast<GroupId>(a),
-                                                           static_cast<GroupId>(b),
-                                                           static_cast<int>(index)));
-         } else if (scope == "local") {
-           long long u = 0, w = 0, t = 0;
-           if (!(in >> u >> w >> t))
-             throw std::runtime_error("config: bad local fault for " + k + ": '" + v + "'");
-           o.faults.push_back(down ? FaultEvent::local_down(t, static_cast<RouterId>(u),
-                                                            static_cast<RouterId>(w))
-                                   : FaultEvent::local_up(t, static_cast<RouterId>(u),
-                                                          static_cast<RouterId>(w)));
-         } else {
-           throw std::runtime_error("config: unknown fault scope '" + scope + "' for " + k);
-         }
-         std::string rest;
-         if (in >> rest)
-           throw std::runtime_error("config: trailing junk in " + k + ": '" + v + "'");
-       })},
       {"telemetry.enabled",
        set_int([](ExperimentOptions& o) -> bool& { return o.telemetry.enabled; })},
       {"telemetry.sample_rate",
@@ -250,8 +211,6 @@ std::string render_config(const ExperimentOptions& o) {
   os << "terminal_vc_buffer = " << o.net.terminal_vc_buffer << "\n";
   os << "local_vc_buffer = " << o.net.local_vc_buffer << "\n";
   os << "global_vc_buffer = " << o.net.global_vc_buffer << "\n";
-  os << "retransmit_timeout_ns = " << o.net.retransmit_timeout << "\n";
-  os << "retransmit_max_backoff = " << o.net.retransmit_max_backoff << "\n";
   os << "\n[health]\n";
   os << "enabled = " << (o.health.enabled ? 1 : 0) << "\n";
   os << "interval_ns = " << o.health.interval << "\n";
@@ -276,16 +235,6 @@ std::string render_config(const ExperimentOptions& o) {
   os << "max_events = " << o.max_events << "\n";
   os << "eager_threshold = " << o.replay.eager_threshold << "\n";
   os << "control_bytes = " << o.replay.control_bytes << "\n";
-  if (!o.faults.empty()) {
-    os << "\n[faults]\n";
-    for (const FaultEvent& f : o.faults) {
-      os << "link = " << (f.is_down() ? "down" : "up") << " ";
-      if (f.is_global())
-        os << "global " << f.a << " " << f.b << " " << f.index << " " << f.time << "\n";
-      else
-        os << "local " << f.u << " " << f.v << " " << f.time << "\n";
-    }
-  }
   return os.str();
 }
 

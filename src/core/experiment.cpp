@@ -30,19 +30,12 @@ ExperimentResult run_experiment(const Workload& workload, const ExperimentConfig
                                 const DragonflyTopology* shared_topo) {
   if (options.threads != 0)
     throw std::invalid_argument("run_experiment: options.threads must be 0 (serial engine)");
-  // Optionally reuse a caller-built topology (without runtime faults it is
-  // immutable and thread-safe to share across concurrent experiments). A
-  // fault schedule mutates link state mid-run, so such experiments always
-  // work on their own copy and never touch the shared instance.
-  // Checkpoint restore mutates link state too, so checkpoint-enabled runs
-  // also get their own copy.
+  if (!options.faults.empty())
+    throw std::invalid_argument("run_experiment: options.faults must be empty");
+  // Optionally reuse a caller-built topology: it is immutable during a run,
+  // so concurrent experiments can share it.
   std::optional<DragonflyTopology> local_topo;
-  if (shared_topo == nullptr) {
-    local_topo.emplace(options.topo);
-  } else if (!options.faults.empty() || options.checkpoint.active() ||
-             options.checkpoint.resume) {
-    local_topo.emplace(*shared_topo);
-  }
+  if (shared_topo == nullptr) local_topo.emplace(options.topo);
   const DragonflyTopology& topo = local_topo ? *local_topo : *shared_topo;
 
   // The RNG tree: placement draws depend on (seed, placement kind) only, so a
@@ -103,13 +96,6 @@ ExperimentResult run_experiment(const Workload& workload, const ExperimentConfig
     });
   }
 
-  std::optional<FaultInjector> injector;
-  if (!options.faults.empty()) {
-    injector.emplace(engine, *local_topo, network, routing.get(), options.faults);
-    if (!resuming) injector->start();
-    if (telemetry) register_fault_counters(telemetry->registry(), *injector);
-  }
-
   HealthMonitor monitor(engine, network, options.health);
   monitor.set_work_remaining([&replay] { return !replay.finished(); });
   if (options.health.enabled && !resuming) monitor.start();
@@ -122,19 +108,14 @@ ExperimentResult run_experiment(const Workload& workload, const ExperimentConfig
   parts.config = config.name();
   parts.seed = options.seed;
   parts.engine = &engine;
-  parts.topo = local_topo ? &*local_topo : nullptr;
   parts.network = &network;
   parts.replay = &replay;
   parts.background = background ? &*background : nullptr;
-  parts.injector = injector ? &*injector : nullptr;
   parts.monitor = &monitor;
   parts.telemetry = telemetry ? &*telemetry : nullptr;
 
   if (resuming) {
     ckpt::load_checkpoint(options.checkpoint.path, parts);
-    // Link state may differ from the as-built topology now; rebuild whatever
-    // the routing algorithm precomputed.
-    routing->on_topology_changed();
   } else {
     replay.start();
   }
@@ -201,9 +182,6 @@ ExperimentResult run_experiment(const Workload& workload, const ExperimentConfig
   result.metrics = collect_metrics(network, replay, placement, engine);
   result.background_bytes = background ? background->bytes_issued() : 0;
   result.hit_event_limit = engine.hit_event_limit();
-  result.bytes_dropped = network.bytes_dropped();
-  result.bytes_retransmitted = network.bytes_retransmitted();
-  result.faults_fired = injector ? injector->fired() : 0;
   result.stalled = monitor.stalled();
   result.conservation_ok = network.conservation_ok();
   result.stopped_at_checkpoint = stopped_at_checkpoint;

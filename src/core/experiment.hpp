@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "fault/fault.hpp"
 #include "fault/health.hpp"
 #include "metrics/collector.hpp"
 #include "net/params.hpp"
@@ -69,10 +68,8 @@ struct ExperimentOptions {
   /// std::invalid_argument otherwise. Kept so callers that set it still
   /// build; sweep parallelism is run_matrix's `threads` argument.
   int threads = 0;
-  /// Timed link faults fired mid-run. Non-empty schedules make the
-  /// experiment copy the topology (runtime faults mutate link state), so a
-  /// shared topology is never touched.
-  FaultSchedule faults;
+  /// perfbench shim: must stay empty (run_experiment throws otherwise).
+  std::vector<int> faults;
   HealthOptions health;     ///< progress/conservation monitor settings
   TelemetryOptions telemetry;  ///< flight-recorder tracing + run artifacts
   CheckpointOptions checkpoint;  ///< periodic snapshots + resume (src/ckpt/)
@@ -87,10 +84,10 @@ struct ExperimentResult {
   RunMetrics metrics;
   Bytes background_bytes = 0;
   bool hit_event_limit = false;
-  // --- fault / health outcome ---
-  Bytes bytes_dropped = 0;        ///< dropped on failed links (then retransmitted)
-  Bytes bytes_retransmitted = 0;  ///< re-injected by NIC retransmit timers
-  int faults_fired = 0;           ///< fault events that changed link state
+  /// perfbench shims: always 0 (the network never drops), not exported.
+  Bytes bytes_dropped = 0;
+  Bytes bytes_retransmitted = 0;
+  // --- health outcome ---
   bool stalled = false;           ///< HealthMonitor stopped a no-progress run
   bool conservation_ok = true;    ///< chunk-conservation audit at end of run
   /// Structured diagnostic dump; non-empty when the run stalled, tripped the
@@ -106,8 +103,8 @@ struct ExperimentResult {
 };
 
 /// Runs `workload` under `config`. If `shared_topo` is non-null it must match
-/// options.topo and is reused (topology construction is the only sizable
-/// fixed cost); otherwise a topology is built locally.
+/// options.topo and is reused read-only (topology construction is the only
+/// sizable fixed cost); otherwise a topology is built locally.
 ExperimentResult run_experiment(const Workload& workload, const ExperimentConfig& config,
                                 const ExperimentOptions& options,
                                 const DragonflyTopology* shared_topo = nullptr);

@@ -18,7 +18,6 @@ std::string HealthReport::to_string() const {
   out << "state: " << (deadlock ? "DEADLOCK" : stalled ? "STALLED" : "running")
       << ", conservation " << (conservation_ok ? "ok" : "VIOLATED") << "\n";
   out << "bytes: injected=" << bytes_injected << " delivered=" << bytes_delivered
-      << " dropped=" << bytes_dropped << " retransmitted=" << bytes_retransmitted
       << " in-fabric=" << in_fabric_bytes << "\n";
   out << "messages in flight: " << messages_in_flight << ", pending events: " << pending_events
       << ", events processed: " << events_processed << "\n";
@@ -67,8 +66,6 @@ HealthReport HealthMonitor::capture(SimTime now) const {
   r.conservation_ok = network_.conservation_ok();
   r.bytes_injected = network_.bytes_injected();
   r.bytes_delivered = network_.bytes_delivered();
-  r.bytes_dropped = network_.bytes_dropped();
-  r.bytes_retransmitted = network_.bytes_retransmitted();
   r.in_fabric_bytes = network_.in_fabric_bytes();
   r.messages_in_flight = network_.messages_in_flight();
   r.pending_events = engine_.pending();

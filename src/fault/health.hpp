@@ -20,8 +20,7 @@ struct HealthOptions {
   SimTime interval = units::kMillisecond;
   /// Ticks without injection/delivery progress (while work remains) before
   /// the run is declared stalled and the engine is stopped. The default
-  /// window (250 ms simulated) comfortably exceeds the maximum retransmit
-  /// backoff, so fault recovery never trips it.
+  /// window is 250 ms simulated.
   int stall_ticks = 250;
 };
 
@@ -47,8 +46,6 @@ struct HealthReport {
   bool conservation_ok = true;
   Bytes bytes_injected = 0;
   Bytes bytes_delivered = 0;
-  Bytes bytes_dropped = 0;
-  Bytes bytes_retransmitted = 0;
   Bytes in_fabric_bytes = 0;
   std::size_t messages_in_flight = 0;
   std::size_t pending_events = 0;
@@ -63,8 +60,8 @@ struct HealthReport {
 };
 
 /// The audit the monitor runs each tick, as a free function for tests.
-inline bool conservation_holds(Bytes injected, Bytes delivered, Bytes dropped, Bytes in_fabric) {
-  return injected == delivered + dropped + in_fabric;
+inline bool conservation_holds(Bytes injected, Bytes delivered, Bytes in_fabric) {
+  return injected == delivered + in_fabric;
 }
 
 /// Periodic health checker installed on the engine. Each tick it audits chunk

@@ -20,10 +20,6 @@ namespace dfly {
 using ChunkId = std::uint32_t;
 using MsgId = std::uint32_t;
 
-/// Sentinel "no chunk" value (OutPort::tx_chunk when the wire is idle); far
-/// above ChunkPool::kMaxChunks, so it never collides with a real chunk.
-inline constexpr ChunkId kNoChunk = 0xFFFFFFFFu;
-
 /// Flight-recorder serial of a chunk the tracer is not sampling.
 inline constexpr std::uint64_t kNoTraceSerial = ~std::uint64_t{0};
 
@@ -31,11 +27,6 @@ struct Chunk {
   MsgId msg = 0;
   std::int32_t bytes = 0;
   std::int8_t hop_idx = 0;  ///< index of the route hop whose router holds the chunk
-  /// Set when the chunk was discarded mid-flight on a failed link. The chunk
-  /// stays allocated as a tombstone until its already-scheduled arrival event
-  /// fires (which releases it); releasing eagerly would let the pool recycle
-  /// the id while a stale event still references it.
-  bool dropped = false;
   /// Tracer sampling identity. The serial travels with the chunk, so the
   /// tracer needs no chunk-id map; kNoTraceSerial means "not sampled".
   std::uint64_t trace_serial = kNoTraceSerial;

@@ -22,13 +22,6 @@ struct MessageRecord {
   Bytes total = 0;
   Bytes injected = 0;
   Bytes delivered = 0;
-  /// Bytes dropped on failed links and awaiting the NIC's retransmit timer.
-  /// Drops subtract from `injected`, so a record with pending retransmission
-  /// can never satisfy the release condition (injected == total).
-  Bytes drop_pending = 0;
-  std::uint16_t retx_attempts = 0;  ///< drives the exponential backoff
-  bool retx_scheduled = false;      ///< a kRetransmit event is in flight
-  bool injected_notified = false;   ///< MessageSink heard on_message_injected
   std::uint64_t user_data = 0;
   bool notify_injected = false;
   bool notify_delivered = false;

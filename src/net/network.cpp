@@ -25,9 +25,6 @@ void NetworkParams::validate() const {
     throw std::invalid_argument("every VC buffer must hold at least one chunk");
   if (terminal_bandwidth_gib <= 0 || local_bandwidth_gib <= 0 || global_bandwidth_gib <= 0)
     throw std::invalid_argument("bandwidths must be positive");
-  if (retransmit_timeout <= 0) throw std::invalid_argument("retransmit_timeout must be positive");
-  if (retransmit_max_backoff < 0 || retransmit_max_backoff > 32)
-    throw std::invalid_argument("retransmit_max_backoff must be in [0, 32]");
 }
 
 Network::Network(Engine& engine, const DragonflyTopology& topo, const NetworkParams& params,
@@ -118,10 +115,7 @@ void Network::try_inject(NodeId node, SimTime now) {
   if (head.bytes_left == 0) {
     const MsgId mid = head.msg;
     nic.queue.pop_front();  // invalidates `head`
-    // A retransmitted tail must not re-notify the sink: the injected-side
-    // completion (e.g. an MPI send returning) already happened.
-    if (m.notify_injected && !m.injected_notified) {
-      m.injected_notified = true;
+    if (m.notify_injected) {
       engine_.schedule(t_end, this, EventPayload{kMsgInjected, 0, mid, 0});
     }
   }
@@ -130,7 +124,6 @@ void Network::try_inject(NodeId node, SimTime now) {
 void Network::try_send(RouterId rid, int port, SimTime now) {
   Router& router = routers_[rid];
   OutPort& op = router.port(port);
-  if (!topo_.port_enabled(rid, port)) return;  // link down: nothing moves
   if (op.queue.empty()) {
     op.end_blocked(now);
     return;
@@ -184,8 +177,6 @@ void Network::try_send(RouterId rid, int port, SimTime now) {
 
   const SimTime t_end = now + units::transfer_time(chunk.bytes, params_.bandwidth(op.kind));
   op.busy_until = t_end;
-  op.tx_chunk = cid;
-  op.tx_vc = hop.vc;
   op.traffic += chunk.bytes;
   ++totals_.chunks_forwarded;
   if (tracer_ && chunk.trace_serial != kNoTraceSerial)
@@ -229,22 +220,10 @@ void Network::handle_event(SimTime now, const EventPayload& payload) {
   switch (payload.kind) {
     case kChunkArrive: {
       const ChunkId cid = payload.a;
-      Chunk& chunk = chunks_[cid];
-      if (chunk.dropped) {  // tombstone: discarded mid-flight on a failed link
-        chunks_.release(cid);
-        break;
-      }
+      const Chunk& chunk = chunks_[cid];
       const auto rid = static_cast<RouterId>(payload.b);
       const Hop& hop = chunk.route[chunk.hop_idx];
       assert(hop.router == rid);
-      if (!topo_.port_enabled(rid, hop.port)) {
-        // The next link of this chunk's source route died while it was in
-        // flight. Drop it here; the owning NIC retransmits the bytes later.
-        return_upstream_credit(chunk, now);
-        account_drop(cid, now);
-        chunks_.release(cid);
-        break;
-      }
       OutPort& op = routers_[rid].port(hop.port);
       if (tracer_ && chunk.trace_serial != kNoTraceSerial) {
         const MessageRecord& m = msgs_[chunk.msg];
@@ -259,13 +238,7 @@ void Network::handle_event(SimTime now, const EventPayload& payload) {
     case kPortFree: {
       const auto channel = static_cast<int>(payload.b);
       const RouterId rid = topo_.channel_router(channel);
-      const int port = topo_.channel_port(channel);
-      OutPort& op = routers_[rid].port(port);
-      // Only clear when the wire is actually free: a credit event at the same
-      // timestamp (earlier sequence) may already have started a new
-      // transmission on this port.
-      if (op.busy_until <= now) op.tx_chunk = kNoChunk;
-      try_send(rid, port, now);
+      try_send(rid, topo_.channel_port(channel), now);
       break;
     }
     case kCreditToRouter: {
@@ -287,11 +260,7 @@ void Network::handle_event(SimTime now, const EventPayload& payload) {
       break;
     case kDeliver: {
       const ChunkId cid = payload.a;
-      Chunk& chunk = chunks_[cid];
-      if (chunk.dropped) {  // defensive: ejection links cannot fail today
-        chunks_.release(cid);
-        break;
-      }
+      const Chunk& chunk = chunks_[cid];
       const MsgId mid = chunk.msg;
       MessageRecord& m = msgs_[mid];
       m.delivered += chunk.bytes;
@@ -314,103 +283,9 @@ void Network::handle_event(SimTime now, const EventPayload& payload) {
       release_if_done(mid);
       break;
     }
-    case kRetransmit: {
-      prof::ProfScope prof_scope(engine_.profiler(), prof::Subsystem::NicRetransmit);
-      const auto mid = static_cast<MsgId>(payload.b);
-      MessageRecord& m = msgs_[mid];
-      assert(m.active && m.drop_pending > 0);
-      const Bytes bytes = m.drop_pending;
-      m.drop_pending = 0;
-      m.retx_scheduled = false;
-      ++m.retx_attempts;
-      Nic& nic = nics_[m.src];
-      nic.retransmitted += bytes;
-      ++nic.retransmit_events;
-      totals_.bytes_retransmitted += bytes;
-      ++totals_.retransmit_events;
-      nic.queue.push_back(PendingMsg{mid, bytes});
-      try_inject(m.src, now);
-      break;
-    }
     default:
       assert(false && "unknown event kind");
   }
-}
-
-SimTime Network::retransmit_delay(int attempts) const {
-  const int shift = std::clamp(attempts, 0, params_.retransmit_max_backoff);
-  const SimTime base = params_.retransmit_timeout;
-  // Saturate instead of shifting into UB: a shift of 63+ or any product that
-  // would exceed the cap returns the cap (kMaxRetransmitDelay).
-  if (shift >= 63 || base > (kMaxRetransmitDelay >> shift)) return kMaxRetransmitDelay;
-  return base << shift;
-}
-
-void Network::schedule_retransmit(MsgId id, SimTime now) {
-  MessageRecord& m = msgs_[id];
-  if (m.retx_scheduled) return;
-  m.retx_scheduled = true;
-  engine_.schedule(now + retransmit_delay(m.retx_attempts), this,
-                   EventPayload{kRetransmit, 0, static_cast<std::uint64_t>(id), 0});
-}
-
-void Network::return_upstream_credit(const Chunk& chunk, SimTime now) {
-  if (chunk.hop_idx == 0) {
-    const NodeId src = msgs_[chunk.msg].src;
-    engine_.schedule(now + params_.terminal_latency, this,
-                     EventPayload{kCreditToNic, 0, static_cast<std::uint64_t>(src),
-                                  static_cast<std::uint64_t>(chunk.bytes)});
-  } else {
-    const Hop& up = chunk.route[chunk.hop_idx - 1];
-    const PortKind up_kind = topo_.port_kind(up.port);
-    engine_.schedule(now + params_.latency(up_kind), this,
-                     EventPayload{kCreditToRouter, static_cast<std::uint32_t>(up.vc),
-                                  static_cast<std::uint64_t>(topo_.channel_id(up.router, up.port)),
-                                  static_cast<std::uint64_t>(chunk.bytes)});
-  }
-}
-
-void Network::account_drop(ChunkId cid, SimTime now) {
-  const Chunk& chunk = chunks_[cid];
-  const Bytes bytes = chunk.bytes;
-  totals_.bytes_dropped += bytes;
-  totals_.in_fabric -= bytes;
-  ++totals_.chunks_dropped;
-  if (tracer_ && chunk.trace_serial != kNoTraceSerial) tracer_->on_dropped(chunk.trace_serial, now);
-  MessageRecord& m = msgs_[chunk.msg];
-  m.injected -= bytes;
-  m.drop_pending += bytes;
-  ++nics_[m.src].chunks_dropped;
-  schedule_retransmit(chunk.msg, now);
-}
-
-void Network::on_link_state_changed(RouterId rid, int port, bool up, SimTime now) {
-  OutPort& op = routers_[rid].port(port);
-  if (up) {
-    try_send(rid, port, now);
-    return;
-  }
-  assert(!op.is_terminal() && "terminal links cannot fail");
-  // Abort the transmission in progress, if any: un-reserve the downstream
-  // buffer space and leave the chunk as a tombstone for its arrival event.
-  if (op.tx_chunk != kNoChunk && now < op.busy_until) {
-    Chunk& chunk = chunks_[op.tx_chunk];
-    op.credits[op.tx_vc] += chunk.bytes;
-    chunk.dropped = true;
-    account_drop(op.tx_chunk, now);
-    op.tx_chunk = kNoChunk;
-    op.busy_until = now;
-  }
-  // Purge everything queued for the dead port: free this router's input
-  // buffer back to the upstream senders and queue the bytes for retransmit.
-  for (const QueuedChunk& e : op.queue) {
-    return_upstream_credit(chunks_[e.id], now);
-    account_drop(e.id, now);
-    chunks_.release(e.id);
-  }
-  op.queue.clear();
-  op.queued_bytes = 0;
-  op.end_blocked(now);
 }
 
 namespace {
@@ -457,7 +332,6 @@ void Network::save_state(ckpt::Writer& w) const {
     w.u32(chunk.msg);
     w.i32(chunk.bytes);
     w.u8(static_cast<std::uint8_t>(chunk.hop_idx));
-    w.boolean(chunk.dropped);
     w.u64(chunk.trace_serial);
     save_route(w, chunk.route);
   }
@@ -471,10 +345,6 @@ void Network::save_state(ckpt::Writer& w) const {
     w.i64(m.total);
     w.i64(m.injected);
     w.i64(m.delivered);
-    w.i64(m.drop_pending);
-    w.u32(m.retx_attempts);
-    w.boolean(m.retx_scheduled);
-    w.boolean(m.injected_notified);
     w.u64(m.user_data);
     w.boolean(m.notify_injected);
     w.boolean(m.notify_delivered);
@@ -495,8 +365,6 @@ void Network::save_state(ckpt::Writer& w) const {
       w.size(op.credits.size());
       for (const Bytes c : op.credits) w.i64(c);
       w.i32(op.last_vc_served);
-      w.u32(op.tx_chunk);
-      w.i32(op.tx_vc);
       w.i64(op.traffic);
       w.i64(op.blocked_since);
       w.i64(op.saturated_time);
@@ -515,9 +383,6 @@ void Network::save_state(ckpt::Writer& w) const {
     w.i64(nic.traffic);
     w.i64(nic.blocked_since);
     w.i64(nic.saturated_time);
-    w.i64(nic.retransmitted);
-    w.u32(nic.retransmit_events);
-    w.u32(nic.chunks_dropped);
   }
 
   w.size(hop_stats_.size());
@@ -530,11 +395,7 @@ void Network::save_state(ckpt::Writer& w) const {
   w.u64(totals_.chunks_forwarded);
   w.i64(totals_.bytes_delivered);
   w.i64(totals_.bytes_injected);
-  w.i64(totals_.bytes_dropped);
-  w.i64(totals_.bytes_retransmitted);
   w.i64(totals_.in_fabric);
-  w.i64(totals_.chunks_dropped);
-  w.i64(totals_.retransmit_events);
   for (const std::uint64_t word : rng_.state()) w.u64(word);
 }
 
@@ -549,7 +410,6 @@ void Network::load_state(ckpt::Reader& r) {
     chunk.msg = r.u32();
     chunk.bytes = r.i32();
     chunk.hop_idx = static_cast<std::int8_t>(r.u8());
-    chunk.dropped = r.boolean();
     chunk.trace_serial = r.u64();
     chunk.route = load_route(r);
     if (chunk.hop_idx < 0 || chunk.hop_idx > chunk.route.size())
@@ -576,10 +436,6 @@ void Network::load_state(ckpt::Reader& r) {
     m.total = r.i64();
     m.injected = r.i64();
     m.delivered = r.i64();
-    m.drop_pending = r.i64();
-    m.retx_attempts = static_cast<std::uint16_t>(r.u32());
-    m.retx_scheduled = r.boolean();
-    m.injected_notified = r.boolean();
     m.user_data = r.u64();
     m.notify_injected = r.boolean();
     m.notify_delivered = r.boolean();
@@ -628,10 +484,6 @@ void Network::load_state(ckpt::Reader& r) {
       if (ncredits != op.credits.size()) bad_state("VC credit vector size mismatch");
       for (Bytes& c : op.credits) c = r.i64();
       op.last_vc_served = static_cast<std::int8_t>(r.i32());
-      op.tx_chunk = r.u32();
-      if (op.tx_chunk != kNoChunk && !chunks_.valid(op.tx_chunk))
-        bad_state("tx chunk id out of range");
-      op.tx_vc = static_cast<std::int8_t>(r.i32());
       op.traffic = r.i64();
       op.blocked_since = r.i64();
       op.saturated_time = r.i64();
@@ -655,9 +507,6 @@ void Network::load_state(ckpt::Reader& r) {
     nic.traffic = r.i64();
     nic.blocked_since = r.i64();
     nic.saturated_time = r.i64();
-    nic.retransmitted = r.i64();
-    nic.retransmit_events = r.u32();
-    nic.chunks_dropped = r.u32();
   }
 
   const std::size_t nhops = r.count(16);
@@ -672,11 +521,7 @@ void Network::load_state(ckpt::Reader& r) {
   totals_.chunks_forwarded = r.u64();
   totals_.bytes_delivered = r.i64();
   totals_.bytes_injected = r.i64();
-  totals_.bytes_dropped = r.i64();
-  totals_.bytes_retransmitted = r.i64();
   totals_.in_fabric = r.i64();
-  totals_.chunks_dropped = r.i64();
-  totals_.retransmit_events = r.i64();
   std::array<std::uint64_t, 4> rng_state;
   for (std::uint64_t& word : rng_state) word = r.u64();
   rng_.set_state(rng_state);

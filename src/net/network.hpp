@@ -62,14 +62,6 @@ class Network : public EventHandler, public CongestionView {
   // CongestionView — output-queue occupancy at `router`'s `port`.
   Bytes queued_bytes(RouterId router, int port) const override;
 
-  /// Reacts to a runtime link state change of the directed channel
-  /// (router, port). On link-down the chunk currently on the wire is
-  /// discarded, every chunk queued for the port is purged (input-buffer
-  /// credits return upstream), and the dropped bytes are handed to the owning
-  /// NICs' retransmit timers. On link-up the port resumes sending. Call once
-  /// per direction after mutating the topology (FaultInjector does this).
-  void on_link_state_changed(RouterId router, int port, bool up, SimTime now);
-
   /// Closes still-open saturation intervals at `end`; call once after run().
   void finalize(SimTime end);
 
@@ -89,24 +81,17 @@ class Network : public EventHandler, public CongestionView {
   Bytes bytes_delivered() const { return totals_.bytes_delivered; }
   std::size_t messages_in_flight() const { return msgs_.in_flight(); }
 
-  // --- fault-recovery accounting ---
+  // --- conservation accounting ---
   Bytes bytes_injected() const { return totals_.bytes_injected; }
-  Bytes bytes_dropped() const { return totals_.bytes_dropped; }
-  Bytes bytes_retransmitted() const { return totals_.bytes_retransmitted; }
   Bytes in_fabric_bytes() const { return totals_.in_fabric; }
-  std::uint64_t chunks_dropped() const {
-    return static_cast<std::uint64_t>(totals_.chunks_dropped);
-  }
-  std::uint64_t retransmit_events() const {
-    return static_cast<std::uint64_t>(totals_.retransmit_events);
-  }
-  /// Chunk-conservation audit: every injected byte must be delivered,
-  /// dropped (awaiting retransmission), or still in the fabric.
+  /// perfbench shims: the network never drops or retransmits; both are 0.
+  Bytes bytes_dropped() const { return 0; }
+  Bytes bytes_retransmitted() const { return 0; }
+  /// Chunk-conservation audit: every injected byte must be delivered or
+  /// still in the fabric.
   bool conservation_ok() const {
-    return bytes_injected() == bytes_delivered() + bytes_dropped() + in_fabric_bytes();
+    return bytes_injected() == bytes_delivered() + in_fabric_bytes();
   }
-  /// Backoff delay before retransmit attempt number `attempts`.
-  SimTime retransmit_delay(int attempts) const;
 
   const Chunk& chunk(ChunkId id) const { return chunks_[id]; }
   const MessageRecord& message(MsgId id) const { return msgs_[id]; }
@@ -117,12 +102,12 @@ class Network : public EventHandler, public CongestionView {
   const NetworkParams& params() const { return params_; }
 
   /// Checkpoint support (src/ckpt/): serializes every piece of fabric state —
-  /// per-port queues/credits/metrics, NIC queues and retransmit accounting,
-  /// the chunk and message pools with their free lists, hop stats, the
-  /// conservation counters and the routing RNG stream. load_state validates
-  /// structural invariants (port counts, pool indices, route lengths) and
-  /// throws std::runtime_error on any mismatch; it requires a freshly
-  /// constructed Network over the same topology and parameters.
+  /// per-port queues/credits/metrics, NIC queues, the chunk and message pools
+  /// with their free lists, hop stats, the conservation counters and the
+  /// routing RNG stream. load_state validates structural invariants (port
+  /// counts, pool indices, route lengths) and throws std::runtime_error on any
+  /// mismatch; it requires a freshly constructed Network over the same
+  /// topology and parameters.
   void save_state(ckpt::Writer& w) const;
   void load_state(ckpt::Reader& r);
 
@@ -135,9 +120,8 @@ class Network : public EventHandler, public CongestionView {
     kNicFree = 5,        // b=node
     kDeliver = 6,        // a=chunk
     kMsgInjected = 7,    // b=msg
-    kRetransmit = 8,     // b=msg
     // Pending events in checkpoints store these numbers: never renumber
-    // them, and do not reuse the retired 9 and 10.
+    // them, and do not reuse the retired 8, 9 and 10.
   };
 
   /// Network-wide byte/chunk counters (conservation audit and telemetry).
@@ -145,23 +129,12 @@ class Network : public EventHandler, public CongestionView {
     std::uint64_t chunks_forwarded = 0;
     Bytes bytes_delivered = 0;
     Bytes bytes_injected = 0;
-    Bytes bytes_dropped = 0;
-    Bytes bytes_retransmitted = 0;
     Bytes in_fabric = 0;
-    Bytes chunks_dropped = 0;
-    Bytes retransmit_events = 0;
   };
 
   void try_inject(NodeId node, SimTime now);
   void try_send(RouterId router, int port, SimTime now);
   void release_if_done(MsgId id);
-  /// Returns the input-buffer space a dropped chunk occupies at its current
-  /// router to the upstream sender (same delay formula as a normal departure).
-  void return_upstream_credit(const Chunk& chunk, SimTime now);
-  /// Books a dropped chunk's bytes out of the fabric, rewinds its message's
-  /// injected count and queues the bytes for retransmission.
-  void account_drop(ChunkId cid, SimTime now);
-  void schedule_retransmit(MsgId id, SimTime now);
 
   Engine& engine_;
   const DragonflyTopology& topo_;

@@ -29,11 +29,6 @@ struct Nic {
   SimTime blocked_since = -1;  ///< injection stalled on credits
   SimTime saturated_time = 0;
 
-  // --- fault recovery ---
-  Bytes retransmitted = 0;              ///< bytes re-injected after link drops
-  std::uint32_t retransmit_events = 0;  ///< retransmit timer firings
-  std::uint32_t chunks_dropped = 0;     ///< chunks of this NIC's messages lost
-
   void begin_blocked(SimTime now) {
     if (blocked_since < 0) blocked_since = now;
   }

@@ -20,10 +20,6 @@ enum class Arbitration {
 
 const char* to_string(Arbitration policy);
 
-/// Ceiling on the exponential retransmit backoff: retransmit_delay saturates
-/// here instead of overflowing SimTime for large timeouts or shift counts.
-inline constexpr SimTime kMaxRetransmitDelay = 60 * units::kSecond;
-
 struct NetworkParams {
   /// Messages are split into chunks of at most this size (CODES default 2 KiB)
   /// and each chunk is store-and-forwarded per hop.
@@ -47,11 +43,6 @@ struct NetworkParams {
   Bytes terminal_vc_buffer = 8 * units::kKiB;
   Bytes local_vc_buffer = 8 * units::kKiB;
   Bytes global_vc_buffer = 16 * units::kKiB;
-
-  /// Base NIC retransmit timeout after a chunk is dropped on a failed link;
-  /// attempt k waits timeout << min(k, retransmit_max_backoff).
-  SimTime retransmit_timeout = 20 * units::kMicrosecond;
-  int retransmit_max_backoff = 6;
 
   static NetworkParams theta() { return NetworkParams{}; }
 

@@ -37,11 +37,6 @@ struct OutPort {
   std::vector<Bytes> credits;
   /// Last VC granted the channel (Arbitration::RoundRobinVc state).
   std::int8_t last_vc_served = -1;
-  /// Chunk currently on the wire (kNoChunk when idle) and the VC whose
-  /// downstream credits it reserved — needed to abort a transmission when the
-  /// link fails mid-flight.
-  ChunkId tx_chunk = kNoChunk;
-  std::int8_t tx_vc = 0;
 
   // --- metrics ---
   Bytes traffic = 0;             ///< bytes transmitted on this channel

@@ -1,6 +1,6 @@
 // Named-counter registry and periodic snapshot probe.
 //
-// Subsystems (network, NICs, routing, fault injection, health) register their
+// Subsystems (engine, network, routing, health) register their
 // counters under hierarchical names ("net.bytes_delivered",
 // "routing.minimal_chosen", ...) instead of every consumer hard-coding which
 // ad-hoc field lives where. Two registration forms:

@@ -6,7 +6,6 @@
 
 #include "ckpt/snapshot_io.hpp"
 #include "core/experiment.hpp"
-#include "fault/fault.hpp"
 #include "fault/health.hpp"
 #include "net/network.hpp"
 #include "obs/json.hpp"
@@ -40,16 +39,8 @@ void register_network_counters(CounterRegistry& registry, const Network& network
   };
   counter("net.bytes_injected", &Network::bytes_injected);
   counter("net.bytes_delivered", &Network::bytes_delivered);
-  counter("net.bytes_dropped", &Network::bytes_dropped);
-  counter("net.bytes_retransmitted", &Network::bytes_retransmitted);
   registry.add_source("net.chunks_forwarded", MetricKind::Counter, [&network] {
     return static_cast<std::int64_t>(network.chunks_forwarded());
-  });
-  registry.add_source("net.chunks_dropped", MetricKind::Counter, [&network] {
-    return static_cast<std::int64_t>(network.chunks_dropped());
-  });
-  registry.add_source("net.retransmit_events", MetricKind::Counter, [&network] {
-    return static_cast<std::int64_t>(network.retransmit_events());
   });
   registry.add_source("net.in_fabric_bytes", MetricKind::Gauge, [&network] {
     return static_cast<std::int64_t>(network.in_fabric_bytes());
@@ -60,9 +51,6 @@ void register_network_counters(CounterRegistry& registry, const Network& network
   const DragonflyTopology& topo = network.topology();
   registry.add_source("topo.disabled_global_links", MetricKind::Gauge, [&topo] {
     return static_cast<std::int64_t>(topo.disabled_global_links());
-  });
-  registry.add_source("topo.disabled_local_links", MetricKind::Gauge, [&topo] {
-    return static_cast<std::int64_t>(topo.disabled_local_links());
   });
 }
 
@@ -76,13 +64,6 @@ void register_routing_counters(CounterRegistry& registry, const RoutingTelemetry
   registry.add_source("routing.nonminimal_chosen", MetricKind::Counter, [&telemetry] {
     return static_cast<std::int64_t>(telemetry.nonminimal_total());
   });
-}
-
-void register_fault_counters(CounterRegistry& registry, const FaultInjector& injector) {
-  registry.add_source("fault.fired", MetricKind::Counter,
-                      [&injector] { return static_cast<std::int64_t>(injector.fired()); });
-  registry.add_source("fault.skipped", MetricKind::Counter,
-                      [&injector] { return static_cast<std::int64_t>(injector.skipped()); });
 }
 
 void register_health_counters(CounterRegistry& registry, const HealthMonitor& monitor) {
@@ -180,9 +161,6 @@ bool write_metrics_json(const std::string& path, const RunTelemetry& telemetry,
   w.field("hit_event_limit", result.hit_event_limit);
   w.field("stalled", result.stalled);
   w.field("conservation_ok", result.conservation_ok);
-  w.field("bytes_dropped", result.bytes_dropped);
-  w.field("bytes_retransmitted", result.bytes_retransmitted);
-  w.field("faults_fired", std::int64_t{result.faults_fired});
 
   w.key("comm_time_ms").begin_object();
   w.field("count", static_cast<std::int64_t>(m.comm_time_ms.size()));

@@ -12,7 +12,7 @@
 //   trace.json    — Chrome trace-event JSON (chrome://tracing / Perfetto)
 //   counters.jsonl — one flat JSON object per counter snapshot
 //   heatmap.csv   — per-(router, port) traffic / saturation / utilization
-//   metrics.json  — RunMetrics + fault/health outcome + SchedulerStats
+//   metrics.json  — RunMetrics + health outcome + SchedulerStats
 #pragma once
 
 #include <string>
@@ -25,7 +25,6 @@
 namespace dfly {
 
 class Network;
-class FaultInjector;
 class HealthMonitor;
 struct ExperimentResult;
 
@@ -47,7 +46,6 @@ struct TelemetryOptions {
 void register_engine_counters(CounterRegistry& registry, const Engine& engine);
 void register_network_counters(CounterRegistry& registry, const Network& network);
 void register_routing_counters(CounterRegistry& registry, const RoutingTelemetry& telemetry);
-void register_fault_counters(CounterRegistry& registry, const FaultInjector& injector);
 void register_health_counters(CounterRegistry& registry, const HealthMonitor& monitor);
 
 class RunTelemetry {

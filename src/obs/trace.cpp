@@ -60,17 +60,10 @@ void ChunkPathTracer::on_transmit_start(std::uint64_t serial, SimTime start, Sim
   sink_.on_hop(hop);
 }
 
-void ChunkPathTracer::close(std::uint64_t serial, SimTime now, bool delivered) {
-  // Discard a half-recorded hop (enqueued, never transmitted): the chunk died
-  // in a queue.
-  pending_.erase(serial);
+void ChunkPathTracer::on_delivered(std::uint64_t serial, SimTime now) {
   --live_;
-  sink_.on_chunk_closed(serial, now, delivered);
+  sink_.on_chunk_closed(serial, now);
 }
-
-void ChunkPathTracer::on_delivered(std::uint64_t serial, SimTime now) { close(serial, now, true); }
-
-void ChunkPathTracer::on_dropped(std::uint64_t serial, SimTime now) { close(serial, now, false); }
 
 namespace {
 

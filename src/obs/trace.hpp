@@ -62,9 +62,8 @@ class TraceSink {
   /// A chunk passed the sampling decision at injection time.
   virtual void on_chunk_sampled(std::uint64_t /*serial*/, MsgId /*msg*/, NodeId /*src*/,
                                 NodeId /*dst*/, Bytes /*bytes*/, SimTime /*now*/) {}
-  /// The sampled chunk left the fabric (delivered = false means dropped on a
-  /// failed link; its bytes return via NIC retransmission as a new chunk).
-  virtual void on_chunk_closed(std::uint64_t /*serial*/, SimTime /*now*/, bool /*delivered*/) {}
+  /// The sampled chunk was delivered and left the fabric.
+  virtual void on_chunk_closed(std::uint64_t /*serial*/, SimTime /*now*/) {}
 };
 
 class ChunkPathTracer {
@@ -81,7 +80,6 @@ class ChunkPathTracer {
                       SimTime now);
   void on_transmit_start(std::uint64_t serial, SimTime start, SimTime end);
   void on_delivered(std::uint64_t serial, SimTime now);
-  void on_dropped(std::uint64_t serial, SimTime now);
 
   /// Checkpoint support (src/ckpt/): the sampling accumulator, serial and
   /// counter state, and the half-recorded pending hops.
@@ -96,8 +94,6 @@ class ChunkPathTracer {
   std::size_t live_chunks() const { return live_ > 0 ? static_cast<std::size_t>(live_) : 0; }
 
  private:
-  void close(std::uint64_t serial, SimTime now, bool delivered);
-
   TraceSink& sink_;
   double rate_;
   double acc_ = 0;  ///< error-feedback sampling accumulator
@@ -105,7 +101,7 @@ class ChunkPathTracer {
   std::uint64_t seen_ = 0;
   std::uint64_t sampled_ = 0;
   std::uint64_t hops_ = 0;
-  std::int64_t live_ = 0;  ///< sampled chunks not yet delivered or dropped
+  std::int64_t live_ = 0;  ///< sampled chunks not yet delivered
   /// Hops enqueued but not yet transmitted, by serial.
   std::unordered_map<std::uint64_t, HopEvent> pending_;
 };

@@ -15,7 +15,6 @@ const char* to_string(Subsystem s) {
   switch (s) {
     case Subsystem::EventDispatch: return "event_dispatch";
     case Subsystem::Routing: return "routing";
-    case Subsystem::NicRetransmit: return "nic_retransmit";
     case Subsystem::CheckpointIo: return "checkpoint_io";
     case Subsystem::TelemetryExport: return "telemetry_export";
     case Subsystem::kCount: break;

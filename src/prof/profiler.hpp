@@ -10,9 +10,9 @@
 // Two layers:
 //  * Subsystem attribution — ProfScope (RAII) charges wall time to a fixed
 //    subsystem enum at the instrumentation points: event dispatch (engine),
-//    routing decisions and NIC retransmits (network), checkpoint I/O and
-//    telemetry export (experiment harness). Scopes nest; attribution is
-//    inclusive (a routing decision's time is inside its dispatch's time).
+//    routing decisions (network), checkpoint I/O and telemetry export
+//    (experiment harness). Scopes nest; attribution is inclusive (a routing
+//    decision's time is inside its dispatch's time).
 //    Every dispatch also lands in an HDR-style latency histogram.
 //  * Throughput — sim-vs-wall samples (events/s, chunks/s, sim-seconds per
 //    wall-second) taken at run start/end and every checkpoint slice.
@@ -42,7 +42,6 @@ struct ProfOptions {
 enum class Subsystem : int {
   EventDispatch = 0,  ///< handler->handle_event
   Routing,            ///< RoutingAlgorithm::compute at injection
-  NicRetransmit,      ///< kRetransmit handling (NIC re-queue + inject)
   CheckpointIo,       ///< ckpt::save_checkpoint in the slicing loop
   TelemetryExport,    ///< export_run_artifacts at end of run
   kCount

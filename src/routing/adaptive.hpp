@@ -30,7 +30,6 @@ class AdaptiveRouting : public RoutingAlgorithm {
   Route compute(NodeId src, NodeId dst, const CongestionView& congestion,
                 Rng& rng) const override;
   std::string name() const override { return "adaptive"; }
-  void on_topology_changed() override { table_.refresh(); }
 
  protected:
   /// Queue depth a candidate is scored by: its first hop's queued bytes.

@@ -90,8 +90,7 @@ class RoutingAlgorithm {
   virtual Route compute(NodeId src, NodeId dst, const CongestionView& congestion,
                         Rng& rng) const = 0;
 
-  /// Notifies the algorithm that topology link state changed (links failed or
-  /// recovered mid-run); implementations rebuild whatever they precomputed.
+  /// perfbench shim: a no-op that no library algorithm overrides.
   virtual void on_topology_changed() {}
 
   /// True when compute() reads congestion state beyond the source router's

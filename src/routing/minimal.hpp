@@ -16,7 +16,6 @@ class MinimalRouting : public RoutingAlgorithm {
   Route compute(NodeId src, NodeId dst, const CongestionView& congestion,
                 Rng& rng) const override;
   std::string name() const override { return "minimal"; }
-  void on_topology_changed() override { table_.refresh(); }
 
   const MinimalPathTable& table() const { return table_; }
 

@@ -15,12 +15,8 @@
 // seeded routes bit-for-bit stable; RoutingDigest.SeededRoutesMatchParent
 // pins them.
 //
-// The table is a snapshot of the topology's enabled-link state. Each span's
-// capacity is its as-built size (every link whose source shares the router's
-// row or column), and link failures only remove links from a span, so when
-// links fail or recover at runtime refresh() rebuilds just the spans whose
-// inputs changed, in place, driven by the topology's pair/local version
-// counters.
+// The table is built once from the topology's enabled global links; the
+// topology must not change afterwards.
 #pragma once
 
 #include <cstdint>
@@ -43,10 +39,6 @@ class MinimalPathTable {
 
   /// Router-router hop count of a minimal path (0 when from == to).
   int min_hops(RouterId from, RouterId to) const;
-
-  /// Rebuilds the entries invalidated by topology link-state changes since
-  /// construction or the previous refresh. O(1) when nothing changed.
-  void refresh();
 
   const DragonflyTopology& topology() const { return topo_; }
 
@@ -71,7 +63,6 @@ class MinimalPathTable {
     return static_cast<std::size_t>(router) * topo_.params().groups + peer;
   }
   NearLink near_link(const GlobalLink& link) const;
-  void rebuild_entry(RouterId router, GroupId peer);
   void append_local(Route& route, RouterId from, RouterId to, Rng& rng) const;
   /// Local port on `from` toward `to` (same group, distinct), or -1 when they
   /// share neither row nor column.
@@ -85,11 +76,6 @@ class MinimalPathTable {
   std::vector<std::int16_t> col_;  ///< per router
   std::vector<NearLink> links_;    ///< every span's entries, back to back
   std::vector<Span> spans_;        ///< indexed router * groups + peer group
-
-  // Topology versions this table was built against (see refresh()).
-  std::uint64_t epoch_seen_ = 0;
-  std::vector<std::uint64_t> pair_seen_;   ///< groups x groups
-  std::vector<std::uint64_t> local_seen_;  ///< per group
 };
 
 }  // namespace dfly

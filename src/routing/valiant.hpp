@@ -16,7 +16,6 @@ class ValiantRouting : public RoutingAlgorithm {
   Route compute(NodeId src, NodeId dst, const CongestionView& congestion,
                 Rng& rng) const override;
   std::string name() const override { return "valiant"; }
-  void on_topology_changed() override { table_.refresh(); }
 
  private:
   MinimalPathTable table_;

@@ -89,10 +89,11 @@ struct SchedulerStats {
 /// Events within the current window of `buckets() * bucket_width()` ns are
 /// hashed by time into an array of buckets; each bucket stays unsorted until
 /// it becomes the serving bucket (lazy sort, min kept at the back). Events
-/// beyond the window (retransmit backoff timers, fault schedules) go to a
-/// heap-backed overflow tier and are promoted in (time, seq) order as the
-/// window slides over them. The array doubles/halves and the bucket width is
-/// retuned from the live event spacing whenever occupancy skews.
+/// beyond the window (health-monitor and telemetry-probe ticks, sparse
+/// background-traffic timers) go to a heap-backed overflow tier and are
+/// promoted in (time, seq) order as the window slides over them. The array
+/// doubles/halves and the bucket width is retuned from the live event spacing
+/// whenever occupancy skews.
 ///
 /// A bucket owns storage only while it holds events: draining one frees its
 /// vector, and a resize builds a fresh array. Without that rule every bucket

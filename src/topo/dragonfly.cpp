@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <stdexcept>
-#include <string>
 
 namespace dfly {
 
@@ -22,9 +21,6 @@ DragonflyTopology::DragonflyTopology(const TopoParams& params)
   ports_per_router_ = params_.nodes_per_router + (params_.cols - 1) + (params_.rows - 1) +
                       params_.global_ports_per_router;
   build_global_links();
-  local_port_disabled_.assign(static_cast<std::size_t>(total_channels()), 0);
-  pair_version_.assign(static_cast<std::size_t>(params_.groups) * params_.groups, 0);
-  local_version_.assign(static_cast<std::size_t>(params_.groups), 0);
 }
 
 PortKind DragonflyTopology::port_kind(int port) const {
@@ -106,11 +102,6 @@ std::span<const GlobalLink> DragonflyTopology::global_links(GroupId ga, GroupId 
   return global_links_[static_cast<std::size_t>(ga) * params_.groups + gb];
 }
 
-std::span<const GlobalLink> DragonflyTopology::all_global_links(GroupId ga, GroupId gb) const {
-  assert(ga != gb);
-  return all_global_links_[static_cast<std::size_t>(ga) * params_.groups + gb];
-}
-
 void DragonflyTopology::build_global_links() {
   const int groups = params_.groups;
   const int gpr = params_.global_ports_per_router;
@@ -161,31 +152,12 @@ void DragonflyTopology::build_global_links() {
   for (const RouterId peer : global_peer_router_)
     if (peer < 0) throw std::logic_error("dragonfly global arrangement left a port unwired");
 
-  all_global_links_ = global_links_;  // as-built view; never mutated again
   global_port_disabled_.assign(global_peer_router_.size(), 0);
 }
 
-void DragonflyTopology::rebuild_pair(GroupId a, GroupId b) {
-  auto rebuild_one = [&](GroupId x, GroupId y) {
-    const auto& all = all_global_links_[static_cast<std::size_t>(x) * params_.groups + y];
-    auto& enabled = global_links_[static_cast<std::size_t>(x) * params_.groups + y];
-    enabled.clear();
-    for (const GlobalLink& link : all) {
-      if (global_port_disabled_[global_flag_index(link.src_router, link.src_port)] == 0)
-        enabled.push_back(link);
-    }
-  };
-  rebuild_one(a, b);
-  rebuild_one(b, a);
-}
-
-void DragonflyTopology::bump_pair(GroupId a, GroupId b) {
-  ++pair_version_[static_cast<std::size_t>(a) * params_.groups + b];
-  ++pair_version_[static_cast<std::size_t>(b) * params_.groups + a];
-  ++epoch_;
-}
-
 void DragonflyTopology::disable_global_link(GroupId a, GroupId b, int index) {
+  if (a < 0 || a >= params_.groups || b < 0 || b >= params_.groups)
+    throw std::invalid_argument("disable_global_link: group out of range");
   if (a == b) throw std::invalid_argument("disable_global_link: a == b");
   auto& forward = global_links_[static_cast<std::size_t>(a) * params_.groups + b];
   if (index < 0 || index >= static_cast<int>(forward.size()))
@@ -206,118 +178,11 @@ void DragonflyTopology::disable_global_link(GroupId a, GroupId b, int index) {
     }
   }
   ++disabled_count_;
-  bump_pair(a, b);
-}
-
-bool DragonflyTopology::set_global_link_state(GroupId a, GroupId b, int all_index, bool up) {
-  if (a == b) throw std::invalid_argument("set_global_link_state: a == b");
-  const auto& all = all_global_links_[static_cast<std::size_t>(a) * params_.groups + b];
-  if (all_index < 0 || all_index >= static_cast<int>(all.size()))
-    throw std::invalid_argument("set_global_link_state: index out of range");
-  const GlobalLink link = all[all_index];
-  const std::size_t fwd = global_flag_index(link.src_router, link.src_port);
-  const std::size_t bwd = global_flag_index(link.dst_router, link.dst_port);
-  const bool currently_up = global_port_disabled_[fwd] == 0;
-  if (currently_up == up) return false;
-  if (!up) {
-    const auto& enabled = global_links_[static_cast<std::size_t>(a) * params_.groups + b];
-    if (enabled.size() <= 1)
-      throw std::invalid_argument("set_global_link_state: would disconnect group pair " +
-                                  std::to_string(a) + "<->" + std::to_string(b));
-  }
-  global_port_disabled_[fwd] = up ? 0 : 1;
-  global_port_disabled_[bwd] = up ? 0 : 1;
-  disabled_count_ += up ? -1 : 1;
-  rebuild_pair(a, b);
-  bump_pair(a, b);
-  return true;
-}
-
-bool DragonflyTopology::set_local_link_state(RouterId u, RouterId v, bool up) {
-  const int port_uv = local_port_to(u, v);
-  if (port_uv < 0)
-    throw std::invalid_argument("set_local_link_state: routers " + std::to_string(u) + " and " +
-                                std::to_string(v) + " are not local neighbors");
-  const int port_vu = local_port_to(v, u);
-  const std::size_t ch_uv = static_cast<std::size_t>(channel_id(u, port_uv));
-  const std::size_t ch_vu = static_cast<std::size_t>(channel_id(v, port_vu));
-  const bool currently_up = local_port_disabled_[ch_uv] == 0;
-  if (currently_up == up) return false;
-  local_port_disabled_[ch_uv] = up ? 0 : 1;
-  local_port_disabled_[ch_vu] = up ? 0 : 1;
-  const GroupId g = coords_.coord(u).group;
-  if (!up && !group_two_hop_connected(g)) {
-    local_port_disabled_[ch_uv] = 0;  // revert: the guard failed
-    local_port_disabled_[ch_vu] = 0;
-    throw std::invalid_argument(
-        "set_local_link_state: downing link " + std::to_string(u) + "<->" + std::to_string(v) +
-        " would leave group " + std::to_string(g) + " without minimal local paths");
-  }
-  disabled_local_count_ += up ? -1 : 1;
-  ++local_version_[g];
-  ++epoch_;
-  return true;
-}
-
-bool DragonflyTopology::local_two_hop_path(RouterId x, RouterId y) const {
-  // Direct hop?
-  const int direct = local_port_to(x, y);
-  if (direct >= 0 && local_port_disabled_[channel_id(x, direct)] == 0) return true;
-  // Two hops via some mid router m with enabled x->m and m->y links. The
-  // candidate mids are exactly the routers local to both x and y.
-  const RouterCoord cx = coords_.coord(x);
-  const RouterCoord cy = coords_.coord(y);
-  auto hop_ok = [&](RouterId from, RouterId to) {
-    const int p = local_port_to(from, to);
-    return p >= 0 && local_port_disabled_[channel_id(from, p)] == 0;
-  };
-  if (cx.row == cy.row) {
-    // A mid must neighbor both endpoints; for a same-row pair that means the
-    // other columns of the shared row (a column neighbor of x never shares
-    // y's row or column).
-    for (int col = 0; col < params_.cols; ++col) {
-      if (col == cx.col || col == cy.col) continue;
-      const RouterId m = coords_.router_at(cx.group, cx.row, col);
-      if (hop_ok(x, m) && hop_ok(m, y)) return true;
-    }
-    return false;
-  }
-  if (cx.col == cy.col) {
-    for (int row = 0; row < params_.rows; ++row) {
-      if (row == cx.row || row == cy.row) continue;
-      const RouterId m = coords_.router_at(cx.group, row, cx.col);
-      if (hop_ok(x, m) && hop_ok(m, y)) return true;
-    }
-    return false;
-  }
-  // Different row and column: the only 2-hop mids are the two intersections.
-  const RouterId m1 = coords_.router_at(cx.group, cx.row, cy.col);
-  const RouterId m2 = coords_.router_at(cx.group, cy.row, cx.col);
-  return (hop_ok(x, m1) && hop_ok(m1, y)) || (hop_ok(x, m2) && hop_ok(m2, y));
-}
-
-bool DragonflyTopology::group_two_hop_connected(GroupId g) const {
-  const int rpg = params_.routers_per_group();
-  const RouterId base = g * rpg;
-  for (int i = 0; i < rpg; ++i) {
-    for (int j = i + 1; j < rpg; ++j) {
-      if (!local_two_hop_path(base + i, base + j)) return false;
-    }
-  }
-  return true;
 }
 
 bool DragonflyTopology::port_enabled(RouterId router, int port) const {
-  switch (port_kind(port)) {
-    case PortKind::Terminal:
-      return true;
-    case PortKind::LocalRow:
-    case PortKind::LocalCol:
-      return local_port_disabled_[channel_id(router, port)] == 0;
-    case PortKind::Global:
-      return global_port_disabled_[global_flag_index(router, port)] == 0;
-  }
-  return true;
+  return port_kind(port) != PortKind::Global ||
+         global_port_disabled_[global_flag_index(router, port)] == 0;
 }
 
 int disable_random_global_links(DragonflyTopology& topo, double fraction, Rng& rng) {

@@ -64,60 +64,25 @@ class DragonflyTopology {
 
   /// All *enabled* global links from group `ga` to group `gb` (directed
   /// view). Disabled links are excluded, so routing built on these lists
-  /// automatically avoids faulty hardware.
+  /// automatically avoids them.
   std::span<const GlobalLink> global_links(GroupId ga, GroupId gb) const;
 
-  /// The full as-built wiring between `ga` and `gb`, including disabled
-  /// links. Indices into this list are stable across enable/disable and are
-  /// the link identity used by fault schedules (fault/fault.hpp).
-  std::span<const GlobalLink> all_global_links(GroupId ga, GroupId gb) const;
-
-  // --- fault injection -----------------------------------------------------
-  // Links can be marked failed (both directions at once) before a simulation
-  // *or while one is running*. Routing tables snapshot the link lists, so
-  // after a runtime change call RoutingAlgorithm::on_topology_changed() (a
-  // FaultInjector does this for you) to rebuild the affected table entries.
-  // Every mutation bumps per-group-pair / per-group version counters that
-  // MinimalPathTable::refresh() uses to rebuild only what changed.
+  // --- static degradation ----------------------------------------------------
+  // Global links can be marked failed (both directions at once) while the
+  // topology is being set up. Routing tables snapshot the link lists when
+  // they are built, so degrade the fabric before building any routing
+  // algorithm on it; the topology is immutable once a run starts.
 
   /// Disables the `index`-th enabled link between groups a and b (order as
-  /// returned by global_links(a, b)). Throws std::invalid_argument if it is
-  /// the last link of the pair (the pair would disconnect) or out of range.
+  /// returned by global_links(a, b)). Throws std::invalid_argument if a or b
+  /// is not a group, a == b, the index is out of range, or it is the last
+  /// link of the pair (the pair would disconnect).
   void disable_global_link(GroupId a, GroupId b, int index);
 
-  /// Sets the state of the `all_index`-th as-built link between a and b
-  /// (order as returned by all_global_links(a, b)), both directions at once.
-  /// Returns true if the state changed, false if it was already as asked.
-  /// Throws std::invalid_argument if downing it would disconnect the pair or
-  /// the index is out of range.
-  bool set_global_link_state(GroupId a, GroupId b, int all_index, bool up);
-
-  /// Sets the state of the local (row/col) link between neighboring routers
-  /// `u` and `v`, both directions at once. Returns true if the state changed.
-  /// Throws std::invalid_argument if u and v are not local neighbors, or if
-  /// downing the link would leave some router pair of the group without a
-  /// minimal (<= 2 local hops) path — the same never-disconnect guard global
-  /// links have.
-  bool set_local_link_state(RouterId u, RouterId v, bool up);
-
-  /// Convenience: set_local_link_state(u, v, false); no-op if already down.
-  void disable_local_link(RouterId u, RouterId v) { set_local_link_state(u, v, false); }
-
-  /// True unless the port is a global or local port whose link was disabled.
+  /// True unless the port is a global port whose link was disabled.
   bool port_enabled(RouterId router, int port) const;
 
   int disabled_global_links() const { return disabled_count_; }
-  int disabled_local_links() const { return disabled_local_count_; }
-
-  // --- change tracking (consumed by MinimalPathTable::refresh) -------------
-  /// Bumped on every link-state mutation.
-  std::uint64_t epoch() const { return epoch_; }
-  /// Bumped (symmetrically) when a global link between a and b changes.
-  std::uint64_t pair_version(GroupId a, GroupId b) const {
-    return pair_version_[static_cast<std::size_t>(a) * params_.groups + b];
-  }
-  /// Bumped when a local link inside group g changes.
-  std::uint64_t local_version(GroupId g) const { return local_version_[g]; }
 
   /// Total number of directed (router, port) channels, used to size metric
   /// arrays: channel id = router * ports_per_router + port.
@@ -128,14 +93,6 @@ class DragonflyTopology {
 
  private:
   void build_global_links();
-  /// Refilters the enabled view of pair (a, b) (both directions) from the
-  /// as-built lists and the per-port disabled flags.
-  void rebuild_pair(GroupId a, GroupId b);
-  void bump_pair(GroupId a, GroupId b);
-  /// True when every router pair of group g still has a <= 2-local-hop path
-  /// over the currently enabled local links.
-  bool group_two_hop_connected(GroupId g) const;
-  bool local_two_hop_path(RouterId x, RouterId y) const;
 
   std::size_t global_flag_index(RouterId router, int port) const {
     return static_cast<std::size_t>(router) * params_.global_ports_per_router +
@@ -145,24 +102,15 @@ class DragonflyTopology {
   TopoParams params_;
   Coordinates coords_;
   int ports_per_router_;
-  /// Flattened per-ordered-group-pair link lists; pair (a,b) with a!=b maps to
-  /// index a*groups+b. `global_links_` is the enabled view of
-  /// `all_global_links_` (same canonical order, failed links filtered out).
+  /// Flattened per-ordered-group-pair lists of enabled links; pair (a,b) with
+  /// a!=b maps to index a*groups+b.
   std::vector<std::vector<GlobalLink>> global_links_;
-  std::vector<std::vector<GlobalLink>> all_global_links_;
   /// Per global port: peer router and peer port (-1 where unused).
   std::vector<RouterId> global_peer_router_;
   std::vector<int> global_peer_port_;
   /// Per global port: link failed (indexed router * gpr + local global port).
   std::vector<char> global_port_disabled_;
-  /// Per channel id: local link failed (only local-port entries are used).
-  std::vector<char> local_port_disabled_;
   int disabled_count_ = 0;
-  int disabled_local_count_ = 0;
-
-  std::vector<std::uint64_t> pair_version_;   ///< groups x groups
-  std::vector<std::uint64_t> local_version_;  ///< per group
-  std::uint64_t epoch_ = 0;
 };
 
 /// Disables a random `fraction` of each group pair's global links (never the

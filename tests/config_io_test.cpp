@@ -98,60 +98,17 @@ TEST(ConfigIo, MissingFileThrows) {
   EXPECT_THROW(load_config("/no/such/config.conf"), std::runtime_error);
 }
 
-TEST(ConfigIo, ParsesFaultAndHealthKeys) {
+TEST(ConfigIo, ParsesHealthKeys) {
   std::istringstream is(R"(
-[network]
-retransmit_timeout_ns = 5000
-retransmit_max_backoff = 3
-
 [health]
 enabled = 0
 interval_ns = 500000
 stall_ticks = 17
-
-[faults]
-link = down global 0 1 2 40000
-link = up global 0 1 2 90000
-link = down local 3 7 60000
 )");
   const ExperimentOptions options = parse_config(is);
-  EXPECT_EQ(options.net.retransmit_timeout, 5000);
-  EXPECT_EQ(options.net.retransmit_max_backoff, 3);
   EXPECT_FALSE(options.health.enabled);
   EXPECT_EQ(options.health.interval, 500000);
   EXPECT_EQ(options.health.stall_ticks, 17);
-  ASSERT_EQ(options.faults.size(), 3u);
-  EXPECT_EQ(options.faults[0], FaultEvent::global_down(40000, 0, 1, 2));
-  EXPECT_EQ(options.faults[1], FaultEvent::global_up(90000, 0, 1, 2));
-  EXPECT_EQ(options.faults[2], FaultEvent::local_down(60000, 3, 7));
-}
-
-TEST(ConfigIo, FaultScheduleRoundTrips) {
-  ExperimentOptions original;
-  original.topo = TopoParams::tiny();
-  original.net.retransmit_timeout = 7777;
-  original.health.enabled = false;
-  original.health.stall_ticks = 9;
-  original.faults = {FaultEvent::global_down(1000, 0, 2, 1), FaultEvent::local_up(2000, 4, 5)};
-
-  std::istringstream is(render_config(original));
-  const ExperimentOptions back = parse_config(is);
-  EXPECT_EQ(back.net.retransmit_timeout, original.net.retransmit_timeout);
-  EXPECT_EQ(back.health.enabled, original.health.enabled);
-  EXPECT_EQ(back.health.stall_ticks, original.health.stall_ticks);
-  EXPECT_EQ(back.faults, original.faults);
-}
-
-TEST(ConfigIo, RejectsMalformedFaultLines) {
-  for (const char* line : {
-           "link = sideways global 0 1 2 100",  // bad state
-           "link = down planetary 0 1 2 100",   // bad scope
-           "link = down global 0 1 100",        // missing field
-           "link = down local 3 7 100 junk",    // trailing junk
-       }) {
-    std::istringstream is(std::string("[faults]\n") + line + "\n");
-    EXPECT_THROW(parse_config(is), std::runtime_error) << line;
-  }
 }
 
 TEST(ConfigIo, RejectsIntegerValuesThatWouldNarrow) {
@@ -160,7 +117,7 @@ TEST(ConfigIo, RejectsIntegerValuesThatWouldNarrow) {
   const char* bad[] = {
       "[topology]\ngroups = 4294967305\n",            // wraps to 9 as int32
       "[topology]\nrows = -4294967294\n",             // wraps to 2 as int32
-      "[network]\nretransmit_max_backoff = 8589934592\n",  // wraps to 0
+      "[health]\nstall_ticks = 8589934592\n",        // wraps to 0 as int32
       "[experiment]\nseed = -1\n",                    // negative into uint64
       "[experiment]\nmax_events = -5\n",              // negative into uint64
       "[health]\nenabled = 2\n",                      // bool takes only 0/1
@@ -249,15 +206,21 @@ TEST(ConfigIo, RejectsOutOfRangeTelemetryValues) {
 }
 
 TEST(ConfigIo, RejectsRemovedFarmAndHeartbeatKeys) {
-  // run_matrix has one execution mode; a config still asking for the removed
-  // process farm or its heartbeats must fail loudly, not run differently.
+  // run_matrix has one execution mode and the network never drops a chunk; a
+  // config still asking for the removed process farm, its heartbeats, runtime
+  // link faults or NIC retransmission must fail loudly, not run differently.
   const std::string rendered = render_config(ExperimentOptions{});
   EXPECT_EQ(rendered.find("[farm]"), std::string::npos);
   EXPECT_EQ(rendered.find("heartbeat"), std::string::npos);
+  EXPECT_EQ(rendered.find("[faults]"), std::string::npos);
+  EXPECT_EQ(rendered.find("retransmit"), std::string::npos);
   for (const char* text : {
            "[farm]\nenabled = 1\n",
            "[farm]\nworkers = 4\n",
            "[prof]\nheartbeat_period_ms = 1000\n",
+           "[faults]\nlink = down global 0 1 2 40000\n",
+           "[network]\nretransmit_timeout_ns = 5000\n",
+           "[network]\nretransmit_max_backoff = 3\n",
        }) {
     std::istringstream is(text);
     try {

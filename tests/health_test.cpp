@@ -18,10 +18,10 @@ namespace dfly {
 namespace {
 
 TEST(Health, ConservationArithmetic) {
-  EXPECT_TRUE(conservation_holds(0, 0, 0, 0));
-  EXPECT_TRUE(conservation_holds(100, 60, 30, 10));
-  EXPECT_FALSE(conservation_holds(100, 60, 30, 11));
-  EXPECT_FALSE(conservation_holds(100, 100, 0, -1));
+  EXPECT_TRUE(conservation_holds(0, 0, 0));
+  EXPECT_TRUE(conservation_holds(100, 60, 40));
+  EXPECT_FALSE(conservation_holds(100, 60, 41));
+  EXPECT_FALSE(conservation_holds(100, 100, -1));
 }
 
 TEST(Health, OptionsValidated) {

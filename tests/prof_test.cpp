@@ -277,7 +277,7 @@ TEST(ProfReport, ProfJsonCarriesAttributionAndLaneBreakdown) {
   ASSERT_FALSE(text.empty());
   EXPECT_TRUE(contains(text, "\"schema_version\": 2"));
   for (const char* subsystem :
-       {"event_dispatch", "routing", "nic_retransmit", "checkpoint_io", "telemetry_export"})
+       {"event_dispatch", "routing", "checkpoint_io", "telemetry_export"})
     EXPECT_TRUE(contains(text, subsystem)) << subsystem;
   EXPECT_TRUE(contains(text, "\"dispatch_ns\""));
   EXPECT_TRUE(contains(text, "\"throughput\""));

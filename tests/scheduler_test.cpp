@@ -38,7 +38,7 @@ void differential_stream(std::uint64_t seed, int ops, SimTime horizon, double fa
       SimTime when;
       const double roll = rng.uniform_double();
       if (roll < far_fraction) {
-        // Far-future: an exponential-backoff retransmit timer.
+        // Far-future: an exponential-backoff timer.
         when = now + (SimTime{20} * units::kMicrosecond
                       << static_cast<int>(rng.uniform(16)));
       } else if (roll < far_fraction + 0.2) {

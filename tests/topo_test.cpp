@@ -6,6 +6,14 @@
 #include <map>
 #include <set>
 #include <stdexcept>
+#include <utility>
+
+#include "net/network.hpp"
+#include "place/placement.hpp"
+#include "replay/replay.hpp"
+#include "routing/adaptive.hpp"
+#include "routing/minimal.hpp"
+#include "workload/synthetic.hpp"
 
 namespace dfly {
 namespace {
@@ -259,6 +267,145 @@ TEST(TopoParamsValidate, RejectsPortCountBeyondHopPortWidth) {
   }
   p.global_ports_per_router = 32'767 - 2;  // 1 terminal + 1 row port: exactly INT16_MAX
   EXPECT_NO_THROW(p.validate());
+}
+
+// ---------------------------------------------------------------------------
+// Static degradation: global links disabled before routing tables are built.
+// ---------------------------------------------------------------------------
+
+TEST(DegradedFabric, DisableRemovesLinkFromBothDirections) {
+  DragonflyTopology topo(TopoParams::tiny());
+  const auto before_fwd = topo.global_links(0, 1).size();
+  const auto before_bwd = topo.global_links(1, 0).size();
+  const GlobalLink victim = topo.global_links(0, 1)[2];
+  topo.disable_global_link(0, 1, 2);
+  EXPECT_EQ(topo.global_links(0, 1).size(), before_fwd - 1);
+  EXPECT_EQ(topo.global_links(1, 0).size(), before_bwd - 1);
+  EXPECT_EQ(topo.disabled_global_links(), 1);
+  EXPECT_FALSE(topo.port_enabled(victim.src_router, victim.src_port));
+  EXPECT_FALSE(topo.port_enabled(victim.dst_router, victim.dst_port));
+  // Unrelated pair untouched.
+  EXPECT_EQ(topo.global_links(0, 2).size(), before_fwd);
+  // Remaining links of the pair are still enabled.
+  for (const GlobalLink& link : topo.global_links(0, 1))
+    EXPECT_TRUE(topo.port_enabled(link.src_router, link.src_port));
+}
+
+TEST(DegradedFabric, CannotDisconnectAGroupPair) {
+  DragonflyTopology topo(TopoParams::tiny());
+  while (topo.global_links(0, 1).size() > 1) topo.disable_global_link(0, 1, 0);
+  EXPECT_THROW(topo.disable_global_link(0, 1, 0), std::invalid_argument);
+  EXPECT_EQ(topo.global_links(0, 1).size(), 1u);
+}
+
+TEST(DegradedFabric, DisableRejectsBadArguments) {
+  DragonflyTopology topo(TopoParams::tiny());
+  EXPECT_THROW(topo.disable_global_link(0, 0, 0), std::invalid_argument);
+  EXPECT_THROW(topo.disable_global_link(0, 1, 1000), std::invalid_argument);
+  EXPECT_THROW(topo.disable_global_link(0, 1, -1), std::invalid_argument);
+}
+
+// Regression: only a == b and the index were checked, so a group past the
+// end indexed another pair's link list (silently disabling a link of pair
+// (1, 0) for (0, 3) on the 3-group tiny fabric) and then ran off the end of
+// the per-pair table.
+TEST(DegradedFabric, DisableRejectsOutOfRangeGroups) {
+  DragonflyTopology topo(TopoParams::tiny());
+  ASSERT_EQ(topo.params().groups, 3);
+  for (const auto& [a, b] : {std::pair{0, 3}, std::pair{-1, 1}, std::pair{3, 0}}) {
+    EXPECT_THROW(topo.disable_global_link(a, b, 0), std::invalid_argument) << a << "," << b;
+  }
+  EXPECT_EQ(topo.disabled_global_links(), 0);
+  const std::size_t links_per_pair = topo.global_links(0, 1).size();
+  for (GroupId a = 0; a < 3; ++a) {
+    for (GroupId b = 0; b < 3; ++b) {
+      if (a == b) continue;
+      EXPECT_EQ(topo.global_links(a, b).size(), links_per_pair) << a << "," << b;
+    }
+  }
+}
+
+TEST(DegradedFabric, RoutesAvoidDisabledLinks) {
+  DragonflyTopology topo(TopoParams::tiny());
+  Rng fault_rng(3);
+  const int disabled = disable_random_global_links(topo, 0.5, fault_rng);
+  EXPECT_GT(disabled, 0);
+
+  MinimalRouting routing(topo);  // built after fault injection
+  struct Idle : CongestionView {
+    Bytes queued_bytes(RouterId, int) const override { return 0; }
+  } idle;
+  Rng rng(4);
+  const int nodes = topo.params().total_nodes();
+  for (int i = 0; i < 1000; ++i) {
+    const auto src = static_cast<NodeId>(rng.uniform(nodes));
+    auto dst = static_cast<NodeId>(rng.uniform(nodes - 1));
+    if (dst >= src) ++dst;
+    const Route route = routing.compute(src, dst, idle, rng);
+    for (int h = 0; h < route.size(); ++h)
+      EXPECT_TRUE(topo.port_enabled(route[h].router, route[h].port))
+          << "route uses a failed link";
+  }
+}
+
+TEST(DegradedFabric, StillDeliversEverything) {
+  DragonflyTopology topo(TopoParams::tiny());
+  Rng fault_rng(5);
+  disable_random_global_links(topo, 0.6, fault_rng);
+
+  Engine engine;
+  AdaptiveRouting routing(topo);
+  Network network(engine, topo, NetworkParams::theta(), routing, Rng(1));
+  const Trace trace = make_ring_trace(32, 128 * units::kKiB, 2);
+  Rng rng(6);
+  const Placement placement =
+      make_placement(PlacementKind::RandomNode, topo.params(), 32, rng);
+  ReplayEngine replay(engine, network, trace, placement);
+  replay.start();
+  engine.set_event_limit(200'000'000);
+  engine.run();
+  EXPECT_FALSE(engine.hit_event_limit());
+  EXPECT_TRUE(replay.finished());
+}
+
+// Helper kept outside the lambda so both runs use the identical trace.
+Trace make_permutation_trace_helper() {
+  Rng rng(9);
+  return make_permutation_trace(40, 512 * units::kKiB, rng);
+}
+
+TEST(DegradedFabric, FewerLinksMeansMoreCongestionNotMoreHops) {
+  // Disabling half of the global links leaves minimal hop counts intact
+  // (some link always remains per pair) but concentrates traffic: the same
+  // workload must take at least as long on the degraded fabric.
+  auto run_ring = [](double fail_fraction) {
+    DragonflyTopology topo(TopoParams::tiny());
+    if (fail_fraction > 0) {
+      Rng fault_rng(7);
+      disable_random_global_links(topo, fail_fraction, fault_rng);
+    }
+    Engine engine;
+    MinimalRouting routing(topo);
+    Network network(engine, topo, NetworkParams::theta(), routing, Rng(1));
+    const Trace trace = make_permutation_trace_helper();
+    Rng rng(8);
+    const Placement placement =
+        make_placement(PlacementKind::RandomNode, topo.params(), trace.ranks(), rng);
+    ReplayEngine replay(engine, network, trace, placement);
+    replay.start();
+    engine.run();
+    EXPECT_TRUE(replay.finished());
+    return engine.now();
+  };
+  EXPECT_LE(run_ring(0.0), run_ring(0.6));
+}
+
+TEST(DegradedFabric, FractionValidation) {
+  DragonflyTopology topo(TopoParams::tiny());
+  Rng rng(10);
+  EXPECT_THROW(disable_random_global_links(topo, 1.0, rng), std::invalid_argument);
+  EXPECT_THROW(disable_random_global_links(topo, -0.1, rng), std::invalid_argument);
+  EXPECT_EQ(disable_random_global_links(topo, 0.0, rng), 0);
 }
 
 }  // namespace
