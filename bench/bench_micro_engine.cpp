@@ -3,13 +3,13 @@
 // generation, and end-to-end network throughput in events per second.
 //
 // In addition to the google-benchmark suite, main() runs a head-to-head
-// scheduler harness — binary heap vs. calendar queue, on a monotonic and a
-// backoff-heavy event mix — and records the result into BENCH_engine.json so
-// the scheduler's perf trajectory is tracked PR over PR.
+// scheduler harness — binary heap vs. the timing wheel (CalendarEventQueue), on
+// a monotonic and a backoff-heavy event mix — and records the result into
+// BENCH_engine.json so the scheduler's perf trajectory is tracked PR over PR.
 //
 //   bench_micro_engine                # head-to-head + full gbench suite
 //   bench_micro_engine --smoke        # quick head-to-head only; exits 1 if
-//                                     # the calendar queue regresses vs. heap
+//                                     # the timing wheel regresses vs. heap
 //   bench_micro_engine --out=FILE     # where to write the JSON (default
 //                                     # BENCH_engine.json in the cwd)
 #include <benchmark/benchmark.h>
@@ -122,7 +122,7 @@ void BM_NetworkRandomTraffic(benchmark::State& state) {
 BENCHMARK(BM_NetworkRandomTraffic)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// Head-to-head scheduler harness: heap vs. calendar queue.
+// Head-to-head scheduler harness: heap vs. timing wheel.
 //
 // The hold model mirrors the simulator's steady state: the queue sits at a
 // fixed occupancy and every dispatched event schedules a successor.
@@ -230,7 +230,7 @@ int run_harness(bool smoke, const std::string& out_path) {
 
   if (smoke) {
     // Loose gates (wall-clock noise, shared CI runners); the recorded JSON
-    // carries the precise numbers. A calendar queue slower than the heap it
+    // carries the precise numbers. A timing wheel slower than the heap it
     // replaced is a regression worth failing the build for.
     int rc = 0;
     if (results[0].speedup < 1.3) {

@@ -3,7 +3,7 @@
 //
 // A checkpoint captures everything the event-driven simulation needs to
 // continue bit-identically: the engine clock, sequence counter and the full
-// event queue (including the calendar queue's tuning state, so resumed
+// event queue (with the scheduler's clock and counters, so resumed
 // SchedulerStats match), per-router VC buffers and credit counters, NIC
 // injection queues, the in-flight chunk/message pools, every RNG stream, the
 // replay engine's per-rank cursors and the telemetry accumulators — so a

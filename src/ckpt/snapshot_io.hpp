@@ -36,7 +36,10 @@ static_assert(std::endian::native == std::endian::little,
 // v3: the topology link-state and fault-injector sections and every drop /
 // retransmit field are gone (the topology is immutable during a run); the
 // handler registry and the subsystem presence mask lost the injector slot.
-inline constexpr std::uint32_t kFormatVersion = 3;
+// v4: the scheduler section is the wheel's clock, the pending events in
+// (time, seq) order and three stats counters; the calendar layout, width,
+// dispatch-gap ring and retune cooldown are gone.
+inline constexpr std::uint32_t kFormatVersion = 4;
 /// Value of the byte-order sentinel field as written; a byte-swapped file
 /// reads back 0x04030201 and is rejected with a clear message.
 inline constexpr std::uint32_t kByteOrderSentinel = 0x01020304u;

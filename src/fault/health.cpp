@@ -23,7 +23,7 @@ std::string HealthReport::to_string() const {
       << ", events processed: " << events_processed << "\n";
   out << "scheduler: buckets=" << scheduler.buckets << " width=" << scheduler.bucket_width
       << "ns calendar=" << scheduler.calendar_events << " overflow=" << scheduler.overflow_events
-      << " resizes=" << scheduler.resizes << " promotions=" << scheduler.overflow_promotions
+      << " promotions=" << scheduler.overflow_promotions
       << " peak=" << scheduler.peak_pending << "\n";
   out << "blocked NICs: " << blocked_nics;
   if (!blocked_nic_ids.empty()) {

@@ -54,7 +54,7 @@ struct HealthReport {
   std::vector<NodeId> blocked_nic_ids;  ///< capped sample of blocked NICs
   std::vector<PortDiag> stuck_ports;    ///< capped sample of wedged ports
   std::vector<Bytes> vc_occupancy;      ///< queued bytes per VC, fabric-wide
-  SchedulerStats scheduler;             ///< calendar-queue occupancy/resizes
+  SchedulerStats scheduler;             ///< scheduler occupancy/promotions
 
   std::string to_string() const;
 };

@@ -26,7 +26,7 @@ struct RunMetrics {
   std::uint64_t events = 0;    ///< engine events processed
   std::uint64_t chunks = 0;    ///< chunk-hops forwarded
   Bytes bytes_delivered = 0;
-  SchedulerStats scheduler;    ///< calendar-queue occupancy/resize counters
+  SchedulerStats scheduler;    ///< scheduler occupancy/promotion counters
 
   double max_comm_ms() const;
   double median_comm_ms() const;

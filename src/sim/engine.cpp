@@ -12,7 +12,11 @@ namespace dfly {
 
 void Engine::schedule(SimTime when, EventHandler* handler, EventPayload payload) {
   assert(handler != nullptr);
-  assert(when >= now_ && "cannot schedule into the past");
+  // A real check, not an assert: release builds must not run the clock
+  // backwards, and `now + delay` overflowing goes negative and lands here.
+  if (when < now_)
+    throw std::logic_error("Engine::schedule: time " + std::to_string(when) +
+                           " precedes now " + std::to_string(now_));
   queue_.push(QueuedEvent{when, seq_++, handler, payload});
 }
 

@@ -8,8 +8,8 @@
 //  * Ties in time are broken by a monotonically increasing sequence number so
 //    execution order (and therefore every simulation result) is fully
 //    deterministic for a given seed.
-//  * The pending-event set lives in a calendar queue (sim/event_queue.hpp):
-//    O(1) amortised scheduling for the near-monotonic event stream, with a
+//  * The pending-event set lives in a timing wheel (sim/event_queue.hpp):
+//    O(1) scheduling for the near-monotonic event stream, with a
 //    heap-backed overflow tier for far-future timers.
 //  * The engine is serial. Sweep parallelism lives one level up, in
 //    run_matrix (one configuration per worker, DESIGN.md §9).
@@ -45,7 +45,7 @@ class Engine {
   prof::Profiler* profiler() const { return profiler_; }
 
   /// Schedules `payload` for delivery to `handler` at absolute time `when`.
-  /// `when` must not precede the current time.
+  /// Throws std::logic_error if `when` precedes the current time.
   void schedule(SimTime when, EventHandler* handler, EventPayload payload);
 
   /// Convenience: schedule relative to the current time.
@@ -82,7 +82,7 @@ class Engine {
   void request_stop() { stop_requested_ = true; }
   bool stop_requested() const { return stop_requested_; }
 
-  /// Occupancy and resize counters of the calendar scheduler (reported by
+  /// Occupancy and promotion counters of the scheduler (reported by
   /// HealthMonitor and metrics/).
   const SchedulerStats& scheduler_stats() const { return queue_.stats(); }
 

@@ -1,15 +1,18 @@
-// Differential and behavioural tests for the calendar-queue event scheduler.
+// Differential and behavioural tests for the timing-wheel event scheduler.
 //
-// The calendar queue replaced the binary heap on the engine's hottest path;
-// these tests pin the contract that made the swap safe: both queues dispatch
-// in bit-identical (time, seq) order on any event stream, including same-time
-// ties, in-handler scheduling, and far-future backoff times.
+// The wheel (CalendarEventQueue) replaced the binary heap on the engine's
+// hottest path; these tests pin the contract that made the swap safe: both
+// queues dispatch in bit-identical (time, seq) order on any event stream,
+// including same-time ties, in-handler scheduling, far-future backoff times
+// and the wheel's own edges (window boundary, promotion, bitmap wrap).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <queue>
+#include <stdexcept>
 #include <vector>
 
+#include "ckpt/snapshot_io.hpp"
 #include "sim/engine.hpp"
 #include "sim/event_queue.hpp"
 #include "util/rng.hpp"
@@ -97,28 +100,6 @@ TEST(CalendarQueue, AllSameTimePopsInSeqOrder) {
     EXPECT_EQ(ev.seq, s);
   }
   EXPECT_TRUE(q.empty());
-}
-
-TEST(CalendarQueue, ResizesWhenOccupancySkews) {
-  NullHandler handler;
-  CalendarEventQueue q;
-  const std::size_t initial_buckets = q.stats().buckets;
-  Rng rng(5);
-  for (std::uint64_t s = 0; s < 10'000; ++s)
-    q.push(QueuedEvent{static_cast<SimTime>(rng.uniform(1'000'000)), s, &handler, EventPayload{}});
-  EXPECT_GT(q.stats().resizes, 0u);
-  EXPECT_GT(q.stats().buckets, initial_buckets);
-  EXPECT_EQ(q.stats().peak_pending, 10'000u);
-  const std::uint64_t grown_resizes = q.stats().resizes;
-  SimTime last = -1;
-  while (!q.empty()) {
-    const SimTime t = q.pop_min().time;
-    EXPECT_GE(t, last);
-    last = t;
-  }
-  // Draining shrinks the array back down.
-  EXPECT_GT(q.stats().resizes, grown_resizes);
-  EXPECT_EQ(q.stats().buckets, initial_buckets);
 }
 
 TEST(CalendarQueue, FarFutureEventsParkInOverflowAndPromote) {
@@ -249,32 +230,227 @@ TEST(CalendarQueue, EngineMatchesReferenceHeapLoop) {
   }
 }
 
-TEST(CalendarQueue, DrainedBucketsGiveTheirStorageBack) {
-  // Bursts of same-time events, each burst a bucket further along and the
-  // later ones beyond the window, interleaved with draining the previous
-  // burst. A bucket that kept its largest-ever capacity would make the
-  // reserved slots grow with the number of buckets ever used.
+TEST(CalendarQueue, NodePoolStaysWithinPeakPending) {
+  // Bursts of events on three adjacent times, each burst 5 us further along
+  // (beyond the window, so it parks in overflow and promotes), interleaved
+  // with draining the previous burst. Drained nodes go back to the free list,
+  // so the pool never holds more nodes than were ever pending and stops
+  // growing once the pattern repeats.
   NullHandler handler;
   CalendarEventQueue calendar;
   constexpr int kBurst = 300;
   constexpr int kRounds = 64;
   std::uint64_t seq = 0;
-  std::size_t worst = 0;
+  std::size_t after_warmup = 0;
   for (int round = 0; round < kRounds; ++round) {
     const SimTime when = static_cast<SimTime>(round) * 5 * units::kMicrosecond;
-    for (int i = 0; i < kBurst; ++i)
-      calendar.push(QueuedEvent{when, seq++, &handler, EventPayload{}});
-    worst = std::max(worst, calendar.reserved_events());
+    for (int i = 0; i < kBurst; ++i) {
+      calendar.push(QueuedEvent{when + i % 3, seq++, &handler, EventPayload{}});
+      ASSERT_LE(calendar.reserved_events(), calendar.stats().peak_pending);
+    }
     while (calendar.size() > static_cast<std::size_t>(kBurst)) {
       calendar.pop_min();
-      worst = std::max(worst, calendar.reserved_events());
+      ASSERT_LE(calendar.reserved_events(), calendar.stats().peak_pending);
     }
+    if (round == 2) after_warmup = calendar.reserved_events();
   }
   while (!calendar.empty()) calendar.pop_min();
-  EXPECT_EQ(calendar.reserved_events(), 0u);
-  const std::size_t peak = calendar.stats().peak_pending;
-  EXPECT_GE(peak, static_cast<std::size_t>(kBurst));
-  EXPECT_LE(worst, 4 * peak) << "peak pending " << peak;
+  EXPECT_GT(after_warmup, 0u);
+  EXPECT_EQ(calendar.reserved_events(), after_warmup);
+  EXPECT_LE(calendar.reserved_events(), calendar.stats().peak_pending);
+}
+
+TEST(CalendarQueue, WindowEndsOneSlotBeforeAFullRotation) {
+  NullHandler handler;
+  CalendarEventQueue q;
+  constexpr auto kSlots = static_cast<SimTime>(CalendarEventQueue::kSlots);
+  q.push(QueuedEvent{100, 0, &handler, EventPayload{}});
+  EXPECT_EQ(q.pop_min().time, 100);  // cur = 100
+  q.push(QueuedEvent{100 + kSlots, 1, &handler, EventPayload{}});
+  q.push(QueuedEvent{100 + kSlots - 1, 2, &handler, EventPayload{}});
+  EXPECT_EQ(q.stats().calendar_events, 1u);  // cur + 4095 is the window's last slot
+  EXPECT_EQ(q.stats().overflow_events, 1u);  // cur + 4096 shares cur's slot: overflow
+  EXPECT_EQ(q.min().time, 100 + kSlots - 1);
+  const QueuedEvent last_in_window = q.pop_min();
+  EXPECT_EQ(last_in_window.seq, 2u);
+  EXPECT_EQ(q.stats().overflow_events, 0u);  // promoted as soon as cur moved
+  EXPECT_EQ(q.stats().overflow_promotions, 1u);
+  const QueuedEvent first_past = q.pop_min();
+  EXPECT_EQ(first_past.time, 100 + kSlots);
+  EXPECT_EQ(first_past.seq, 1u);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(CalendarQueue, PromotedEventPrecedesALaterDirectPushAtItsTime) {
+  NullHandler handler;
+  CalendarEventQueue q;
+  q.push(QueuedEvent{6000, 0, &handler, EventPayload{}});  // beyond [0, 4096): overflow
+  q.push(QueuedEvent{6000, 1, &handler, EventPayload{}});
+  q.push(QueuedEvent{3000, 2, &handler, EventPayload{}});
+  EXPECT_EQ(q.stats().overflow_events, 2u);
+  EXPECT_EQ(q.pop_min().seq, 2u);  // cur = 3000: 6000 enters the window
+  EXPECT_EQ(q.stats().overflow_events, 0u);
+  q.push(QueuedEvent{6000, 3, &handler, EventPayload{}});  // direct, same slot
+  for (std::uint64_t want = 0; want < 2; ++want) EXPECT_EQ(q.pop_min().seq, want);
+  EXPECT_EQ(q.pop_min().seq, 3u);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(CalendarQueue, PeekThenPushEarlierThanTheMin) {
+  // Engine::run_until peeks min() and may then schedule before it; min()
+  // must not have moved the window.
+  NullHandler handler;
+  CalendarEventQueue q;
+  q.push(QueuedEvent{20'000, 0, &handler, EventPayload{}});  // overflow only
+  EXPECT_EQ(q.min().time, 20'000);
+  q.push(QueuedEvent{500, 1, &handler, EventPayload{}});
+  EXPECT_EQ(q.min().time, 500);
+  q.push(QueuedEvent{200, 2, &handler, EventPayload{}});
+  EXPECT_EQ(q.min().time, 200);
+  EXPECT_EQ(q.pop_min().time, 200);
+  EXPECT_EQ(q.min().time, 500);
+  q.push(QueuedEvent{300, 3, &handler, EventPayload{}});
+  EXPECT_EQ(q.pop_min().time, 300);
+  EXPECT_EQ(q.pop_min().time, 500);
+  EXPECT_EQ(q.pop_min().time, 20'000);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(CalendarQueue, BitmapSearchWrapsFromTheLastWordToTheFirst) {
+  NullHandler handler;
+  CalendarEventQueue q;
+  constexpr auto kSlots = static_cast<SimTime>(CalendarEventQueue::kSlots);
+  std::uint64_t seq = 0;
+  // Park cur in the last bitmap word, then queue times whose slots are in
+  // word 0 (after the wrap) and in the last word on both sides of cur's slot.
+  const SimTime cur = 3 * kSlots - 6;
+  q.push(QueuedEvent{cur, seq++, &handler, EventPayload{}});
+  EXPECT_EQ(q.pop_min().time, cur);
+  const SimTime times[] = {cur + 70, cur + 4, cur + 6, cur + kSlots - 1, cur + 5, cur + 6};
+  for (const SimTime t : times) q.push(QueuedEvent{t, seq++, &handler, EventPayload{}});
+  const SimTime want[] = {cur + 4, cur + 5, cur + 6, cur + 6, cur + 70, cur + kSlots - 1};
+  for (const SimTime t : want) EXPECT_EQ(q.pop_min().time, t);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(CalendarQueue, SnapshotMidRotationWithOverflowResumesIdentically) {
+  NullHandler handler;
+  CalendarEventQueue original;
+  Rng rng(77);
+  std::uint64_t seq = 0;
+  SimTime now = 0;
+  auto random_push = [&](CalendarEventQueue& a, CalendarEventQueue* b) {
+    SimTime when = now + static_cast<SimTime>(rng.uniform(3000));
+    if (rng.bernoulli(0.25)) when = now;
+    if (rng.bernoulli(0.05)) when = now + units::kMillisecond;
+    const QueuedEvent ev{when, seq++, &handler,
+                         EventPayload{static_cast<std::int32_t>(seq), 1, 2, 3}};
+    a.push(ev);
+    if (b != nullptr) b->push(ev);
+  };
+  // Run until cur is a few rotations in, with events pending on both sides of
+  // the wrap and in the overflow tier.
+  for (int i = 0; i < 3000; ++i) random_push(original, nullptr);
+  while (now < 5 * static_cast<SimTime>(CalendarEventQueue::kSlots) + 1234) {
+    now = original.pop_min().time;
+    random_push(original, nullptr);
+  }
+  ASSERT_GT(original.stats().overflow_events, 0u);
+  ASSERT_GT(original.stats().calendar_events, 0u);
+
+  ckpt::Writer w;
+  original.save_state(w, [](EventHandler*) { return 7u; });
+  CalendarEventQueue restored;
+  ckpt::Reader r(w.buffer());
+  restored.load_state(r, [&handler](std::uint32_t id) -> EventHandler* {
+    EXPECT_EQ(id, 7u);
+    return &handler;
+  });
+  r.expect_end();
+  EXPECT_EQ(restored.size(), original.size());
+  EXPECT_EQ(restored.stats().calendar_events, original.stats().calendar_events);
+  EXPECT_EQ(restored.stats().overflow_events, original.stats().overflow_events);
+  EXPECT_EQ(restored.stats().peak_pending, original.stats().peak_pending);
+  EXPECT_EQ(restored.stats().overflow_promotions, original.stats().overflow_promotions);
+
+  for (int i = 0; i < 20'000 && !original.empty(); ++i) {
+    const QueuedEvent a = original.pop_min();
+    const QueuedEvent b = restored.pop_min();
+    ASSERT_EQ(a.time, b.time) << "pop " << i;
+    ASSERT_EQ(a.seq, b.seq) << "pop " << i;
+    ASSERT_EQ(a.payload.kind, b.payload.kind);
+    ASSERT_EQ(b.payload.c, 3u);
+    now = a.time;
+    if (i % 3 != 0) random_push(original, &restored);
+  }
+  EXPECT_EQ(restored.stats().overflow_promotions, original.stats().overflow_promotions);
+  EXPECT_EQ(restored.stats().peak_pending, original.stats().peak_pending);
+}
+
+TEST(CalendarQueue, SnapshotOutOfOrderIsRejected) {
+  NullHandler handler;
+  CalendarEventQueue q;
+  q.push(QueuedEvent{10, 0, &handler, EventPayload{}});
+  q.push(QueuedEvent{20, 1, &handler, EventPayload{}});
+  ckpt::Writer w;
+  q.save_state(w, [](EventHandler*) { return 0u; });
+  // Swap the two events' time fields (each event is 44 bytes after the
+  // 16-byte clock and count header).
+  std::string bytes = w.buffer();
+  std::swap_ranges(bytes.begin() + 16, bytes.begin() + 24, bytes.begin() + 60);
+  CalendarEventQueue fresh;
+  ckpt::Reader r(bytes);
+  EXPECT_THROW(fresh.load_state(r, [&handler](std::uint32_t) -> EventHandler* { return &handler; }),
+               std::runtime_error);
+}
+
+TEST(CalendarQueue, DifferentialMeasuredTrafficShape) {
+  // Shaped like the recorded simulator streams: a steady pending set of a
+  // few thousand, delays of 0-2047 ns with heavy same-time ties (many
+  // events share a few exact delays), and a handful of 1 ms periodic ticks
+  // that live in the overflow tier.
+  Rng rng(2024);
+  NullHandler handler;
+  HeapEventQueue heap;
+  CalendarEventQueue calendar;
+  std::uint64_t seq = 0;
+  auto push = [&](SimTime when, std::int32_t kind) {
+    const QueuedEvent ev{when, seq++, &handler, EventPayload{kind, 0, 0, 0}};
+    heap.push(ev);
+    calendar.push(ev);
+  };
+  constexpr SimTime kTiedDelays[] = {0, 1, 24, 100, 100, 512, 1024, 2047};
+  for (int i = 0; i < 4; ++i) push(units::kMillisecond + i, 1);  // ticks
+  for (int i = 0; i < 3000; ++i) push(static_cast<SimTime>(rng.uniform(2048)), 0);
+  std::uint64_t ops = 0;
+  while (ops < 1'200'000) {
+    const QueuedEvent a = heap.pop_min();
+    const QueuedEvent b = calendar.pop_min();
+    ASSERT_EQ(a.time, b.time) << "op " << ops;
+    ASSERT_EQ(a.seq, b.seq) << "op " << ops;
+    ++ops;
+    if (a.payload.kind == 1) {
+      push(a.time + units::kMillisecond, 1);
+      ++ops;
+      continue;
+    }
+    const int children = heap.size() < 2000 ? 2 : heap.size() > 4000 ? 0 : 1;
+    for (int c = 0; c < children; ++c, ++ops) {
+      const SimTime delay = rng.bernoulli(0.5)
+                                ? kTiedDelays[rng.uniform(std::size(kTiedDelays))]
+                                : static_cast<SimTime>(rng.uniform(2048));
+      push(a.time + delay, 0);
+    }
+  }
+  while (!heap.empty()) {
+    ASSERT_FALSE(calendar.empty());
+    const QueuedEvent a = heap.pop_min();
+    const QueuedEvent b = calendar.pop_min();
+    ASSERT_EQ(a.time, b.time);
+    ASSERT_EQ(a.seq, b.seq);
+  }
+  EXPECT_TRUE(calendar.empty());
+  EXPECT_GT(calendar.stats().overflow_promotions, 0u);
 }
 
 TEST(Engine, SchedulerStatsExposed) {
@@ -285,12 +461,40 @@ TEST(Engine, SchedulerStatsExposed) {
   engine.schedule(units::kSecond, &handler, EventPayload{});
   const SchedulerStats& before = engine.scheduler_stats();
   EXPECT_EQ(before.calendar_events + before.overflow_events, engine.pending());
-  EXPECT_GT(before.resizes, 0u);
+  EXPECT_EQ(before.calendar_events, CalendarEventQueue::kSlots / 7 + 1);  // times 0..4095
+  EXPECT_EQ(before.buckets, CalendarEventQueue::kSlots);
+  EXPECT_EQ(before.bucket_width, 1);
   engine.run();
   const SchedulerStats& after = engine.scheduler_stats();
   EXPECT_EQ(after.calendar_events, 0u);
   EXPECT_EQ(after.overflow_events, 0u);
+  EXPECT_EQ(after.resizes, 0u);
+  EXPECT_EQ(after.overflow_promotions, 5000u - (CalendarEventQueue::kSlots / 7 + 1) + 1);
   EXPECT_GE(after.peak_pending, 5001u);
+}
+
+class PastScheduler : public EventHandler {
+ public:
+  explicit PastScheduler(Engine& engine) : engine_(engine) {}
+  void handle_event(SimTime now, const EventPayload& payload) override {
+    if (payload.kind == 1) engine_.schedule(now - 100, this, EventPayload{});
+  }
+
+ private:
+  Engine& engine_;
+};
+
+TEST(Engine, SchedulingIntoThePastThrows) {
+  // Release builds too: the clock must never run backwards.
+  Engine engine;
+  PastScheduler handler(engine);
+  engine.schedule(1000, &handler, EventPayload{1, 0, 0, 0});
+  EXPECT_THROW(engine.run(), std::logic_error);
+  EXPECT_EQ(engine.now(), 1000);
+  EXPECT_EQ(engine.pending(), 0u);
+  // A negative time, which is what an overflowing `now + delay` wraps to.
+  EXPECT_THROW(engine.schedule(-5, &handler, EventPayload{}), std::logic_error);
+  EXPECT_EQ(engine.pending(), 0u);
 }
 
 }  // namespace
