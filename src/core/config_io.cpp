@@ -120,8 +120,6 @@ const std::map<std::string, Setter>& setters() {
        set_int([](ExperimentOptions& o) -> SimTime& { return o.telemetry.snapshot_interval; })},
       {"prof.enabled",
        set_int([](ExperimentOptions& o) -> bool& { return o.prof.enabled; })},
-      {"prof.hist_bucket_bits",
-       set_int([](ExperimentOptions& o) -> int& { return o.prof.hist_bucket_bits; })},
       {"checkpoint.interval_ns",
        set_int([](ExperimentOptions& o) -> SimTime& { return o.checkpoint.interval; })},
       {"checkpoint.path",
@@ -179,7 +177,6 @@ ExperimentOptions parse_config(std::istream& is, ExperimentOptions defaults) {
   options.topo.validate();
   options.net.validate();
   options.telemetry.validate();
-  options.prof.validate();
   return options;
 }
 
@@ -223,7 +220,6 @@ std::string render_config(const ExperimentOptions& o) {
   os << "snapshot_interval_ns = " << o.telemetry.snapshot_interval << "\n";
   os << "\n[prof]\n";
   os << "enabled = " << (o.prof.enabled ? 1 : 0) << "\n";
-  os << "hist_bucket_bits = " << o.prof.hist_bucket_bits << "\n";
   os << "\n[checkpoint]\n";
   os << "interval_ns = " << o.checkpoint.interval << "\n";
   if (!o.checkpoint.path.empty()) os << "path = " << o.checkpoint.path << "\n";

@@ -73,9 +73,9 @@ struct ExperimentOptions {
   HealthOptions health;     ///< progress/conservation monitor settings
   TelemetryOptions telemetry;  ///< flight-recorder tracing + run artifacts
   CheckpointOptions checkpoint;  ///< periodic snapshots + resume (src/ckpt/)
-  /// [prof] wall-clock self-profiling (src/prof/, DESIGN.md §11): subsystem
-  /// attribution into prof.json. Never perturbs the simulation
-  /// or its other artifacts.
+  /// [prof] wall-clock self-profiling (src/prof/, DESIGN.md §11): sampled,
+  /// exclusive layer attribution into prof.json. Never perturbs the
+  /// simulation or its other artifacts.
   prof::ProfOptions prof;
 };
 

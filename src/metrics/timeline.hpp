@@ -48,6 +48,7 @@ class TimelineSampler : public EventHandler {
 
   // EventHandler
   void handle_event(SimTime now, const EventPayload& payload) override;
+  prof::Layer prof_layer() const override { return prof::Layer::Telemetry; }
 
  private:
   void sample(SimTime now);

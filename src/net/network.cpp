@@ -90,9 +90,10 @@ void Network::try_inject(NodeId node, SimTime now) {
   chunk.bytes = static_cast<std::int32_t>(size);
   chunk.hop_idx = 0;
   {
-    // Attribution nests: this routing time is also inside the dispatch time
-    // the engine records for the surrounding event (inclusive accounting).
-    prof::ProfScope prof_scope(engine_.profiler(), prof::Subsystem::Routing);
+    // Timed only inside a sampled dispatch (sampling() is null otherwise);
+    // the profiler takes this time out of the network layer's share of the
+    // dispatch and charges it to routing alone.
+    prof::LayerScope prof_scope(engine_.sampling(), prof::Layer::Routing);
     chunk.route = routing_.compute(m.src, m.dst, *this, rng_);
   }
   assert(chunk.route.size() > 0);
@@ -271,7 +272,10 @@ void Network::handle_event(SimTime now, const EventPayload& payload) {
       const bool done = m.delivered == m.total;
       chunks_.release(cid);
       if (done) {
-        if (m.notify_delivered && sink_) sink_->on_message_delivered(mid, m.user_data, now);
+        if (m.notify_delivered && sink_) {
+          prof::LayerScope prof_scope(engine_.sampling(), prof::Layer::Replay);
+          sink_->on_message_delivered(mid, m.user_data, now);
+        }
         release_if_done(mid);
       }
       break;
@@ -279,7 +283,10 @@ void Network::handle_event(SimTime now, const EventPayload& payload) {
     case kMsgInjected: {
       const auto mid = static_cast<MsgId>(payload.b);
       MessageRecord& m = msgs_[mid];
-      if (sink_) sink_->on_message_injected(mid, m.user_data, now);
+      if (sink_) {
+        prof::LayerScope prof_scope(engine_.sampling(), prof::Layer::Replay);
+        sink_->on_message_injected(mid, m.user_data, now);
+      }
       release_if_done(mid);
       break;
     }

@@ -58,6 +58,7 @@ class Network : public EventHandler, public CongestionView {
 
   // EventHandler
   void handle_event(SimTime now, const EventPayload& payload) override;
+  prof::Layer prof_layer() const override { return prof::Layer::Network; }
 
   // CongestionView — output-queue occupancy at `router`'s `port`.
   Bytes queued_bytes(RouterId router, int port) const override;

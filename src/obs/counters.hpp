@@ -97,6 +97,7 @@ class CounterProbe : public EventHandler {
   void sample_now(SimTime now) { snapshots_.push_back(registry_.snapshot(now)); }
 
   void handle_event(SimTime now, const EventPayload& payload) override;
+  prof::Layer prof_layer() const override { return prof::Layer::Telemetry; }
 
   /// Checkpoint support (src/ckpt/): start/stop flags and the snapshot
   /// history so a resumed run's counters.jsonl matches the straight-through

@@ -1,5 +1,6 @@
 #include "obs/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -28,6 +29,20 @@ std::string json_escape(const std::string& s) {
     }
   }
   return out;
+}
+
+void append_int(std::string& out, std::int64_t v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+void append_number(std::string& out, double v) {
+  if (!std::isfinite(v)) {
+    out += "null";
+    return;
+  }
+  char buf[40];
+  out.append(buf, static_cast<std::size_t>(std::snprintf(buf, sizeof buf, "%.12g", v)));
 }
 
 JsonWriter::JsonWriter(std::ostream& os, int indent) : os_(os), indent_(indent) {}
@@ -99,11 +114,10 @@ JsonWriter& JsonWriter::value(const std::string& v) {
 JsonWriter& JsonWriter::value(const char* v) { return value(std::string(v)); }
 
 JsonWriter& JsonWriter::value(double v) {
-  if (!std::isfinite(v)) return null_value();
   before_value();
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.12g", v);
-  os_ << buf;
+  std::string text;
+  append_number(text, v);
+  os_ << text;
   return *this;
 }
 

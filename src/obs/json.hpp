@@ -20,6 +20,12 @@ namespace dfly::obs {
 /// Escapes `s` for inclusion inside a JSON string literal (quotes excluded).
 std::string json_escape(const std::string& s);
 
+/// Appends `v` in decimal to `out`.
+void append_int(std::string& out, std::int64_t v);
+/// Appends `v` as JsonWriter::value(double) writes it: "%.12g", or null
+/// when it is not finite.
+void append_number(std::string& out, double v);
+
 class JsonWriter {
  public:
   explicit JsonWriter(std::ostream& os, int indent = 2);

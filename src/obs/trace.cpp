@@ -5,6 +5,8 @@
 #include <map>
 #include <ostream>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 #include <type_traits>
 
 #include "ckpt/snapshot_io.hpp"
@@ -181,62 +183,102 @@ namespace {
 
 double to_us(SimTime t) { return static_cast<double>(t) / 1000.0; }
 
+// The document is the one obs::JsonWriter(os, 1) would write, built in a
+// buffer that is flushed every kFlushBytes: each event is a fixed template,
+// so the keys are literals and only the values are formatted. Every name
+// and category is escape-free.
+
+constexpr std::size_t kFlushBytes = 1 << 16;
+
+void put_field(std::string& out, const char* indent, const char* key, std::int64_t v) {
+  out += indent;
+  out += key;
+  obs::append_int(out, v);
+}
+
+void put_field(std::string& out, const char* indent, const char* key, double v) {
+  out += indent;
+  out += key;
+  obs::append_number(out, v);
+}
+
+void put_field(std::string& out, const char* indent, const char* key, std::string_view v) {
+  out += indent;
+  out += key;
+  out += '"';
+  out += v;
+  out += '"';
+}
+
+/// Opens array element `i` of traceEvents.
+void open_event(std::string& out, std::size_t i) {
+  out += i == 0 ? "\n  {" : ",\n  {";
+}
+
 }  // namespace
 
 void ChromeTraceWriter::render(std::ostream& os) const {
-  obs::JsonWriter w(os, 1);
-  w.begin_object();
-  w.field("displayTimeUnit", "ns");
-  w.key("traceEvents");
-  w.begin_array();
+  constexpr const char* kField = ",\n   ";  // a field of an event
+  constexpr const char* kArg = ",\n    ";   // a field of its args
+  std::string out = "{\n \"displayTimeUnit\": \"ns\",\n \"traceEvents\": [";
+  std::size_t events = 0;
 
   // Track metadata: one "process" per router, one "thread" per output port,
   // named so Perfetto shows "router 12 / port 3 (local-row)".
   std::map<RouterId, std::map<int, PortKind>> tracks;
   for (const HopEvent& hop : hops_) tracks[hop.router][hop.port] = hop.kind;
   for (const auto& [router, ports] : tracks) {
-    w.begin_object();
-    w.field("ph", "M").field("name", "process_name").field("pid", std::int64_t{router});
-    w.key("args").begin_object();
-    w.field("name", "router " + std::to_string(router));
-    w.end_object();
-    w.end_object();
+    open_event(out, events++);
+    out += "\n   \"ph\": \"M\",\n   \"name\": \"process_name\"";
+    put_field(out, kField, "\"pid\": ", std::int64_t{router});
+    out += ",\n   \"args\": {\n    \"name\": \"router ";
+    obs::append_int(out, router);
+    out += "\"\n   }\n  }";
     for (const auto& [port, kind] : ports) {
-      w.begin_object();
-      w.field("ph", "M").field("name", "thread_name").field("pid", std::int64_t{router});
-      w.field("tid", std::int64_t{port});
-      w.key("args").begin_object();
-      w.field("name", "port " + std::to_string(port) + " (" + to_string(kind) + ")");
-      w.end_object();
-      w.end_object();
+      open_event(out, events++);
+      out += "\n   \"ph\": \"M\",\n   \"name\": \"thread_name\"";
+      put_field(out, kField, "\"pid\": ", std::int64_t{router});
+      put_field(out, kField, "\"tid\": ", std::int64_t{port});
+      out += ",\n   \"args\": {\n    \"name\": \"port ";
+      obs::append_int(out, port);
+      out += " (";
+      out += to_string(kind);
+      out += ")\"\n   }\n  }";
     }
   }
 
+  std::string name;
   for (const HopEvent& hop : hops_) {
-    w.begin_object();
-    w.field("ph", "X");
-    w.field("name", "m" + std::to_string(hop.msg) + "/c" + std::to_string(hop.chunk));
-    w.field("cat", to_string(hop.kind));
-    w.field("pid", std::int64_t{hop.router});
-    w.field("tid", std::int64_t{hop.port});
-    w.field("ts", to_us(hop.start_time));
-    w.field("dur", to_us(hop.end_time - hop.start_time));
-    w.key("args").begin_object();
-    w.field("msg", std::int64_t{hop.msg});
-    w.field("chunk", static_cast<std::int64_t>(hop.chunk));
-    w.field("src_node", std::int64_t{hop.src});
-    w.field("dst_node", std::int64_t{hop.dst});
-    w.field("vc", std::int64_t{hop.vc});
-    w.field("bytes", hop.bytes);
-    w.field("queue_depth_bytes", hop.queue_depth);
-    w.field("queue_wait_ns", hop.start_time - hop.enqueue_time);
-    w.end_object();
-    w.end_object();
+    if (out.size() >= kFlushBytes) {
+      os.write(out.data(), static_cast<std::streamsize>(out.size()));
+      out.clear();
+    }
+    open_event(out, events++);
+    out += "\n   \"ph\": \"X\"";
+    name = "m";
+    obs::append_int(name, hop.msg);
+    name += "/c";
+    obs::append_int(name, static_cast<std::int64_t>(hop.chunk));
+    put_field(out, kField, "\"name\": ", name);
+    put_field(out, kField, "\"cat\": ", to_string(hop.kind));
+    put_field(out, kField, "\"pid\": ", std::int64_t{hop.router});
+    put_field(out, kField, "\"tid\": ", std::int64_t{hop.port});
+    put_field(out, kField, "\"ts\": ", to_us(hop.start_time));
+    put_field(out, kField, "\"dur\": ", to_us(hop.end_time - hop.start_time));
+    out += ",\n   \"args\": {";
+    put_field(out, "\n    ", "\"msg\": ", std::int64_t{hop.msg});
+    put_field(out, kArg, "\"chunk\": ", static_cast<std::int64_t>(hop.chunk));
+    put_field(out, kArg, "\"src_node\": ", std::int64_t{hop.src});
+    put_field(out, kArg, "\"dst_node\": ", std::int64_t{hop.dst});
+    put_field(out, kArg, "\"vc\": ", std::int64_t{hop.vc});
+    put_field(out, kArg, "\"bytes\": ", hop.bytes);
+    put_field(out, kArg, "\"queue_depth_bytes\": ", hop.queue_depth);
+    put_field(out, kArg, "\"queue_wait_ns\": ", hop.start_time - hop.enqueue_time);
+    out += "\n   }\n  }";
   }
 
-  w.end_array();
-  w.end_object();
-  os << '\n';
+  out += events == 0 ? "]\n}\n" : "\n ]\n}\n";
+  os.write(out.data(), static_cast<std::streamsize>(out.size()));
 }
 
 bool ChromeTraceWriter::write(const std::string& path) const {

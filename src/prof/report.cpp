@@ -49,7 +49,23 @@ void write_prof_report(std::ostream& os, const Profiler& profiler, const std::st
   w.field("config", config);
   w.field("wall_ns", profiler.run_wall_ns());
 
-  w.key("subsystems").begin_object();
+  w.field("events", profiler.events());
+  w.field("stride", Profiler::kStride);
+  w.field("clock_read_ns", profiler.clock_read_ns());
+  w.field("loop_ns", profiler.loop_ns());
+  w.field("timed_ns", profiler.timed_ns());
+
+  w.key("layers").begin_object();
+  for (int i = 0; i < static_cast<int>(Layer::kCount); ++i) {
+    const auto layer = static_cast<Layer>(i);
+    w.key(to_string(layer)).begin_object();
+    w.field("est_ns", profiler.layer_est_ns(layer));
+    w.field("sampled", profiler.layer_sampled(layer));
+    w.end_object();
+  }
+  w.end_object();
+
+  w.key("scopes").begin_object();
   for (int i = 0; i < static_cast<int>(Subsystem::kCount); ++i) {
     const auto s = static_cast<Subsystem>(i);
     w.key(to_string(s)).begin_object();

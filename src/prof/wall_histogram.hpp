@@ -21,7 +21,7 @@ namespace dfly::prof {
 class WallHistogram {
  public:
   /// `sub_bucket_bits` in [0, 8]: each octave splits into 2^bits sub-buckets
-  /// (the "histogram resolution" config knob). Throws std::invalid_argument
+  /// (the profiler uses 3: Profiler::kHistBucketBits). Throws std::invalid_argument
   /// outside that range.
   explicit WallHistogram(int sub_bucket_bits = 3);
 

@@ -63,6 +63,7 @@ class ReplayEngine : public EventHandler, public MessageSink {
 
   // EventHandler
   void handle_event(SimTime now, const EventPayload& payload) override;
+  prof::Layer prof_layer() const override { return prof::Layer::Replay; }
 
   /// Checkpoint support (src/ckpt/): per-rank cursors, blocking state, posted
   /// receives and unexpected-message queues, the sent-message table and the

@@ -20,23 +20,31 @@ void Engine::schedule(SimTime when, EventHandler* handler, EventPayload payload)
   queue_.push(QueuedEvent{when, seq_++, handler, payload});
 }
 
-bool Engine::step() {
-  if (stop_requested_) return false;
-  if (queue_.empty()) return false;
-  if (event_limit_ != 0 && processed_ >= event_limit_) {
-    hit_limit_ = true;
-    return false;
-  }
+bool Engine::step(SimTime deadline) {
+  if (profiler_ != nullptr && profiler_->sample_next()) return timed_step(deadline);
+  if (!ready(deadline)) return false;
   const QueuedEvent ev = queue_.pop_min();
   now_ = ev.time;
   ++processed_;
-  if (profiler_ == nullptr) {
-    ev.handler->handle_event(now_, ev.payload);
-  } else {
-    const std::int64_t t0 = prof::Profiler::now_ns();
-    ev.handler->handle_event(now_, ev.payload);
-    profiler_->record_dispatch(prof::Profiler::now_ns() - t0);
-  }
+  if (profiler_ != nullptr) profiler_->count_untimed();
+  ev.handler->handle_event(now_, ev.payload);
+  return true;
+}
+
+// The sampled step: three clock reads split it into the pop side and the
+// dispatch. A step that finds nothing to dispatch leaves the countdown at 0,
+// so the next dispatch is the timed one.
+bool Engine::timed_step(SimTime deadline) {
+  const std::int64_t t0 = prof::Profiler::now_ns();
+  if (!ready(deadline)) return false;
+  const QueuedEvent ev = queue_.pop_min();
+  now_ = ev.time;
+  ++processed_;
+  const std::int64_t t1 = prof::Profiler::now_ns();
+  sampling_ = profiler_;
+  ev.handler->handle_event(now_, ev.payload);
+  sampling_ = nullptr;
+  profiler_->record_sample(ev.handler->prof_layer(), t1 - t0, prof::Profiler::now_ns() - t1);
   return true;
 }
 
@@ -51,9 +59,10 @@ SimTime Engine::run_until(SimTime deadline) {
 }
 
 SimTime Engine::run_slice(SimTime deadline) {
-  while (!queue_.empty() && queue_.min().time <= deadline) {
-    if (!step()) break;
+  const std::int64_t t0 = profiler_ != nullptr ? prof::Profiler::now_ns() : 0;
+  while (step(deadline)) {
   }
+  if (profiler_ != nullptr) profiler_->add_loop(prof::Profiler::now_ns() - t0);
   return now_;
 }
 

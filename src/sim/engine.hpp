@@ -38,11 +38,15 @@ class Engine {
   int global_lane() const { return 0; }
 
   /// Attaches a wall-clock profiler (src/prof/, DESIGN.md §11) that times
-  /// every dispatch; nullptr detaches. Pure observability — the hooks read
-  /// the monotonic clock and write profiler-owned accumulators only, so
-  /// attaching one never changes simulation behaviour.
+  /// one dispatch in every prof::Profiler::kStride; nullptr detaches. Pure
+  /// observability — the hooks read the monotonic clock and write
+  /// profiler-owned accumulators only, so attaching one never changes
+  /// simulation behaviour.
   void set_profiler(prof::Profiler* p) { profiler_ = p; }
   prof::Profiler* profiler() const { return profiler_; }
+  /// The profiler while a sampled dispatch runs, null otherwise: handlers
+  /// pass it to prof::LayerScope to time their nested layers.
+  prof::Profiler* sampling() const { return sampling_; }
 
   /// Schedules `payload` for delivery to `handler` at absolute time `when`.
   /// Throws std::logic_error if `when` precedes the current time.
@@ -99,7 +103,18 @@ class Engine {
                   const std::function<EventHandler*(std::uint32_t)>& handler_of);
 
  private:
-  bool step();
+  /// True when an event at or before `deadline` may be dispatched now.
+  bool ready(SimTime deadline) {
+    if (stop_requested_ || queue_.empty() || queue_.min().time > deadline) return false;
+    if (event_limit_ != 0 && processed_ >= event_limit_) {
+      hit_limit_ = true;
+      return false;
+    }
+    return true;
+  }
+  /// Dispatches the next event if ready(deadline); false otherwise.
+  bool step(SimTime deadline);
+  bool timed_step(SimTime deadline);
 
   CalendarEventQueue queue_;
   std::uint64_t seq_ = 0;
@@ -109,6 +124,7 @@ class Engine {
   bool hit_limit_ = false;
   bool stop_requested_ = false;
   prof::Profiler* profiler_ = nullptr;
+  prof::Profiler* sampling_ = nullptr;
 };
 
 }  // namespace dfly

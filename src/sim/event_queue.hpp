@@ -14,6 +14,7 @@
 #include <queue>
 #include <vector>
 
+#include "prof/layer.hpp"
 #include "util/units.hpp"
 
 namespace dfly {
@@ -36,6 +37,10 @@ class EventHandler {
  public:
   virtual ~EventHandler() = default;
   virtual void handle_event(SimTime now, const EventPayload& payload) = 0;
+
+  /// The profiler layer charged with this handler's dispatch time, less its
+  /// nested scopes (DESIGN.md §11).
+  virtual prof::Layer prof_layer() const { return prof::Layer::Other; }
 };
 
 struct QueuedEvent {

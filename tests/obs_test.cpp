@@ -321,6 +321,69 @@ TEST(Tracer, ChromeTraceRendersValidJson) {
   EXPECT_NE(doc.find("process_name"), std::string::npos);
 }
 
+// The trace.json layout as obs::JsonWriter(os, 1) renders it: the reference
+// the buffered ChromeTraceWriter::render must match byte for byte.
+std::string json_writer_trace(const std::vector<HopEvent>& hops) {
+  std::ostringstream os;
+  obs::JsonWriter w(os, 1);
+  w.begin_object();
+  w.field("displayTimeUnit", "ns");
+  w.key("traceEvents").begin_array();
+  std::map<RouterId, std::map<int, PortKind>> tracks;
+  for (const HopEvent& hop : hops) tracks[hop.router][hop.port] = hop.kind;
+  for (const auto& [router, ports] : tracks) {
+    w.begin_object().field("ph", "M").field("name", "process_name").field("pid", router);
+    w.key("args").begin_object().field("name", "router " + std::to_string(router)).end_object();
+    w.end_object();
+    for (const auto& [port, kind] : ports) {
+      w.begin_object().field("ph", "M").field("name", "thread_name").field("pid", router);
+      w.field("tid", port);
+      w.key("args").begin_object();
+      w.field("name", "port " + std::to_string(port) + " (" + to_string(kind) + ")");
+      w.end_object().end_object();
+    }
+  }
+  for (const HopEvent& hop : hops) {
+    w.begin_object().field("ph", "X");
+    w.field("name", "m" + std::to_string(hop.msg) + "/c" + std::to_string(hop.chunk));
+    w.field("cat", to_string(hop.kind)).field("pid", hop.router).field("tid", int{hop.port});
+    w.field("ts", static_cast<double>(hop.start_time) / 1000.0);
+    w.field("dur", static_cast<double>(hop.end_time - hop.start_time) / 1000.0);
+    w.key("args").begin_object();
+    w.field("msg", hop.msg).field("chunk", hop.chunk).field("src_node", hop.src);
+    w.field("dst_node", hop.dst).field("vc", int{hop.vc}).field("bytes", hop.bytes);
+    w.field("queue_depth_bytes", hop.queue_depth);
+    w.field("queue_wait_ns", hop.start_time - hop.enqueue_time);
+    w.end_object().end_object();
+  }
+  w.end_array().end_object();
+  os << '\n';
+  return os.str();
+}
+
+TEST(Tracer, ChromeTraceMatchesTheJsonWriterLayout) {
+  ChromeTraceWriter empty;
+  std::ostringstream none;
+  empty.render(none);
+  EXPECT_EQ(none.str(), json_writer_trace({}));
+
+  Engine engine;
+  DragonflyTopology topo(TopoParams::tiny());
+  AdaptiveRouting routing(topo);
+  Network network(engine, topo, NetworkParams::theta(), routing, Rng(3));
+  ChromeTraceWriter writer;
+  ChunkPathTracer tracer(writer, 1.0);
+  network.set_tracer(&tracer);
+  const int nodes = topo.params().total_nodes();
+  for (int n = 0; n < nodes; ++n) network.send(n, (n + 5) % nodes, 5000 + 333 * n);
+  engine.run();
+  network.set_tracer(nullptr);
+  ASSERT_GT(writer.hops().size(), 100u);
+  std::ostringstream os;
+  writer.render(os);
+  EXPECT_EQ(os.str(), json_writer_trace(writer.hops()));
+}
+
 TEST(RoutingTelemetry, AdaptiveDecisionsAreRecorded) {
   Engine engine;
   DragonflyTopology topo(TopoParams::tiny());
