@@ -84,9 +84,8 @@ HealthReport HealthMonitor::capture(SimTime now) const {
   const int routers = topo.params().total_routers();
   for (RouterId rid = 0; rid < routers && static_cast<int>(r.stuck_ports.size()) < kMaxListed;
        ++rid) {
-    const Router& router = network_.router(rid);
-    for (int p = 0; p < router.num_ports(); ++p) {
-      const OutPort& op = router.port(p);
+    for (int p = 0; p < topo.ports_per_router(); ++p) {
+      const OutPort& op = network_.port(rid, p);
       if (op.queue.empty()) continue;
       PortDiag pd;
       pd.router = rid;
@@ -109,7 +108,9 @@ HealthReport HealthMonitor::capture(SimTime now) const {
     }
   }
 
-  r.vc_occupancy = network_.vc_occupancy();
+  r.vc_occupancy.assign(kMaxRouteHops, 0);
+  for (const OutPort& op : network_.ports())
+    for (const QueuedChunk& e : op.queue) r.vc_occupancy[e.vc] += e.bytes;
   return r;
 }
 

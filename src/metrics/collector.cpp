@@ -30,9 +30,8 @@ RunMetrics collect_metrics(const Network& network, const ReplayEngine& replay,
   }
 
   for (const RouterId r : serving_routers(topo.params(), placement)) {
-    const Router& router = network.router(r);
-    for (int p = 0; p < router.num_ports(); ++p) {
-      const OutPort& port = router.port(p);
+    for (int p = 0; p < topo.ports_per_router(); ++p) {
+      const OutPort& port = network.port(r, p);
       switch (port.kind) {
         case PortKind::LocalRow:
         case PortKind::LocalCol:

@@ -21,17 +21,12 @@ void TimelineSampler::sample(SimTime now) {
   s.bytes_delivered = network_.bytes_delivered();
   s.messages_in_flight = network_.messages_in_flight();
   s.chunks_forwarded = network_.chunks_forwarded();
-  const DragonflyTopology& topo = network_.topology();
-  for (RouterId r = 0; r < topo.params().total_routers(); ++r) {
-    const Router& router = network_.router(r);
-    for (int p = 0; p < router.num_ports(); ++p) {
-      const OutPort& port = router.port(p);
-      switch (port.kind) {
-        case PortKind::Terminal: s.queued_terminal += port.queued_bytes; break;
-        case PortKind::LocalRow:
-        case PortKind::LocalCol: s.queued_local += port.queued_bytes; break;
-        case PortKind::Global: s.queued_global += port.queued_bytes; break;
-      }
+  for (const OutPort& port : network_.ports()) {
+    switch (port.kind) {
+      case PortKind::Terminal: s.queued_terminal += port.queued_bytes; break;
+      case PortKind::LocalRow:
+      case PortKind::LocalCol: s.queued_local += port.queued_bytes; break;
+      case PortKind::Global: s.queued_global += port.queued_bytes; break;
     }
   }
   s.queued_bytes = s.queued_local + s.queued_global + s.queued_terminal;

@@ -23,7 +23,8 @@ using MsgId = std::uint32_t;
 /// Flight-recorder serial of a chunk the tracer is not sampling.
 inline constexpr std::uint64_t kNoTraceSerial = ~std::uint64_t{0};
 
-struct Chunk {
+/// Exactly two cache lines; unaligned, most 128-byte chunks would straddle three.
+struct alignas(64) Chunk {
   MsgId msg = 0;
   std::int32_t bytes = 0;
   std::int8_t hop_idx = 0;  ///< index of the route hop whose router holds the chunk
@@ -32,6 +33,8 @@ struct Chunk {
   std::uint64_t trace_serial = kNoTraceSerial;
   Route route;
 };
+static_assert(sizeof(Chunk) == 128, "a chunk must fill exactly two cache lines");
+static_assert(alignof(Chunk) == 64, "a chunk must start on a cache line");
 
 class ChunkPool {
  public:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <stdexcept>
 
 #include "ckpt/snapshot_io.hpp"
@@ -23,6 +24,9 @@ void NetworkParams::validate() const {
   if (terminal_vc_buffer < chunk_bytes || local_vc_buffer < chunk_bytes ||
       global_vc_buffer < chunk_bytes)
     throw std::invalid_argument("every VC buffer must hold at least one chunk");
+  if (std::max({chunk_bytes, terminal_vc_buffer, local_vc_buffer, global_vc_buffer}) >
+      std::numeric_limits<std::int32_t>::max())
+    throw std::invalid_argument("chunk sizes and VC credits are 32-bit: at most 2^31-1 bytes");
   if (terminal_bandwidth_gib <= 0 || local_bandwidth_gib <= 0 || global_bandwidth_gib <= 0)
     throw std::invalid_argument("bandwidths must be positive");
 }
@@ -31,9 +35,13 @@ Network::Network(Engine& engine, const DragonflyTopology& topo, const NetworkPar
                  const RoutingAlgorithm& routing, Rng rng, MessageSink* sink)
     : engine_(engine), topo_(topo), params_(params), routing_(routing), rng_(rng), sink_(sink) {
   params_.validate();
-  const int routers = topo_.params().total_routers();
-  routers_.reserve(routers);
-  for (RouterId r = 0; r < routers; ++r) routers_.emplace_back(topo_, params_, r, kMaxRouteHops);
+  for (int p = 0; p < topo_.ports_per_router(); ++p) port_kind_.push_back(topo_.port_kind(p));
+  ports_.resize(topo_.total_channels());
+  for (std::size_t c = 0; c < ports_.size(); ++c) {
+    OutPort& op = ports_[c];
+    op.kind = port_kind_[c % port_kind_.size()];
+    if (!op.is_terminal()) op.credits.fill(static_cast<std::int32_t>(params_.vc_buffer(op.kind)));
+  }
   nics_.resize(topo_.params().total_nodes());
   for (Nic& nic : nics_) nic.credits = params_.terminal_vc_buffer;
   hop_stats_.resize(nics_.size());
@@ -60,7 +68,7 @@ MsgId Network::send(NodeId src, NodeId dst, Bytes bytes, std::uint64_t user_data
 }
 
 Bytes Network::queued_bytes(RouterId router, int port) const {
-  return routers_[router].port(port).queued_bytes;
+  return ports_[topo_.channel_id(router, port)].queued_bytes;
 }
 
 void Network::try_inject(NodeId node, SimTime now) {
@@ -122,9 +130,8 @@ void Network::try_inject(NodeId node, SimTime now) {
   }
 }
 
-void Network::try_send(RouterId rid, int port, SimTime now) {
-  Router& router = routers_[rid];
-  OutPort& op = router.port(port);
+void Network::try_send(int channel, SimTime now) {
+  OutPort& op = ports_[channel];
   if (op.queue.empty()) {
     op.end_blocked(now);
     return;
@@ -171,7 +178,7 @@ void Network::try_send(RouterId rid, int port, SimTime now) {
   op.queue.erase(op.queue.begin() + static_cast<std::ptrdiff_t>(pick));
   Chunk& chunk = chunks_[cid];
   const Hop hop = chunk.route[chunk.hop_idx];
-  assert(hop.router == rid && hop.port == port);
+  assert(topo_.channel_id(hop.router, hop.port) == channel);
   op.queued_bytes -= chunk.bytes;
   op.last_vc_served = hop.vc;
   if (!op.is_terminal()) op.credits[hop.vc] -= chunk.bytes;
@@ -182,8 +189,7 @@ void Network::try_send(RouterId rid, int port, SimTime now) {
   ++totals_.chunks_forwarded;
   if (tracer_ && chunk.trace_serial != kNoTraceSerial)
     tracer_->on_transmit_start(chunk.trace_serial, now, t_end);
-  engine_.schedule(t_end, this,
-                   EventPayload{kPortFree, 0, static_cast<std::uint64_t>(topo_.channel_id(rid, port)), 0});
+  engine_.schedule(t_end, this, EventPayload{kPortFree, 0, static_cast<std::uint64_t>(channel), 0});
 
   // Return the input-buffer space this chunk occupied here to its upstream
   // sender, one upstream-link latency after the last byte departs.
@@ -194,8 +200,7 @@ void Network::try_send(RouterId rid, int port, SimTime now) {
                                   static_cast<std::uint64_t>(chunk.bytes)});
   } else {
     const Hop& up = chunk.route[chunk.hop_idx - 1];
-    const PortKind up_kind = topo_.port_kind(up.port);
-    engine_.schedule(t_end + params_.latency(up_kind), this,
+    engine_.schedule(t_end + params_.latency(port_kind_[up.port]), this,
                      EventPayload{kCreditToRouter, static_cast<std::uint32_t>(up.vc),
                                   static_cast<std::uint64_t>(topo_.channel_id(up.router, up.port)),
                                   static_cast<std::uint64_t>(chunk.bytes)});
@@ -225,7 +230,8 @@ void Network::handle_event(SimTime now, const EventPayload& payload) {
       const auto rid = static_cast<RouterId>(payload.b);
       const Hop& hop = chunk.route[chunk.hop_idx];
       assert(hop.router == rid);
-      OutPort& op = routers_[rid].port(hop.port);
+      const int channel = topo_.channel_id(rid, hop.port);
+      OutPort& op = ports_[channel];
       if (tracer_ && chunk.trace_serial != kNoTraceSerial) {
         const MessageRecord& m = msgs_[chunk.msg];
         tracer_->on_hop_enqueue(chunk.trace_serial, chunk.msg, m.src, m.dst, chunk.bytes, rid,
@@ -233,21 +239,16 @@ void Network::handle_event(SimTime now, const EventPayload& payload) {
       }
       op.queue.push_back(QueuedChunk{cid, chunk.bytes, hop.vc});
       op.queued_bytes += chunk.bytes;
-      try_send(rid, hop.port, now);
+      try_send(channel, now);
       break;
     }
-    case kPortFree: {
-      const auto channel = static_cast<int>(payload.b);
-      const RouterId rid = topo_.channel_router(channel);
-      try_send(rid, topo_.channel_port(channel), now);
+    case kPortFree:
+      try_send(static_cast<int>(payload.b), now);
       break;
-    }
     case kCreditToRouter: {
       const auto channel = static_cast<int>(payload.b);
-      const RouterId rid = topo_.channel_router(channel);
-      const int port = topo_.channel_port(channel);
-      routers_[rid].port(port).credits[payload.a] += static_cast<Bytes>(payload.c);
-      try_send(rid, port, now);
+      ports_[channel].credits[payload.a] += static_cast<std::int32_t>(payload.c);
+      try_send(channel, now);
       break;
     }
     case kCreditToNic: {
@@ -360,22 +361,23 @@ void Network::save_state(ckpt::Writer& w) const {
   w.size(msgs_.free_slots().size());
   for (const MsgId id : msgs_.free_slots()) w.u32(id);
 
-  w.size(routers_.size());
-  for (const Router& router : routers_) {
-    w.i32(router.num_ports());
-    for (int p = 0; p < router.num_ports(); ++p) {
-      const OutPort& op = router.port(p);
-      w.i64(op.busy_until);
-      w.size(op.queue.size());
-      for (const QueuedChunk& e : op.queue) w.u32(e.id);
-      w.i64(op.queued_bytes);
-      w.size(op.credits.size());
-      for (const Bytes c : op.credits) w.i64(c);
-      w.i32(op.last_vc_served);
-      w.i64(op.traffic);
-      w.i64(op.blocked_since);
-      w.i64(op.saturated_time);
-    }
+  // Framed per router, with no credits on terminal ports (format v4).
+  const auto ppr = static_cast<std::size_t>(topo_.ports_per_router());
+  w.size(ports_.size() / ppr);
+  for (std::size_t c = 0; c < ports_.size(); ++c) {
+    if (c % ppr == 0) w.i32(static_cast<std::int32_t>(ppr));
+    const OutPort& op = ports_[c];
+    w.i64(op.busy_until);
+    w.size(op.queue.size());
+    for (const QueuedChunk& e : op.queue) w.u32(e.id);
+    w.i64(op.queued_bytes);
+    const std::size_t ncredits = op.is_terminal() ? 0 : op.credits.size();
+    w.size(ncredits);
+    for (std::size_t vc = 0; vc < ncredits; ++vc) w.i64(op.credits[vc]);
+    w.i32(op.last_vc_served);
+    w.i64(op.traffic);
+    w.i64(op.blocked_since);
+    w.i64(op.saturated_time);
   }
 
   w.size(nics_.size());
@@ -460,16 +462,16 @@ void Network::load_state(ckpt::Reader& r) {
   }
   msgs_.restore(std::move(msg_slots), std::move(msg_free_list));
 
+  const int ppr = topo_.ports_per_router();
   const std::size_t nrouters = r.count(8);
-  if (nrouters != routers_.size()) bad_state("router count mismatch");
+  if (nrouters * static_cast<std::size_t>(ppr) != ports_.size()) bad_state("router count mismatch");
   // Queue entries are rebuilt from the chunks, so each queued chunk must sit
   // at a hop of its route that leaves through this very port, and only once.
   std::vector<bool> queued(size, false);
-  for (RouterId rid = 0; rid < static_cast<RouterId>(routers_.size()); ++rid) {
-    Router& router = routers_[rid];
-    if (r.i32() != router.num_ports()) bad_state("port count mismatch");
-    for (int p = 0; p < router.num_ports(); ++p) {
-      OutPort& op = router.port(p);
+  for (RouterId rid = 0; rid < static_cast<RouterId>(nrouters); ++rid) {
+    if (r.i32() != ppr) bad_state("port count mismatch");
+    for (int p = 0; p < ppr; ++p) {
+      OutPort& op = ports_[topo_.channel_id(rid, p)];
       op.busy_until = r.i64();
       const std::size_t qn = r.count(4);
       op.queue.clear();
@@ -488,8 +490,13 @@ void Network::load_state(ckpt::Reader& r) {
       }
       op.queued_bytes = r.i64();
       const std::size_t ncredits = r.count(8);
-      if (ncredits != op.credits.size()) bad_state("VC credit vector size mismatch");
-      for (Bytes& c : op.credits) c = r.i64();
+      if (ncredits != (op.is_terminal() ? 0 : op.credits.size()))
+        bad_state("VC credit vector size mismatch");
+      for (std::size_t vc = 0; vc < ncredits; ++vc) {
+        const Bytes c = r.i64();
+        if (c < 0 || c > params_.vc_buffer(op.kind)) bad_state("VC credit out of range");
+        op.credits[vc] = static_cast<std::int32_t>(c);
+      }
       op.last_vc_served = static_cast<std::int8_t>(r.i32());
       op.traffic = r.i64();
       op.blocked_since = r.i64();
@@ -535,20 +542,8 @@ void Network::load_state(ckpt::Reader& r) {
   if (!conservation_ok()) bad_state("conservation audit failed after restore");
 }
 
-std::vector<Bytes> Network::vc_occupancy() const {
-  std::vector<Bytes> occupancy(kMaxRouteHops, 0);
-  for (const Router& router : routers_) {
-    for (int p = 0; p < router.num_ports(); ++p) {
-      for (const QueuedChunk& e : router.port(p).queue) occupancy[e.vc] += e.bytes;
-    }
-  }
-  return occupancy;
-}
-
 void Network::finalize(SimTime end) {
-  for (Router& router : routers_) {
-    for (int p = 0; p < router.num_ports(); ++p) router.port(p).end_blocked(end);
-  }
+  for (OutPort& op : ports_) op.end_blocked(end);
   for (Nic& nic : nics_) nic.end_blocked(end);
 }
 

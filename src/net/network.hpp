@@ -1,6 +1,6 @@
 // The packet-level dragonfly network model.
 //
-// Network owns all routers and NICs, implements the event protocol
+// Network owns every output port and NIC, implements the event protocol
 // (store-and-forward chunks, output-port serialization, credit-based VC flow
 // control with credit-return latency) and records the four metrics of the
 // study: per-channel traffic, per-channel saturation time, per-source-node
@@ -23,12 +23,13 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "net/message.hpp"
 #include "net/nic.hpp"
 #include "net/params.hpp"
-#include "net/router.hpp"
+#include "net/port.hpp"
 #include "routing/algorithm.hpp"
 #include "sim/engine.hpp"
 #include "topo/dragonfly.hpp"
@@ -67,7 +68,11 @@ class Network : public EventHandler, public CongestionView {
   void finalize(SimTime end);
 
   // --- metric access ---
-  const Router& router(RouterId r) const { return routers_[r]; }
+  const OutPort& port(RouterId router, int port) const {
+    return ports_[topo_.channel_id(router, port)];
+  }
+  /// Every output port, indexed by channel id (DragonflyTopology::channel_id).
+  std::span<const OutPort> ports() const { return ports_; }
   const Nic& nic(NodeId n) const { return nics_[n]; }
   struct HopStats {
     std::uint64_t chunks = 0;
@@ -94,10 +99,7 @@ class Network : public EventHandler, public CongestionView {
     return bytes_injected() == bytes_delivered() + in_fabric_bytes();
   }
 
-  const Chunk& chunk(ChunkId id) const { return chunks_[id]; }
   const MessageRecord& message(MsgId id) const { return msgs_[id]; }
-  /// Bytes queued on router output ports, per VC (diagnostics).
-  std::vector<Bytes> vc_occupancy() const;
 
   const DragonflyTopology& topology() const { return topo_; }
   const NetworkParams& params() const { return params_; }
@@ -134,7 +136,7 @@ class Network : public EventHandler, public CongestionView {
   };
 
   void try_inject(NodeId node, SimTime now);
-  void try_send(RouterId router, int port, SimTime now);
+  void try_send(int channel, SimTime now);
   void release_if_done(MsgId id);
 
   Engine& engine_;
@@ -145,7 +147,8 @@ class Network : public EventHandler, public CongestionView {
   MessageSink* sink_;
   ChunkPathTracer* tracer_ = nullptr;
 
-  std::vector<Router> routers_;
+  std::vector<OutPort> ports_;       ///< indexed by channel id
+  std::vector<PortKind> port_kind_;  ///< per port index, the same on every router
   std::vector<Nic> nics_;
   ChunkPool chunks_;
   MessagePool msgs_;

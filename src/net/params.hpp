@@ -48,37 +48,25 @@ struct NetworkParams {
 
   /// Bandwidth of a channel of the given kind, in bytes per nanosecond.
   double bandwidth(PortKind kind) const {
-    switch (kind) {
-      case PortKind::Terminal: return units::gib_per_s(terminal_bandwidth_gib);
-      case PortKind::LocalRow:
-      case PortKind::LocalCol: return units::gib_per_s(local_bandwidth_gib);
-      case PortKind::Global: return units::gib_per_s(global_bandwidth_gib);
-    }
-    return 1.0;
+    return units::gib_per_s(
+        by_kind(kind, terminal_bandwidth_gib, local_bandwidth_gib, global_bandwidth_gib));
   }
-
   SimTime latency(PortKind kind) const {
-    switch (kind) {
-      case PortKind::Terminal: return terminal_latency;
-      case PortKind::LocalRow:
-      case PortKind::LocalCol: return local_latency;
-      case PortKind::Global: return global_latency;
-    }
-    return 0;
+    return by_kind(kind, terminal_latency, local_latency, global_latency);
   }
-
   /// Per-VC input buffer size on the downstream side of a channel.
   Bytes vc_buffer(PortKind kind) const {
-    switch (kind) {
-      case PortKind::Terminal: return terminal_vc_buffer;
-      case PortKind::LocalRow:
-      case PortKind::LocalCol: return local_vc_buffer;
-      case PortKind::Global: return global_vc_buffer;
-    }
-    return 0;
+    return by_kind(kind, terminal_vc_buffer, local_vc_buffer, global_vc_buffer);
   }
 
   void validate() const;
+
+ private:
+  /// The terminal, local (row or column) or global value.
+  template <typename T>
+  static T by_kind(PortKind kind, T terminal, T local, T global) {
+    return kind == PortKind::Terminal ? terminal : kind == PortKind::Global ? global : local;
+  }
 };
 
 }  // namespace dfly

@@ -231,10 +231,9 @@ bool write_heatmap_csv(const std::string& path, const Network& network, SimTime 
     out += ',';
   };
   for (RouterId r = 0; r < topo.params().total_routers(); ++r) {
-    const Router& router = network.router(r);
     if (out.size() >= std::size_t{1} << 16) flush();
-    for (int p = 0; p < router.num_ports(); ++p) {
-      const OutPort& port = router.port(p);
+    for (int p = 0; p < topo.ports_per_router(); ++p) {
+      const OutPort& port = network.port(r, p);
       const double capacity = params.bandwidth(port.kind) * static_cast<double>(end);
       const double util =
           capacity > 0 ? static_cast<double>(port.traffic) / capacity : 0.0;

@@ -18,7 +18,6 @@
 // adaptive routing reorders deliveries.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <limits>
 #include <vector>
@@ -103,7 +102,9 @@ class ReplayEngine : public EventHandler, public MessageSink {
     std::size_t cursor = 0;
     int outstanding_isends = 0;
     std::vector<PendingRecv> pending_recvs;
-    std::deque<ArrivedMsg> unexpected;
+    /// Arrivals no posted recv matched yet, in arrival order. A vector, not
+    /// a deque: an empty one owns no storage, and most ranks' stay empty.
+    std::vector<ArrivedMsg> unexpected;
     Block block = Block::None;
     SimTime finish = -1;
   };

@@ -70,7 +70,7 @@ std::vector<Bytes> same_vc_send_order(Arbitration policy) {
   Network network(engine, topo, params, routing, Rng(1));
   network.send(src, dst, 2 * params.chunk_bytes + params.chunk_bytes / 4);
 
-  const OutPort& port = network.router(from).port(topo.local_port_to(from, to));
+  const OutPort& port = network.port(from, topo.local_port_to(from, to));
   std::vector<Bytes> sent;
   Bytes traffic = 0;
   for (SimTime t = 0; engine.pending() > 0 && t < 100 * units::kMicrosecond; ++t) {

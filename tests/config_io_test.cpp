@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 
 namespace dfly {
@@ -96,6 +98,20 @@ TEST(ConfigIo, ValidatesResultingTopology) {
 
 TEST(ConfigIo, MissingFileThrows) {
   EXPECT_THROW(load_config("/no/such/config.conf"), std::runtime_error);
+}
+
+TEST(ConfigIo, RejectsChunkPast32Bits) {
+  // A 4 GiB chunk fits its (equally large) buffers, but chunk sizes are
+  // 32-bit inside the network: the config must fail, not truncate.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "dfly_config_chunk_past_32_bits.conf").string();
+  {
+    std::ofstream f(path);
+    f << "[network]\nchunk_bytes = 4294967296\nterminal_vc_buffer = 4294967296\n"
+         "local_vc_buffer = 4294967296\nglobal_vc_buffer = 4294967296\n";
+  }
+  EXPECT_THROW(load_config(path), std::invalid_argument);
+  std::filesystem::remove(path);
 }
 
 TEST(ConfigIo, ParsesHealthKeys) {

@@ -21,16 +21,12 @@ Totals tally(const Network& network) {
   Totals t;
   const DragonflyTopology& topo = network.topology();
   for (NodeId n = 0; n < topo.params().total_nodes(); ++n) t.injected += network.nic(n).traffic;
-  for (RouterId r = 0; r < topo.params().total_routers(); ++r) {
-    const Router& router = network.router(r);
-    for (int p = 0; p < router.num_ports(); ++p) {
-      const OutPort& port = router.port(p);
-      switch (port.kind) {
-        case PortKind::Terminal: t.ejected += port.traffic; break;
-        case PortKind::LocalRow:
-        case PortKind::LocalCol: t.local += port.traffic; break;
-        case PortKind::Global: t.global += port.traffic; break;
-      }
+  for (const OutPort& port : network.ports()) {
+    switch (port.kind) {
+      case PortKind::Terminal: t.ejected += port.traffic; break;
+      case PortKind::LocalRow:
+      case PortKind::LocalCol: t.local += port.traffic; break;
+      case PortKind::Global: t.global += port.traffic; break;
     }
   }
   return t;

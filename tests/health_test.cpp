@@ -142,7 +142,7 @@ TEST(Health, DrainingPortWithAStarvedIdleVcIsNotReported) {
                   EventPayload{});
 
   const int shared = topo.local_port_to(0, 1);
-  const OutPort& op = network.router(0).port(shared);
+  const OutPort& op = network.port(0, shared);
   int observed = 0;
   for (SimTime t = 0; engine.pending() > 0 && t < 100 * units::kMicrosecond; ++t) {
     engine.run_until(t);
@@ -180,7 +180,7 @@ TEST(Health, PortWhoseQueuedChunksDoNotFitIsReportedWithItsBlockedVc) {
   network.send(src, dst, 2 * params.chunk_bytes);
 
   const int port = topo.local_port_to(0, 1);
-  const OutPort& op = network.router(0).port(port);
+  const OutPort& op = network.port(0, port);
   int observed = 0;
   for (SimTime t = 0; engine.pending() > 0 && t < 100 * units::kMicrosecond; ++t) {
     engine.run_until(t);

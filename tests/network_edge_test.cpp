@@ -66,9 +66,8 @@ TEST(NetworkEdge, InterGroupDeliveryUsesGlobalChannel) {
   f.engine.run();
   Bytes global_traffic = 0;
   for (RouterId r = 0; r < f.topo.params().total_routers(); ++r) {
-    const Router& router = f.network.router(r);
     for (int p = f.topo.first_global_port(); p < f.topo.ports_per_router(); ++p)
-      global_traffic += router.port(p).traffic;
+      global_traffic += f.network.port(r, p).traffic;
   }
   EXPECT_EQ(global_traffic, 64 * units::kKiB) << "exactly one global crossing (minimal)";
 }
@@ -97,12 +96,12 @@ TEST(NetworkEdge, CongestionViewSeesQueuedBytes) {
   f.engine.run_until(3000);  // mid-flight
   Bytes max_queued = 0;
   for (RouterId r = 0; r < f.topo.params().total_routers(); ++r)
-    for (int p = 0; p < f.network.router(r).num_ports(); ++p)
+    for (int p = 0; p < f.topo.ports_per_router(); ++p)
       max_queued = std::max(max_queued, f.network.queued_bytes(r, p));
   EXPECT_GT(max_queued, 0);
   f.engine.run();
   for (RouterId r = 0; r < f.topo.params().total_routers(); ++r)
-    for (int p = 0; p < f.network.router(r).num_ports(); ++p)
+    for (int p = 0; p < f.topo.ports_per_router(); ++p)
       EXPECT_EQ(f.network.queued_bytes(r, p), 0);
 }
 
@@ -176,11 +175,8 @@ TEST(NetworkEdge, SaturationIntervalsCloseOnFinalize) {
   f.engine.run_until(5000);
   f.network.finalize(f.engine.now());
   // No port may report blocked_since still open after finalize.
-  for (RouterId r = 0; r < f.topo.params().total_routers(); ++r) {
-    const Router& router = f.network.router(r);
-    for (int p = 0; p < router.num_ports(); ++p)
-      EXPECT_LT(router.port(p).blocked_since, 0) << "open interval survived finalize";
-  }
+  for (const OutPort& port : f.network.ports())
+    EXPECT_LT(port.blocked_since, 0) << "open interval survived finalize";
 }
 
 }  // namespace

@@ -77,12 +77,12 @@ TEST_F(NetworkFixture, CreditsFullyRestoredAfterDrain) {
   }
   engine.run();
   for (RouterId r = 0; r < topo.params().total_routers(); ++r) {
-    const Router& router = network.router(r);
-    for (int p = 0; p < router.num_ports(); ++p) {
-      const OutPort& port = router.port(p);
+    for (int p = 0; p < topo.ports_per_router(); ++p) {
+      const OutPort& port = network.port(r, p);
       EXPECT_TRUE(port.queue.empty());
       EXPECT_EQ(port.queued_bytes, 0);
-      for (const Bytes c : port.credits)
+      if (port.is_terminal()) continue;  // the node sink needs no credits
+      for (const std::int32_t c : port.credits)
         EXPECT_EQ(c, params.vc_buffer(port.kind)) << "router " << r << " port " << p;
     }
   }
@@ -101,8 +101,7 @@ TEST_F(NetworkFixture, TrafficAccountingConservesBytes) {
   // Ejection terminal channel at the destination carries exactly the payload.
   const Coordinates& c = topo.coords();
   const NodeId dst = topo.params().total_nodes() - 1;
-  const Router& router = network.router(c.router_of_node(dst));
-  EXPECT_EQ(router.port(c.slot_of_node(dst)).traffic, size);
+  EXPECT_EQ(network.port(c.router_of_node(dst), c.slot_of_node(dst)).traffic, size);
   // Source NIC injected exactly the payload.
   EXPECT_EQ(network.nic(0).traffic, size);
 }
@@ -119,11 +118,7 @@ TEST_F(NetworkFixture, NoSaturationOnLightTraffic) {
   network.send(0, 1, 100);
   engine.run();
   network.finalize(engine.now());
-  for (RouterId r = 0; r < topo.params().total_routers(); ++r) {
-    const Router& router = network.router(r);
-    for (int p = 0; p < router.num_ports(); ++p)
-      EXPECT_EQ(router.port(p).saturated_time, 0);
-  }
+  for (const OutPort& port : network.ports()) EXPECT_EQ(port.saturated_time, 0);
 }
 
 TEST_F(NetworkFixture, HeavyFanInSaturatesAndStillDrains) {
@@ -138,11 +133,7 @@ TEST_F(NetworkFixture, HeavyFanInSaturatesAndStillDrains) {
   network.finalize(engine.now());
   EXPECT_EQ(network.bytes_delivered(), static_cast<Bytes>(nodes - 1) * 64 * units::kKiB);
   SimTime total_saturation = 0;
-  for (RouterId r = 0; r < topo.params().total_routers(); ++r) {
-    const Router& router = network.router(r);
-    for (int p = 0; p < router.num_ports(); ++p)
-      total_saturation += router.port(p).saturated_time;
-  }
+  for (const OutPort& port : network.ports()) total_saturation += port.saturated_time;
   EXPECT_GT(total_saturation, 0) << "fan-in must exhaust some buffers";
 }
 
@@ -155,6 +146,53 @@ TEST_F(NetworkFixture, MessagesRecycleUnderOpenLoopLoad) {
   }
 }
 
+TEST(PendingQueue, KeepsFifoOrderAndOwnsNoStorageWhenIdle) {
+  PendingQueue q;
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.capacity(), 0u) << "a fresh queue must not allocate";
+  MsgId next_in = 0, next_out = 0;
+  const auto pop = [&] {
+    ASSERT_FALSE(q.empty());
+    EXPECT_EQ(q.front().msg, next_out);
+    EXPECT_EQ(q.front().bytes_left, Bytes{10} * next_out);
+    ++next_out;
+    q.pop_front();
+  };
+  // Drain to empty twice, then interleave pushes and pops so the consumed
+  // prefix is compacted away while the queue never drains.
+  for (int round = 0; round < 2; ++round) {
+    for (int i = 0; i < 5; ++i, ++next_in) q.push_back(PendingMsg{next_in, Bytes{10} * next_in});
+    EXPECT_EQ(q.size(), 5u);
+    while (!q.empty()) pop();
+    EXPECT_EQ(q.capacity(), 0u) << "a drained queue must free its storage";
+  }
+  for (int i = 0; i < 1000; ++i) {
+    q.push_back(PendingMsg{next_in, Bytes{10} * next_in});
+    ++next_in;
+    if (i % 3 != 0) pop();
+  }
+  EXPECT_EQ(q.size(), static_cast<std::size_t>(next_in - next_out));
+  EXPECT_LE(q.capacity(), 4 * q.size()) << "the consumed prefix must not accumulate";
+  MsgId expect = next_out;
+  for (const PendingMsg& m : q) EXPECT_EQ(m.msg, expect++);
+  EXPECT_EQ(expect, next_in);
+  while (!q.empty()) pop();
+  EXPECT_EQ(q.capacity(), 0u);
+}
+
+TEST(NetworkLayout, IdleNicsOwnNoQueueStorage) {
+  Engine engine;
+  const DragonflyTopology topo(TopoParams::tiny());
+  const MinimalRouting routing(topo);
+  Network network(engine, topo, NetworkParams::theta(), routing, Rng(1));
+  network.send(0, 1, 64 * units::kKiB);
+  EXPECT_GT(network.nic(0).queue.capacity(), 0u);
+  EXPECT_EQ(network.nic(1).queue.capacity(), 0u);
+  engine.run();
+  for (NodeId n = 0; n < topo.params().total_nodes(); ++n)
+    EXPECT_EQ(network.nic(n).queue.capacity(), 0u) << "node " << n;
+}
+
 TEST(NetworkParams, ValidationRejectsNonsense) {
   NetworkParams p = NetworkParams::theta();
   p.chunk_bytes = 0;
@@ -165,6 +203,20 @@ TEST(NetworkParams, ValidationRejectsNonsense) {
   p = NetworkParams::theta();
   p.global_bandwidth_gib = 0;
   EXPECT_THROW(p.validate(), std::invalid_argument);
+  // Chunk sizes and VC credits are 32-bit: a larger chunk or buffer would be
+  // truncated further down, so validation must reject it.
+  const Bytes past_int32 = Bytes{1} << 31;
+  p = NetworkParams::theta();
+  p.chunk_bytes = p.terminal_vc_buffer = p.local_vc_buffer = p.global_vc_buffer = past_int32;
+  EXPECT_THROW(p.validate(), std::invalid_argument);
+  for (Bytes* buffer : {&p.terminal_vc_buffer, &p.local_vc_buffer, &p.global_vc_buffer}) {
+    p = NetworkParams::theta();
+    *buffer = past_int32;
+    EXPECT_THROW(p.validate(), std::invalid_argument);
+  }
+  p = NetworkParams::theta();
+  p.chunk_bytes = p.terminal_vc_buffer = p.local_vc_buffer = p.global_vc_buffer = past_int32 - 1;
+  EXPECT_NO_THROW(p.validate());
 }
 
 TEST(NetworkParams, ThetaMatchesPaperSectionII) {

@@ -5,6 +5,7 @@
 #include <optional>
 #include <set>
 
+#include "fnv1a.hpp"
 #include "routing/adaptive.hpp"
 #include "routing/adaptive_global.hpp"
 #include "routing/minimal.hpp"
@@ -316,16 +317,6 @@ class HashedCongestion : public CongestionView {
     h ^= h >> 32;
     if (h % 8 == 0) return 64 * units::kKiB;
     return static_cast<Bytes>(1 + (h >> 3) % 48) * 256;
-  }
-};
-
-struct Fnv1a {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  void add(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
   }
 };
 

@@ -157,7 +157,7 @@ TEST(Validation, BisectionPairingSaturatesGlobalLinks) {
   Bytes pair_traffic = 0;
   Bytes elsewhere = 0;
   for (const GlobalLink& link : topo.global_links(0, 1)) {
-    const Bytes t = network.router(link.src_router).port(link.src_port).traffic;
+    const Bytes t = network.port(link.src_router, link.src_port).traffic;
     EXPECT_GT(t, 0) << "every 0->1 global link should be used";
     pair_traffic += t;
   }
@@ -165,7 +165,7 @@ TEST(Validation, BisectionPairingSaturatesGlobalLinks) {
     for (GroupId b = 0; b < topo.params().groups; ++b) {
       if (a == b || (a == 0 && b == 1)) continue;
       for (const GlobalLink& link : topo.global_links(a, b))
-        elsewhere += network.router(link.src_router).port(link.src_port).traffic;
+        elsewhere += network.port(link.src_router, link.src_port).traffic;
     }
   }
   EXPECT_EQ(pair_traffic, static_cast<Bytes>(nodes_per_group) * size);
