@@ -120,16 +120,12 @@ const std::map<std::string, Setter>& setters() {
        set_int([](ExperimentOptions& o) -> SimTime& { return o.telemetry.snapshot_interval; })},
       {"prof.enabled",
        set_int([](ExperimentOptions& o) -> bool& { return o.prof.enabled; })},
-      {"checkpoint.interval_ns",
-       set_int([](ExperimentOptions& o) -> SimTime& { return o.checkpoint.interval; })},
       {"checkpoint.path",
        Setter([](ExperimentOptions& o, const std::string&, const std::string& v) {
          o.checkpoint.path = v;
        })},
       {"checkpoint.resume",
        set_int([](ExperimentOptions& o) -> bool& { return o.checkpoint.resume; })},
-      {"checkpoint.stop_after_ns",
-       set_int([](ExperimentOptions& o) -> SimTime& { return o.checkpoint.stop_after; })},
       {"experiment.seed",
        set_int([](ExperimentOptions& o) -> std::uint64_t& { return o.seed; })},
       {"experiment.msg_scale",
@@ -221,10 +217,8 @@ std::string render_config(const ExperimentOptions& o) {
   os << "\n[prof]\n";
   os << "enabled = " << (o.prof.enabled ? 1 : 0) << "\n";
   os << "\n[checkpoint]\n";
-  os << "interval_ns = " << o.checkpoint.interval << "\n";
   if (!o.checkpoint.path.empty()) os << "path = " << o.checkpoint.path << "\n";
   os << "resume = " << (o.checkpoint.resume ? 1 : 0) << "\n";
-  os << "stop_after_ns = " << o.checkpoint.stop_after << "\n";
   os << "\n[experiment]\n";
   os << "seed = " << o.seed << "\n";
   os << "msg_scale = " << o.msg_scale << "\n";

@@ -3,7 +3,6 @@
 #include <filesystem>
 #include <stdexcept>
 
-#include "ckpt/checkpoint.hpp"
 #include "prof/report.hpp"
 #include "replay/replay.hpp"
 #include "sim/engine.hpp"
@@ -69,12 +68,6 @@ ExperimentResult run_experiment(const Workload& workload, const ExperimentConfig
   std::optional<RunTelemetry> telemetry;
   if (options.telemetry.enabled) telemetry.emplace(engine, network, *routing, options.telemetry);
 
-  // Resuming restores every subsystem's state AND the engine's event queue,
-  // so none of the start() calls below may run — their events (and those
-  // events' successors) are already in the restored queue.
-  const bool resuming = options.checkpoint.resume && !options.checkpoint.path.empty() &&
-                        std::filesystem::exists(options.checkpoint.path);
-
   std::optional<BackgroundDriver> background;
   if (options.background) {
     std::vector<NodeId> rest = remaining_nodes(options.topo, placement);
@@ -83,7 +76,7 @@ ExperimentResult run_experiment(const Workload& workload, const ExperimentConfig
     // this boundary). The driver itself rejects < 2 nodes.
     if (rest.size() >= 2) {
       background.emplace(engine, network, std::move(rest), *options.background, master.fork(2));
-      if (!resuming) background->start();
+      background->start();
     }
   }
   if (background || telemetry) {
@@ -98,73 +91,28 @@ ExperimentResult run_experiment(const Workload& workload, const ExperimentConfig
 
   HealthMonitor monitor(engine, network, options.health);
   monitor.set_work_remaining([&replay] { return !replay.finished(); });
-  if (options.health.enabled && !resuming) monitor.start();
+  if (options.health.enabled) monitor.start();
   if (telemetry) {
     register_health_counters(telemetry->registry(), monitor);
-    if (!resuming) telemetry->start();
+    telemetry->start();
   }
 
-  ckpt::SimSnapshotParts parts;
-  parts.config = config.name();
-  parts.seed = options.seed;
-  parts.engine = &engine;
-  parts.network = &network;
-  parts.replay = &replay;
-  parts.background = background ? &*background : nullptr;
-  parts.monitor = &monitor;
-  parts.telemetry = telemetry ? &*telemetry : nullptr;
-
-  if (resuming) {
-    ckpt::load_checkpoint(options.checkpoint.path, parts);
-  } else {
-    replay.start();
-  }
-
-  const auto throughput_sample = [&] {
-    if (prof_ptr != nullptr)
-      prof_ptr->throughput().sample(engine.now(), engine.events_processed(),
-                                    network.chunks_forwarded());
-  };
+  replay.start();
 
   if (prof_ptr != nullptr) {
     prof_ptr->begin_run();
     prof_ptr->throughput().start(engine.now(), engine.events_processed(),
                                  network.chunks_forwarded());
   }
-
-  bool stopped_at_checkpoint = false;
-  if (options.checkpoint.active()) {
-    // Slice the run at checkpoint boundaries with run_slice. Dispatch order
-    // is strictly (time, seq) either way, so slicing — unlike a self-
-    // scheduling checkpoint event, which would consume sequence numbers —
-    // cannot perturb the simulation; and unlike run_until, run_slice leaves
-    // now() at the last event when the queue drains, so the final clock (and
-    // every time-normalized output) matches an unsliced run exactly.
-    const CheckpointOptions& ck = options.checkpoint;
-    SimTime next = engine.now() + ck.interval;
-    for (;;) {
-      engine.run_slice(next);
-      throughput_sample();
-      if (engine.pending() == 0 || engine.stop_requested() || engine.hit_event_limit()) break;
-      {
-        prof::ProfScope prof_scope(prof_ptr, prof::Subsystem::CheckpointIo);
-        ckpt::save_checkpoint(ck.path, parts);
-      }
-      if (ck.stop_after > 0 && engine.now() >= ck.stop_after) {
-        stopped_at_checkpoint = true;
-        break;
-      }
-      next += ck.interval;
-    }
-  } else {
-    engine.run();
-    throughput_sample();
+  engine.run();
+  if (prof_ptr != nullptr) {
+    prof_ptr->throughput().sample(engine.now(), engine.events_processed(),
+                                  network.chunks_forwarded());
+    prof_ptr->end_run();
   }
-  if (prof_ptr != nullptr) prof_ptr->end_run();
   network.finalize(engine.now());
 
-  if (!replay.finished() && !engine.hit_event_limit() && !monitor.stalled() &&
-      !stopped_at_checkpoint) {
+  if (!replay.finished() && !engine.hit_event_limit() && !monitor.stalled()) {
     // Hard deadlock (or a conservation failure stopped the engine): report
     // the structured simulation state, not just the rank count.
     HealthReport report = (monitor.deadlock_detected() || monitor.conservation_failed())
@@ -184,7 +132,6 @@ ExperimentResult run_experiment(const Workload& workload, const ExperimentConfig
   result.hit_event_limit = engine.hit_event_limit();
   result.stalled = monitor.stalled();
   result.conservation_ok = network.conservation_ok();
-  result.stopped_at_checkpoint = stopped_at_checkpoint;
   if (monitor.stalled() || monitor.conservation_failed())
     result.health_report = monitor.report().to_string();
   else if (engine.hit_event_limit())

@@ -39,21 +39,15 @@ std::vector<ExperimentConfig> table1_configs();
 /// The four extreme configurations used by the sensitivity study (§IV-B).
 std::vector<ExperimentConfig> extreme_configs();
 
-/// Periodic checkpointing and resume ([checkpoint] section of config files).
-/// With interval > 0 and a path set, run_experiment snapshots the complete
-/// simulation state every `interval` ns of simulated time; with resume set it
-/// restores from `path` (if the file exists) instead of starting from t=0,
-/// and the resumed run is bit-identical to the uninterrupted one.
+/// Sweep resume ([checkpoint] section of config files), read by run_matrix
+/// only: with a path set, every finished config leaves a result marker in
+/// that directory, and with resume set a config whose marker is there loads
+/// it instead of running again.
 struct CheckpointOptions {
-  SimTime interval = 0;  ///< ns between snapshots; 0 disables checkpointing
-  std::string path;      ///< snapshot file (run_matrix: a directory)
-  bool resume = false;   ///< restore from `path` when it exists
-  /// Test/kill-emulation hook: stop the run right after the first snapshot
-  /// taken at or past this time (0 = never). The result then carries
-  /// stopped_at_checkpoint instead of tripping the deadlock check.
-  SimTime stop_after = 0;
+  std::string path;     ///< marker directory; empty disables markers
+  bool resume = false;  ///< load a config's marker instead of re-running it
 
-  bool active() const { return interval > 0 && !path.empty(); }
+  bool active() const { return !path.empty(); }
 };
 
 struct ExperimentOptions {
@@ -72,7 +66,7 @@ struct ExperimentOptions {
   std::vector<int> faults;
   HealthOptions health;     ///< progress/conservation monitor settings
   TelemetryOptions telemetry;  ///< flight-recorder tracing + run artifacts
-  CheckpointOptions checkpoint;  ///< periodic snapshots + resume (src/ckpt/)
+  CheckpointOptions checkpoint;  ///< run_matrix result markers + resume
   /// [prof] wall-clock self-profiling (src/prof/, DESIGN.md §11): sampled,
   /// exclusive layer attribution into prof.json. Never perturbs the
   /// simulation or its other artifacts.
@@ -97,8 +91,7 @@ struct ExperimentResult {
   std::string telemetry_dir;  ///< artifact directory; empty on export failure
   std::uint64_t trace_chunks_seen = 0;
   std::uint64_t trace_chunks_sampled = 0;
-  /// CheckpointOptions::stop_after halted the run mid-simulation; the metrics
-  /// are partial and the run is meant to be resumed from the snapshot.
+  /// perfbench shim: always false (there is no mid-run stop), not exported.
   bool stopped_at_checkpoint = false;
 };
 

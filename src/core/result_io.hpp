@@ -1,54 +1,45 @@
-// Binary snapshot I/O primitives for the checkpoint/restore layer.
+// Result markers: the on-disk form of one finished experiment, written by
+// run_matrix so an interrupted sweep resumes config by config (DESIGN.md §9).
 //
-// A snapshot file is:
+// A marker file is:
 //   magic "DFCK" | u32 version | u32 byte-order sentinel | u8 kind |
 //   u64 payload size | payload bytes | u32 CRC-32 of the payload
 //
-// Writer accumulates the payload in memory; write_snapshot_file() frames it
+// Writer accumulates the payload in memory; write_marker_file() frames it
 // and writes atomically AND durably: tmp file, write, fsync(file), rename,
 // fsync(parent directory) — a full disk fails loudly at save time, never as
-// a silently truncated snapshot discovered at resume time, and a snapshot
-// that save_checkpoint returned from survives power loss.
+// a silently truncated marker discovered at resume time, and a marker that
+// save_result returned from survives power loss.
 //
 // Reader parses a validated payload with bounds-checked reads: every count is
 // capped by the bytes actually remaining in the buffer, so a corrupt or
-// hostile snapshot can throw but never drive an unbounded allocation. The
-// CRC rejects bit flips before any field is interpreted.
+// hostile marker can throw but never drive an unbounded allocation. The CRC
+// rejects bit flips before any field is interpreted.
 #pragma once
 
 #include <bit>
 #include <cstdint>
 #include <string>
 #include <type_traits>
-#include <vector>
 
-namespace dfly::ckpt {
+namespace dfly {
+
+struct ExperimentResult;
+
+namespace result_io {
 
 // The on-disk format is little-endian and written by memcpy of native values.
 static_assert(std::endian::native == std::endian::little,
-              "checkpoint format requires a little-endian host");
+              "the result-marker format requires a little-endian host");
 
-// v2: the engine section gained a leading mode byte and the network and
-// tracer sections became lists of per-lane blocks (chunk arenas, counter
-// blocks, tracer lanes), plus chunk trace serials. The sharded engine that
-// wrote other values is gone: snapshots are written, and only accepted, with
-// mode byte 0 and exactly one block in each list.
-// v3: the topology link-state and fault-injector sections and every drop /
-// retransmit field are gone (the topology is immutable during a run); the
-// handler registry and the subsystem presence mask lost the injector slot.
-// v4: the scheduler section is the wheel's clock, the pending events in
-// (time, seq) order and three stats counters; the calendar layout, width,
-// dispatch-gap ring and retune cooldown are gone.
+// Versions 1-4 also framed whole-simulation snapshots; the result payload
+// has not changed since v4, so v4 markers still load.
 inline constexpr std::uint32_t kFormatVersion = 4;
 /// Value of the byte-order sentinel field as written; a byte-swapped file
 /// reads back 0x04030201 and is rejected with a clear message.
 inline constexpr std::uint32_t kByteOrderSentinel = 0x01020304u;
-
-/// Payload kind, so a sweep-result file is never fed to the state loader.
-enum class SnapshotKind : std::uint8_t { SimState = 1, SweepResult = 2 };
-
-/// CRC-32 (IEEE, reflected) over `size` bytes, seedable for incremental use.
-std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed = 0);
+/// The kind byte of a result marker (1 was the retired simulation snapshot).
+inline constexpr std::uint8_t kResultKind = 2;
 
 class Writer {
  public:
@@ -102,7 +93,7 @@ class Reader {
     // The byte image must be the value itself: fixed-width integer scalars
     // only, so the little-endian static_assert above covers every field.
     static_assert(std::is_trivially_copyable_v<T> && std::is_integral_v<T>,
-                  "snapshot format reads fixed-width integer scalars only");
+                  "the marker format reads fixed-width integer scalars only");
     need(sizeof(T));
     T v;
     __builtin_memcpy(&v, data_, sizeof v);
@@ -117,13 +108,18 @@ class Reader {
 
 /// Frames `payload` (header + CRC) and writes it to `path` atomically via a
 /// sibling tmp file + rename, fsyncing both the file and its parent
-/// directory so the snapshot is durable once this returns. Throws
+/// directory so the marker is durable once this returns. Throws
 /// std::runtime_error on any I/O failure, including a short write.
-void write_snapshot_file(const std::string& path, SnapshotKind kind, const std::string& payload);
+void write_marker_file(const std::string& path, const std::string& payload);
 
-/// Reads and validates a snapshot file: magic, version, byte order, kind,
-/// size and CRC must all check out. Returns the payload. Throws
+/// Reads and validates a marker file: magic, version, byte order, kind, size
+/// and CRC must all check out. Returns the payload. Throws
 /// std::runtime_error with a specific message on every corruption mode.
-std::string read_snapshot_file(const std::string& path, SnapshotKind kind);
+std::string read_marker_file(const std::string& path);
 
-}  // namespace dfly::ckpt
+/// Writes / reads the result of one finished experiment.
+void save_result(const std::string& path, const ExperimentResult& result);
+ExperimentResult load_result(const std::string& path);
+
+}  // namespace result_io
+}  // namespace dfly

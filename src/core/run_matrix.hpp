@@ -16,11 +16,13 @@ namespace dfly {
 /// Exceptions from worker runs are rethrown on the calling thread.
 ///
 /// With options.checkpoint active, options.checkpoint.path names a DIRECTORY:
-/// each in-flight config checkpoints to <dir>/<config>.ckpt and drops a
-/// <dir>/<config>.done result marker on completion. With checkpoint.resume
-/// set, configs with a .done marker are loaded from it and skipped, and
-/// configs with a .ckpt resume mid-run — so an interrupted sweep picks up
-/// where it left off.
+/// each finished config drops a <dir>/<config>.<fingerprint>.done result
+/// marker, the fingerprint being 16 hex digits of a hash over the workload's
+/// trace, the options (less [checkpoint]), the background spec and the
+/// config name. With checkpoint.resume set, a config whose marker exists is
+/// loaded from it and skipped, so an interrupted sweep re-runs only the
+/// configs it had not finished, and a marker never answers for a different
+/// workload, scale, seed or background.
 std::vector<ExperimentResult> run_matrix(const Workload& workload,
                                          const std::vector<ExperimentConfig>& configs,
                                          const ExperimentOptions& options, int threads = 0);

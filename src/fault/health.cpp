@@ -4,8 +4,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "ckpt/snapshot_io.hpp"
-
 namespace dfly {
 
 namespace {
@@ -150,28 +148,6 @@ void HealthMonitor::handle_event(SimTime now, const EventPayload& /*payload*/) {
     last_delivered_ = delivered;
   }
   engine_.schedule_after(options_.interval, this, EventPayload{});
-}
-
-void HealthMonitor::save_state(ckpt::Writer& w) const {
-  w.i64(last_injected_);
-  w.i64(last_delivered_);
-  w.i32(idle_ticks_);
-  w.u64(ticks_);
-  w.boolean(deadlock_);
-  w.boolean(stalled_);
-  w.boolean(conservation_failed_);
-}
-
-void HealthMonitor::load_state(ckpt::Reader& r) {
-  last_injected_ = r.i64();
-  last_delivered_ = r.i64();
-  idle_ticks_ = r.i32();
-  ticks_ = r.u64();
-  deadlock_ = r.boolean();
-  stalled_ = r.boolean();
-  conservation_failed_ = r.boolean();
-  if (idle_ticks_ < 0 || idle_ticks_ > options_.stall_ticks)
-    throw std::runtime_error("snapshot: health idle-tick counter out of range");
 }
 
 }  // namespace dfly

@@ -96,12 +96,6 @@ class HealthMonitor : public EventHandler {
   const HealthReport& report() const { return report_; }
   std::uint64_t ticks() const { return ticks_; }
 
-  /// Checkpoint support (src/ckpt/): progress watermarks and tick counters.
-  /// The failure report is not serialized — a run that tripped deadlock or
-  /// stall detection has already stopped and is not checkpointable.
-  void save_state(ckpt::Writer& w) const;
-  void load_state(ckpt::Reader& r);
-
  private:
   Engine& engine_;
   const Network& network_;

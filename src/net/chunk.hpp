@@ -39,8 +39,7 @@ static_assert(alignof(Chunk) == 64, "a chunk must start on a cache line");
 class ChunkPool {
  public:
   static constexpr std::size_t kBlockSize = 4096;
-  /// Pool capacity; allocation past it is a bug, and the checkpoint loader
-  /// rejects larger pools.
+  /// Pool capacity (4M chunks, 512 MiB of slots); allocating past it is a bug.
   static constexpr std::uint32_t kMaxChunks = std::uint32_t{1} << 22;
 
   ChunkId allocate() {
@@ -61,30 +60,6 @@ class ChunkPool {
 
   Chunk& operator[](ChunkId id) { return blocks_[id / kBlockSize][id % kBlockSize]; }
   const Chunk& operator[](ChunkId id) const { return blocks_[id / kBlockSize][id % kBlockSize]; }
-
-  /// True when `id` names a slot that exists (allocated or free) — the
-  /// checkpoint loader's bounds check.
-  bool valid(ChunkId id) const { return id < size_; }
-
-  /// Slots ever created (allocated or free).
-  std::size_t capacity() const { return size_; }
-
-  // --- checkpoint support: raw slot/free-list access ---
-  // The free list's order matters (allocate pops from the back), so restore
-  // takes it verbatim rather than recomputing it.
-  const std::vector<ChunkId>& free_list() const { return free_; }
-  /// Recreates the pool with `size` value-initialized slots and an empty free
-  /// list; the caller then fills live slots through operator[] and installs
-  /// the free list with set_free_list.
-  void restore(std::uint32_t size) {
-    blocks_.clear();
-    for (std::size_t made = 0; made < size; made += kBlockSize)
-      blocks_.push_back(std::make_unique<Chunk[]>(kBlockSize));
-    size_ = size;
-    free_.clear();
-  }
-  /// Installs a restored free list verbatim without touching the slots.
-  void set_free_list(std::vector<ChunkId> free_list) { free_ = std::move(free_list); }
 
  private:
   std::vector<std::unique_ptr<Chunk[]>> blocks_;

@@ -60,14 +60,6 @@ class MessagePool {
   const MessageRecord& operator[](MsgId id) const { return records_[id]; }
   std::size_t in_flight() const { return records_.size() - free_.size(); }
 
-  // --- checkpoint support: raw slot/free-list access (order-preserving) ---
-  const std::vector<MessageRecord>& slots() const { return records_; }
-  const std::vector<MsgId>& free_slots() const { return free_; }
-  void restore(std::vector<MessageRecord> slots, std::vector<MsgId> free_list) {
-    records_ = std::move(slots);
-    free_ = std::move(free_list);
-  }
-
  private:
   std::vector<MessageRecord> records_;
   std::vector<MsgId> free_;

@@ -5,7 +5,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "ckpt/snapshot_io.hpp"
 #include "obs/trace.hpp"
 #include "prof/profiler.hpp"
 
@@ -294,252 +293,6 @@ void Network::handle_event(SimTime now, const EventPayload& payload) {
     default:
       assert(false && "unknown event kind");
   }
-}
-
-namespace {
-
-[[noreturn]] void bad_state(const char* what) {
-  throw std::runtime_error(std::string("snapshot: network state invalid: ") + what);
-}
-
-void save_route(ckpt::Writer& w, const Route& route) {
-  w.u8(static_cast<std::uint8_t>(route.size()));
-  for (int i = 0; i < route.size(); ++i) {
-    const Hop& hop = route[i];
-    w.i32(hop.router);
-    w.i32(hop.port);
-    w.i32(hop.vc);
-  }
-}
-
-Route load_route(ckpt::Reader& r) {
-  const std::uint8_t len = r.u8();
-  if (len > kMaxRouteHops) bad_state("route too long");
-  Route route;
-  for (int i = 0; i < len; ++i) {
-    const RouterId router = r.i32();
-    const int port = r.i32();
-    const int vc = r.i32();
-    if (vc != i) bad_state("route VC out of sequence");
-    route.push(router, port);
-  }
-  return route;
-}
-
-}  // namespace
-
-void Network::save_state(ckpt::Writer& w) const {
-  // The chunk pool (before routers/NICs so their queues can be validated
-  // against it at load time), framed as the format-v2 list of arenas: always
-  // exactly one.
-  w.u32(1);
-  const auto size = static_cast<std::uint32_t>(chunks_.capacity());
-  w.u32(size);
-  for (ChunkId cid = 0; cid < size; ++cid) {
-    const Chunk& chunk = chunks_[cid];
-    w.u32(chunk.msg);
-    w.i32(chunk.bytes);
-    w.u8(static_cast<std::uint8_t>(chunk.hop_idx));
-    w.u64(chunk.trace_serial);
-    save_route(w, chunk.route);
-  }
-  w.size(chunks_.free_list().size());
-  for (const ChunkId id : chunks_.free_list()) w.u32(id);
-
-  w.size(msgs_.slots().size());
-  for (const MessageRecord& m : msgs_.slots()) {
-    w.i32(m.src);
-    w.i32(m.dst);
-    w.i64(m.total);
-    w.i64(m.injected);
-    w.i64(m.delivered);
-    w.u64(m.user_data);
-    w.boolean(m.notify_injected);
-    w.boolean(m.notify_delivered);
-    w.boolean(m.active);
-  }
-  w.size(msgs_.free_slots().size());
-  for (const MsgId id : msgs_.free_slots()) w.u32(id);
-
-  // Framed per router, with no credits on terminal ports (format v4).
-  const auto ppr = static_cast<std::size_t>(topo_.ports_per_router());
-  w.size(ports_.size() / ppr);
-  for (std::size_t c = 0; c < ports_.size(); ++c) {
-    if (c % ppr == 0) w.i32(static_cast<std::int32_t>(ppr));
-    const OutPort& op = ports_[c];
-    w.i64(op.busy_until);
-    w.size(op.queue.size());
-    for (const QueuedChunk& e : op.queue) w.u32(e.id);
-    w.i64(op.queued_bytes);
-    const std::size_t ncredits = op.is_terminal() ? 0 : op.credits.size();
-    w.size(ncredits);
-    for (std::size_t vc = 0; vc < ncredits; ++vc) w.i64(op.credits[vc]);
-    w.i32(op.last_vc_served);
-    w.i64(op.traffic);
-    w.i64(op.blocked_since);
-    w.i64(op.saturated_time);
-  }
-
-  w.size(nics_.size());
-  for (const Nic& nic : nics_) {
-    w.i64(nic.busy_until);
-    w.size(nic.queue.size());
-    for (const PendingMsg& pm : nic.queue) {
-      w.u32(pm.msg);
-      w.i64(pm.bytes_left);
-    }
-    w.i64(nic.credits);
-    w.i64(nic.traffic);
-    w.i64(nic.blocked_since);
-    w.i64(nic.saturated_time);
-  }
-
-  w.size(hop_stats_.size());
-  for (const HopStats& hs : hop_stats_) {
-    w.u64(hs.chunks);
-    w.u64(hs.routers_sum);
-  }
-
-  w.u32(1);  // counter blocks: format v2 frames a list, always exactly one
-  w.u64(totals_.chunks_forwarded);
-  w.i64(totals_.bytes_delivered);
-  w.i64(totals_.bytes_injected);
-  w.i64(totals_.in_fabric);
-  for (const std::uint64_t word : rng_.state()) w.u64(word);
-}
-
-void Network::load_state(ckpt::Reader& r) {
-  if (r.u32() != 1)
-    bad_state("chunk arena count is not 1; sharded snapshots are no longer supported");
-  const std::uint32_t size = r.u32();
-  if (size > ChunkPool::kMaxChunks) bad_state("chunk pool size out of range");
-  chunks_.restore(size);
-  for (ChunkId cid = 0; cid < size; ++cid) {
-    Chunk& chunk = chunks_[cid];
-    chunk.msg = r.u32();
-    chunk.bytes = r.i32();
-    chunk.hop_idx = static_cast<std::int8_t>(r.u8());
-    chunk.trace_serial = r.u64();
-    chunk.route = load_route(r);
-    if (chunk.hop_idx < 0 || chunk.hop_idx > chunk.route.size())
-      bad_state("chunk hop index past route end");
-  }
-  const std::size_t nfree = r.count(4);
-  if (nfree > size) bad_state("chunk free list larger than pool");
-  std::vector<ChunkId> free_list;
-  free_list.reserve(nfree);
-  for (std::size_t i = 0; i < nfree; ++i) {
-    const ChunkId id = r.u32();
-    if (id >= size) bad_state("chunk free-list id out of range");
-    free_list.push_back(id);
-  }
-  chunks_.set_free_list(std::move(free_list));
-
-  const std::size_t msg_cap = r.count(16);
-  std::vector<MessageRecord> msg_slots;
-  msg_slots.reserve(msg_cap);
-  for (std::size_t i = 0; i < msg_cap; ++i) {
-    MessageRecord m;
-    m.src = r.i32();
-    m.dst = r.i32();
-    m.total = r.i64();
-    m.injected = r.i64();
-    m.delivered = r.i64();
-    m.user_data = r.u64();
-    m.notify_injected = r.boolean();
-    m.notify_delivered = r.boolean();
-    m.active = r.boolean();
-    msg_slots.push_back(m);
-  }
-  const std::size_t msg_free = r.count(4);
-  if (msg_free > msg_cap) bad_state("message free list larger than pool");
-  std::vector<MsgId> msg_free_list;
-  msg_free_list.reserve(msg_free);
-  for (std::size_t i = 0; i < msg_free; ++i) {
-    const MsgId id = r.u32();
-    if (id >= msg_cap) bad_state("message free-list id out of range");
-    msg_free_list.push_back(id);
-  }
-  msgs_.restore(std::move(msg_slots), std::move(msg_free_list));
-
-  const int ppr = topo_.ports_per_router();
-  const std::size_t nrouters = r.count(8);
-  if (nrouters * static_cast<std::size_t>(ppr) != ports_.size()) bad_state("router count mismatch");
-  // Queue entries are rebuilt from the chunks, so each queued chunk must sit
-  // at a hop of its route that leaves through this very port, and only once.
-  std::vector<bool> queued(size, false);
-  for (RouterId rid = 0; rid < static_cast<RouterId>(nrouters); ++rid) {
-    if (r.i32() != ppr) bad_state("port count mismatch");
-    for (int p = 0; p < ppr; ++p) {
-      OutPort& op = ports_[topo_.channel_id(rid, p)];
-      op.busy_until = r.i64();
-      const std::size_t qn = r.count(4);
-      op.queue.clear();
-      op.queue.reserve(qn);
-      for (std::size_t i = 0; i < qn; ++i) {
-        const ChunkId id = r.u32();
-        if (!chunks_.valid(id)) bad_state("queued chunk id out of range");
-        if (queued[id]) bad_state("chunk queued twice");
-        queued[id] = true;
-        const Chunk& chunk = chunks_[id];
-        if (chunk.hop_idx >= chunk.route.size()) bad_state("queued chunk has no current hop");
-        const Hop& hop = chunk.route[chunk.hop_idx];
-        if (hop.router != rid || hop.port != p)
-          bad_state("queued chunk's current hop is another port");
-        op.queue.push_back(QueuedChunk{id, chunk.bytes, hop.vc});
-      }
-      op.queued_bytes = r.i64();
-      const std::size_t ncredits = r.count(8);
-      if (ncredits != (op.is_terminal() ? 0 : op.credits.size()))
-        bad_state("VC credit vector size mismatch");
-      for (std::size_t vc = 0; vc < ncredits; ++vc) {
-        const Bytes c = r.i64();
-        if (c < 0 || c > params_.vc_buffer(op.kind)) bad_state("VC credit out of range");
-        op.credits[vc] = static_cast<std::int32_t>(c);
-      }
-      op.last_vc_served = static_cast<std::int8_t>(r.i32());
-      op.traffic = r.i64();
-      op.blocked_since = r.i64();
-      op.saturated_time = r.i64();
-    }
-  }
-
-  const std::size_t nnics = r.count(16);
-  if (nnics != nics_.size()) bad_state("NIC count mismatch");
-  for (Nic& nic : nics_) {
-    nic.busy_until = r.i64();
-    const std::size_t qn = r.count(12);
-    nic.queue.clear();
-    for (std::size_t i = 0; i < qn; ++i) {
-      PendingMsg pm;
-      pm.msg = r.u32();
-      if (pm.msg >= msgs_.slots().size()) bad_state("pending message id out of range");
-      pm.bytes_left = r.i64();
-      nic.queue.push_back(pm);
-    }
-    nic.credits = r.i64();
-    nic.traffic = r.i64();
-    nic.blocked_since = r.i64();
-    nic.saturated_time = r.i64();
-  }
-
-  const std::size_t nhops = r.count(16);
-  if (nhops != hop_stats_.size()) bad_state("hop-stats size mismatch");
-  for (HopStats& hs : hop_stats_) {
-    hs.chunks = r.u64();
-    hs.routers_sum = r.u64();
-  }
-
-  if (r.u32() != 1)
-    bad_state("counter block count is not 1; sharded snapshots are no longer supported");
-  totals_.chunks_forwarded = r.u64();
-  totals_.bytes_delivered = r.i64();
-  totals_.bytes_injected = r.i64();
-  totals_.in_fabric = r.i64();
-  std::array<std::uint64_t, 4> rng_state;
-  for (std::uint64_t& word : rng_state) word = r.u64();
-  rng_.set_state(rng_state);
-  if (!conservation_ok()) bad_state("conservation audit failed after restore");
 }
 
 void Network::finalize(SimTime end) {

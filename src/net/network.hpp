@@ -104,16 +104,6 @@ class Network : public EventHandler, public CongestionView {
   const DragonflyTopology& topology() const { return topo_; }
   const NetworkParams& params() const { return params_; }
 
-  /// Checkpoint support (src/ckpt/): serializes every piece of fabric state —
-  /// per-port queues/credits/metrics, NIC queues, the chunk and message pools
-  /// with their free lists, hop stats, the conservation counters and the
-  /// routing RNG stream. load_state validates structural invariants (port
-  /// counts, pool indices, route lengths) and throws std::runtime_error on any
-  /// mismatch; it requires a freshly constructed Network over the same
-  /// topology and parameters.
-  void save_state(ckpt::Writer& w) const;
-  void load_state(ckpt::Reader& r);
-
  private:
   enum EventKind : std::int32_t {
     kChunkArrive = 1,    // a=chunk, b=router
@@ -123,8 +113,6 @@ class Network : public EventHandler, public CongestionView {
     kNicFree = 5,        // b=node
     kDeliver = 6,        // a=chunk
     kMsgInjected = 7,    // b=msg
-    // Pending events in checkpoints store these numbers: never renumber
-    // them, and do not reuse the retired 8, 9 and 10.
   };
 
   /// Network-wide byte/chunk counters (conservation audit and telemetry).

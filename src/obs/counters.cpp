@@ -3,7 +3,6 @@
 #include <ostream>
 #include <stdexcept>
 
-#include "ckpt/snapshot_io.hpp"
 #include "obs/json.hpp"
 
 namespace dfly {
@@ -91,40 +90,6 @@ void CounterProbe::handle_event(SimTime now, const EventPayload& /*payload*/) {
   if (stopped_) return;
   sample_now(now);
   engine_.schedule_after(interval_, this, EventPayload{1, 0, 0, 0});
-}
-
-void CounterProbe::save_state(ckpt::Writer& w) const {
-  w.boolean(started_);
-  w.boolean(stopped_);
-  w.size(snapshots_.size());
-  for (const CounterSnapshot& s : snapshots_) {
-    w.i64(s.time);
-    w.size(s.values.size());
-    for (const auto& [name, value] : s.values) {
-      w.str(name);
-      w.i64(value);
-    }
-  }
-}
-
-void CounterProbe::load_state(ckpt::Reader& r) {
-  started_ = r.boolean();
-  stopped_ = r.boolean();
-  const std::size_t nsnaps = r.count(16);
-  snapshots_.clear();
-  snapshots_.reserve(nsnaps);
-  for (std::size_t i = 0; i < nsnaps; ++i) {
-    CounterSnapshot s;
-    s.time = r.i64();
-    const std::size_t nvalues = r.count(16);
-    s.values.reserve(nvalues);
-    for (std::size_t j = 0; j < nvalues; ++j) {
-      std::string name = r.str();
-      const std::int64_t value = r.i64();
-      s.values.emplace_back(std::move(name), value);
-    }
-    snapshots_.push_back(std::move(s));
-  }
 }
 
 }  // namespace dfly

@@ -99,13 +99,6 @@ class CounterProbe : public EventHandler {
   void handle_event(SimTime now, const EventPayload& payload) override;
   prof::Layer prof_layer() const override { return prof::Layer::Telemetry; }
 
-  /// Checkpoint support (src/ckpt/): start/stop flags and the snapshot
-  /// history so a resumed run's counters.jsonl matches the straight-through
-  /// run byte for byte. The next periodic probe event is restored with the
-  /// engine's queue.
-  void save_state(ckpt::Writer& w) const;
-  void load_state(ckpt::Reader& r);
-
  private:
   Engine& engine_;
   const CounterRegistry& registry_;

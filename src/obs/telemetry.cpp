@@ -6,7 +6,6 @@
 #include <fstream>
 #include <stdexcept>
 
-#include "ckpt/snapshot_io.hpp"
 #include "core/experiment.hpp"
 #include "fault/health.hpp"
 #include "net/network.hpp"
@@ -92,40 +91,6 @@ RunTelemetry::RunTelemetry(Engine& engine, Network& network, RoutingAlgorithm& r
 RunTelemetry::~RunTelemetry() {
   network_.set_tracer(nullptr);
   routing_.set_telemetry(nullptr);
-}
-
-void RunTelemetry::save_state(ckpt::Writer& w) const {
-  tracer_.save_state(w);
-  trace_.save_state(w);
-  probe_.save_state(w);
-  const std::vector<RouteDecisionStats>& per_source = routing_stats_.per_source();
-  w.size(per_source.size());
-  for (const RouteDecisionStats& d : per_source) {
-    w.u64(d.minimal);
-    w.u64(d.nonminimal);
-    w.f64(d.winning_score_sum);
-    w.f64(d.minimal_score_sum);
-    w.f64(d.nonminimal_score_sum);
-  }
-}
-
-void RunTelemetry::load_state(ckpt::Reader& r) {
-  tracer_.load_state(r);
-  trace_.load_state(r);
-  probe_.load_state(r);
-  const std::size_t nsources = r.count(40);
-  std::vector<RouteDecisionStats> per_source;
-  per_source.reserve(nsources);
-  for (std::size_t i = 0; i < nsources; ++i) {
-    RouteDecisionStats d;
-    d.minimal = r.u64();
-    d.nonminimal = r.u64();
-    d.winning_score_sum = r.f64();
-    d.minimal_score_sum = r.f64();
-    d.nonminimal_score_sum = r.f64();
-    per_source.push_back(d);
-  }
-  routing_stats_.restore(std::move(per_source));
 }
 
 namespace {

@@ -67,13 +67,6 @@ class RunTelemetry {
   /// Takes the final end-of-run counter snapshot.
   void finish(SimTime end) { probe_.sample_now(end); }
 
-  /// Checkpoint support (src/ckpt/): tracer state, buffered chrome-trace
-  /// hops, routing-decision stats and the probe's snapshot history. The
-  /// registry itself is not serialized — every counter here is a polled
-  /// source whose value lives in (and is restored with) its subsystem.
-  void save_state(ckpt::Writer& w) const;
-  void load_state(ckpt::Reader& r);
-
   const TelemetryOptions& options() const { return options_; }
   CounterRegistry& registry() { return registry_; }
   CounterProbe& probe() { return probe_; }

@@ -7,9 +7,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <type_traits>
 
-#include "ckpt/snapshot_io.hpp"
 #include "obs/json.hpp"
 
 namespace dfly {
@@ -65,118 +63,6 @@ void ChunkPathTracer::on_transmit_start(std::uint64_t serial, SimTime start, Sim
 void ChunkPathTracer::on_delivered(std::uint64_t serial, SimTime now) {
   --live_;
   sink_.on_chunk_closed(serial, now);
-}
-
-namespace {
-
-void save_hop(ckpt::Writer& w, const HopEvent& hop) {
-  w.u64(hop.chunk);
-  w.u32(hop.msg);
-  w.i32(hop.src);
-  w.i32(hop.dst);
-  w.i32(hop.router);
-  w.i32(hop.port);
-  w.i32(hop.vc);
-  w.u8(static_cast<std::uint8_t>(hop.kind));
-  w.i64(hop.bytes);
-  w.i64(hop.queue_depth);
-  w.i64(hop.enqueue_time);
-  w.i64(hop.start_time);
-  w.i64(hop.end_time);
-}
-
-/// Serialized size of one HopEvent, for Reader::count plausibility caps.
-constexpr std::size_t kHopBytes = 8 + 4 + 4 * 5 + 1 + 8 * 5;
-// Pin the frame arithmetic to the field layout save_hop/load_hop actually
-// write: u64 chunk + u32 msg + i32 x {src,dst,router,port,vc} + u8 kind +
-// i64 x {bytes,queue_depth,enqueue,start,end}. If a field is added the sum
-// breaks here instead of as a corrupt-looking snapshot at resume time.
-static_assert(std::is_trivially_copyable_v<HopEvent>,
-              "HopEvent is snapshot-framed and must stay trivially copyable");
-static_assert(kHopBytes == sizeof(std::uint64_t) + sizeof(std::uint32_t) +
-                               5 * sizeof(std::int32_t) + sizeof(std::uint8_t) +
-                               5 * sizeof(std::int64_t),
-              "kHopBytes must match the save_hop field framing");
-
-HopEvent load_hop(ckpt::Reader& r) {
-  HopEvent hop;
-  hop.chunk = r.u64();
-  hop.msg = r.u32();
-  hop.src = r.i32();
-  hop.dst = r.i32();
-  hop.router = r.i32();
-  hop.port = static_cast<std::int16_t>(r.i32());
-  hop.vc = static_cast<std::int8_t>(r.i32());
-  const std::uint8_t kind = r.u8();
-  if (kind > static_cast<std::uint8_t>(PortKind::Global))
-    throw std::runtime_error("snapshot: invalid port kind in hop record");
-  hop.kind = static_cast<PortKind>(kind);
-  hop.bytes = r.i64();
-  hop.queue_depth = r.i64();
-  hop.enqueue_time = r.i64();
-  hop.start_time = r.i64();
-  hop.end_time = r.i64();
-  return hop;
-}
-
-}  // namespace
-
-void ChunkPathTracer::save_state(ckpt::Writer& w) const {
-  // Format v2 frames the tracer as a list of lanes, each ending in a list of
-  // buffered hops; the serial tracer is always one lane with none buffered.
-  w.u32(1);
-  w.f64(acc_);
-  w.u64(next_);
-  w.u64(seen_);
-  w.u64(sampled_);
-  w.u64(hops_);
-  w.i64(live_);
-  // Sort by serial so the snapshot bytes don't depend on hash-map order: the
-  // hash-map loop only collects keys, sorted before any byte is written.
-  std::vector<std::uint64_t> serials;
-  serials.reserve(pending_.size());
-  for (const auto& [serial, hop] : pending_) serials.push_back(serial);
-  std::sort(serials.begin(), serials.end());
-  w.size(serials.size());
-  for (const std::uint64_t serial : serials) save_hop(w, pending_.at(serial));
-  w.size(0);
-}
-
-void ChunkPathTracer::load_state(ckpt::Reader& r) {
-  if (r.u32() != 1)
-    throw std::runtime_error(
-        "snapshot: tracer lane count is not 1; sharded snapshots are no longer supported");
-  acc_ = r.f64();
-  next_ = r.u64();
-  seen_ = r.u64();
-  sampled_ = r.u64();
-  hops_ = r.u64();
-  live_ = r.i64();
-  if (!(acc_ >= 0.0 && acc_ < 1.0))
-    throw std::runtime_error("snapshot: tracer sampling accumulator out of range");
-  const std::size_t npending = r.count(kHopBytes);
-  pending_.clear();
-  pending_.reserve(npending);
-  for (std::size_t i = 0; i < npending; ++i) {
-    HopEvent hop = load_hop(r);
-    if (!pending_.emplace(hop.chunk, hop).second)
-      throw std::runtime_error("snapshot: duplicate pending hop serial");
-  }
-  if (r.count(kHopBytes) != 0)
-    throw std::runtime_error(
-        "snapshot: tracer holds buffered hops; sharded snapshots are no longer supported");
-}
-
-void ChromeTraceWriter::save_state(ckpt::Writer& w) const {
-  w.size(hops_.size());
-  for (const HopEvent& hop : hops_) save_hop(w, hop);
-}
-
-void ChromeTraceWriter::load_state(ckpt::Reader& r) {
-  const std::size_t n = r.count(kHopBytes);
-  hops_.clear();
-  hops_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) hops_.push_back(load_hop(r));
 }
 
 namespace {
@@ -255,7 +141,7 @@ void ChromeTraceWriter::render(std::ostream& os) const {
     }
     open_event(out, events++);
     out += "\n   \"ph\": \"X\"";
-    name = "m";
+    name.assign(1, 'm');
     obs::append_int(name, hop.msg);
     name += "/c";
     obs::append_int(name, static_cast<std::int64_t>(hop.chunk));

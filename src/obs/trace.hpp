@@ -30,11 +30,6 @@
 
 namespace dfly {
 
-namespace ckpt {
-class Writer;
-class Reader;
-}  // namespace ckpt
-
 /// One completed hop of a sampled chunk: the chunk occupied `router`'s output
 /// `port` from `enqueue_time`, held the wire [start_time, end_time).
 struct HopEvent {
@@ -81,11 +76,6 @@ class ChunkPathTracer {
   void on_transmit_start(std::uint64_t serial, SimTime start, SimTime end);
   void on_delivered(std::uint64_t serial, SimTime now);
 
-  /// Checkpoint support (src/ckpt/): the sampling accumulator, serial and
-  /// counter state, and the half-recorded pending hops.
-  void save_state(ckpt::Writer& w) const;
-  void load_state(ckpt::Reader& r);
-
   double sample_rate() const { return rate_; }
   std::uint64_t chunks_seen() const { return seen_; }
   std::uint64_t chunks_sampled() const { return sampled_; }
@@ -112,10 +102,6 @@ class ChromeTraceWriter : public TraceSink {
   void on_hop(const HopEvent& hop) override { hops_.push_back(hop); }
 
   const std::vector<HopEvent>& hops() const { return hops_; }
-
-  /// Checkpoint support: the buffered hop records.
-  void save_state(ckpt::Writer& w) const;
-  void load_state(ckpt::Reader& r);
 
   /// Renders the trace-event JSON document ({"traceEvents": [...]}).
   void render(std::ostream& os) const;

@@ -22,7 +22,6 @@ const char* to_string(Layer layer) {
 
 const char* to_string(Subsystem s) {
   switch (s) {
-    case Subsystem::CheckpointIo: return "checkpoint_io";
     case Subsystem::TelemetryExport: return "telemetry_export";
     case Subsystem::kCount: break;
   }
@@ -43,7 +42,7 @@ void ThroughputTracker::start_at(std::int64_t wall_ns, SimTime sim_ns, std::uint
                                  std::uint64_t chunks) {
   started_ = true;
   samples_ = 0;
-  first_ = last_ = window_origin_ = Point{wall_ns, sim_ns, events, chunks};
+  first_ = last_ = Point{wall_ns, sim_ns, events, chunks};
 }
 
 void ThroughputTracker::sample_at(std::int64_t wall_ns, SimTime sim_ns, std::uint64_t events,
@@ -52,12 +51,8 @@ void ThroughputTracker::sample_at(std::int64_t wall_ns, SimTime sim_ns, std::uin
     start_at(wall_ns, sim_ns, events, chunks);
     return;
   }
-  // The previous `last_` becomes history; the ring keeps the last kWindow of
-  // them so the rolling origin trails the newest sample by at most kWindow.
-  ring_[samples_ % kWindow] = last_;
   ++samples_;
   last_ = Point{wall_ns, sim_ns, events, chunks};
-  window_origin_ = samples_ <= kWindow ? first_ : ring_[samples_ % kWindow];
 }
 
 ThroughputTracker::Rates ThroughputTracker::rates(const Point& a, const Point& b) {

@@ -18,10 +18,9 @@
 //    exact total in proportion to their sampled time. Unsampled dispatches
 //    read no clock at all. The sampled dispatch times also feed an HDR-style
 //    latency histogram.
-//  * Whole-run scopes — ProfScope (RAII) times checkpoint I/O and the
-//    telemetry export in full.
-//  * Throughput — sim-vs-wall samples (events/s, chunks/s, sim-seconds per
-//    wall-second) taken at run start/end and every checkpoint slice.
+//  * Whole-run scopes — ProfScope (RAII) times the telemetry export in full.
+//  * Throughput — sim-vs-wall rates (events/s, chunks/s, sim-seconds per
+//    wall-second) between the samples taken at run start and end.
 //
 // Everything lands in prof.json next to metrics.json (src/prof/report.hpp).
 #pragma once
@@ -42,16 +41,15 @@ struct ProfOptions {
 
 /// Scopes timed in full, once per call. Keep in sync with to_string().
 enum class Subsystem : int {
-  CheckpointIo = 0,  ///< ckpt::save_checkpoint in the slicing loop
-  TelemetryExport,   ///< export_run_artifacts at end of run
+  TelemetryExport = 0,  ///< export_run_artifacts at end of run
   kCount
 };
 
 const char* to_string(Subsystem s);
 
-/// Sim-vs-wall throughput: cumulative since start() and rolling over the last
-/// window of samples. Samples are pushed at run start/end and at checkpoint
-/// slice boundaries; wall timestamps can be injected for unit tests.
+/// Sim-vs-wall throughput, cumulative from start() to the latest sample.
+/// Callers sample at run start and end; wall timestamps can be injected for
+/// unit tests.
 class ThroughputTracker {
  public:
   struct Rates {
@@ -70,11 +68,6 @@ class ThroughputTracker {
   std::uint64_t samples() const { return samples_; }
   std::int64_t wall_ns() const { return last_.wall_ns - first_.wall_ns; }
   Rates cumulative() const { return rates(first_, last_); }
-  /// Rates over the trailing window (kWindow samples); equals cumulative()
-  /// until enough samples accumulate.
-  Rates rolling() const { return rates(window_origin_, last_); }
-
-  static constexpr int kWindow = 8;
 
  private:
   struct Point {
@@ -89,8 +82,6 @@ class ThroughputTracker {
   bool started_ = false;
   std::uint64_t samples_ = 0;
   Point first_, last_;
-  Point ring_[kWindow] = {};     ///< previous samples, oldest overwritten
-  Point window_origin_;          ///< oldest sample still inside the window
 };
 
 class Profiler {

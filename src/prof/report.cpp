@@ -84,7 +84,6 @@ void write_prof_report(std::ostream& os, const Profiler& profiler, const std::st
   w.field("samples", t.samples());
   w.field("wall_ns", t.started() ? t.wall_ns() : std::int64_t{0});
   write_rates(w, "cumulative", t.cumulative());
-  write_rates(w, "rolling", t.rolling());
   w.end_object();
 
   w.end_object();

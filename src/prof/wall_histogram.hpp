@@ -8,8 +8,8 @@
 // (up to seconds) share one configuration.
 //
 // The histogram is wall-clock-only instrumentation: it never feeds back into
-// the simulation, so it needs no checkpoint support and no determinism
-// guarantees beyond its own arithmetic.
+// the simulation, so it needs no determinism guarantees beyond its own
+// arithmetic.
 #pragma once
 
 #include <cstddef>

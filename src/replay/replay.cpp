@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "ckpt/snapshot_io.hpp"
 
 namespace dfly {
 
@@ -212,105 +211,6 @@ void ReplayEngine::on_message_delivered(MsgId /*id*/, std::uint64_t user_data, S
   }
   rs.unexpected.push_back(ArrivedMsg{sm.src_rank, sm.tag, /*is_rts=*/false, 0});
   (void)now;
-}
-
-void ReplayEngine::save_state(ckpt::Writer& w) const {
-  w.size(ranks_.size());
-  for (const RankState& rs : ranks_) {
-    w.u64(rs.cursor);
-    w.i32(rs.outstanding_isends);
-    w.size(rs.pending_recvs.size());
-    for (const PendingRecv& pr : rs.pending_recvs) {
-      w.i32(pr.peer);
-      w.i32(pr.tag);
-      w.boolean(pr.blocking);
-    }
-    w.size(rs.unexpected.size());
-    for (const ArrivedMsg& am : rs.unexpected) {
-      w.i32(am.src_rank);
-      w.i32(am.tag);
-      w.boolean(am.is_rts);
-      w.u64(am.sent_index);
-    }
-    w.u8(static_cast<std::uint8_t>(rs.block));
-    w.i64(rs.finish);
-  }
-  w.size(sent_.size());
-  for (const SentMsg& sm : sent_) {
-    w.i32(sm.src_rank);
-    w.i32(sm.dst_rank);
-    w.i32(sm.tag);
-    w.i64(sm.bytes);
-    w.boolean(sm.blocking);
-    w.boolean(sm.rendezvous);
-  }
-  w.i32(finished_ranks_);
-  w.i32(barrier_arrived_);
-  w.boolean(barrier_release_scheduled_);
-}
-
-void ReplayEngine::load_state(ckpt::Reader& r) {
-  const std::size_t nranks = r.count(24);
-  if (nranks != ranks_.size())
-    throw std::runtime_error("snapshot: replay rank count mismatch (wrong trace?)");
-  for (RankState& rs : ranks_) {
-    rs.cursor = r.u64();
-    if (rs.cursor > trace_.rank(static_cast<int>(&rs - ranks_.data())).size())
-      throw std::runtime_error("snapshot: replay cursor past end of trace");
-    rs.outstanding_isends = r.i32();
-    if (rs.outstanding_isends < 0)
-      throw std::runtime_error("snapshot: negative outstanding isend count");
-    const std::size_t nrecvs = r.count(9);
-    rs.pending_recvs.clear();
-    rs.pending_recvs.reserve(nrecvs);
-    for (std::size_t i = 0; i < nrecvs; ++i) {
-      PendingRecv pr;
-      pr.peer = r.i32();
-      pr.tag = r.i32();
-      pr.blocking = r.boolean();
-      rs.pending_recvs.push_back(pr);
-    }
-    const std::size_t nunexp = r.count(17);
-    rs.unexpected.clear();
-    for (std::size_t i = 0; i < nunexp; ++i) {
-      ArrivedMsg am;
-      am.src_rank = r.i32();
-      am.tag = r.i32();
-      am.is_rts = r.boolean();
-      am.sent_index = r.u64();
-      rs.unexpected.push_back(am);
-    }
-    const std::uint8_t block = r.u8();
-    if (block > static_cast<std::uint8_t>(Block::Done))
-      throw std::runtime_error("snapshot: invalid replay block state");
-    rs.block = static_cast<Block>(block);
-    rs.finish = r.i64();
-  }
-  const std::size_t nsent = r.count(22);
-  sent_.clear();
-  sent_.reserve(nsent);
-  for (std::size_t i = 0; i < nsent; ++i) {
-    SentMsg sm;
-    sm.src_rank = r.i32();
-    sm.dst_rank = r.i32();
-    sm.tag = r.i32();
-    sm.bytes = r.i64();
-    sm.blocking = r.boolean();
-    sm.rendezvous = r.boolean();
-    sent_.push_back(sm);
-  }
-  for (const RankState& rs : ranks_) {
-    for (const ArrivedMsg& am : rs.unexpected) {
-      if (am.is_rts && am.sent_index >= sent_.size())
-        throw std::runtime_error("snapshot: unexpected-queue RTS index out of range");
-    }
-  }
-  finished_ranks_ = r.i32();
-  barrier_arrived_ = r.i32();
-  barrier_release_scheduled_ = r.boolean();
-  if (finished_ranks_ < 0 || finished_ranks_ > trace_.ranks() || barrier_arrived_ < 0 ||
-      barrier_arrived_ > trace_.ranks())
-    throw std::runtime_error("snapshot: replay global counters out of range");
 }
 
 void ReplayEngine::handle_event(SimTime now, const EventPayload& payload) {

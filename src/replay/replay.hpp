@@ -64,14 +64,6 @@ class ReplayEngine : public EventHandler, public MessageSink {
   void handle_event(SimTime now, const EventPayload& payload) override;
   prof::Layer prof_layer() const override { return prof::Layer::Replay; }
 
-  /// Checkpoint support (src/ckpt/): per-rank cursors, blocking state, posted
-  /// receives and unexpected-message queues, the sent-message table and the
-  /// barrier bookkeeping. load_state requires a fresh engine built over the
-  /// same trace (the rank count is validated) and must be used INSTEAD of
-  /// start() — the restored event queue already holds the ranks' events.
-  void save_state(ckpt::Writer& w) const;
-  void load_state(ckpt::Reader& r);
-
  private:
   enum EventKind : std::int32_t { kStart = 1, kResume = 2, kBarrierRelease = 3 };
   enum class Block : std::uint8_t { None, SendInject, RecvArrive, WaitAll, Barrier, Delay, Done };

@@ -66,12 +66,6 @@ class RoutingTelemetry {
   }
   const std::vector<RouteDecisionStats>& per_source() const { return per_source_; }
 
-  /// Checkpoint support (src/ckpt/): wholesale state replacement on restore
-  /// (the totals are derived, so the per-source table is the whole state).
-  void restore(std::vector<RouteDecisionStats> per_source) {
-    per_source_ = std::move(per_source);
-  }
-
  private:
   std::vector<RouteDecisionStats> per_source_;
 };

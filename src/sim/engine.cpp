@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "ckpt/snapshot_io.hpp"
 #include "prof/profiler.hpp"
 
 namespace dfly {
@@ -64,30 +63,6 @@ SimTime Engine::run_slice(SimTime deadline) {
   }
   if (profiler_ != nullptr) profiler_->add_loop(prof::Profiler::now_ns() - t0);
   return now_;
-}
-
-void Engine::save_state(ckpt::Writer& w,
-                        const std::function<std::uint32_t(EventHandler*)>& id_of) const {
-  w.u8(0);  // mode byte: serial (format v2 layout)
-  w.i64(now_);
-  w.u64(seq_);
-  w.u64(processed_);
-  queue_.save_state(w, id_of);
-}
-
-void Engine::load_state(ckpt::Reader& r,
-                        const std::function<EventHandler*(std::uint32_t)>& handler_of) {
-  assert(pending() == 0 && processed_ == 0 && "load_state requires a fresh engine");
-  const std::uint8_t mode = r.u8();
-  if (mode != 0)
-    throw std::runtime_error("snapshot: engine mode byte " + std::to_string(mode) +
-                             " is not serial; sharded snapshots are no longer supported");
-  now_ = r.i64();
-  seq_ = r.u64();
-  processed_ = r.u64();
-  if (now_ < 0 || processed_ > seq_)
-    throw std::runtime_error("snapshot: inconsistent engine clock state");
-  queue_.load_state(r, handler_of);
 }
 
 }  // namespace dfly

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "sim/event_queue.hpp"
 #include "util/units.hpp"
@@ -67,8 +66,9 @@ class Engine {
   /// Like run_until(), but never advances now() past the last dispatched
   /// event, even when the queue drains. A run fully consumed through
   /// run_slice() calls therefore ends at exactly the same now() as one
-  /// consumed by run() — checkpoint slicing depends on this for bit-exact
-  /// resume (time-normalized outputs read the final clock).
+  /// consumed by run(), so a caller may pause a run to sample it (perfbench's
+  /// queue-depth sampling loop does) without changing any time-normalized
+  /// output.
   SimTime run_slice(SimTime deadline);
 
   SimTime now() const { return now_; }
@@ -89,18 +89,6 @@ class Engine {
   /// Occupancy and promotion counters of the scheduler (reported by
   /// HealthMonitor and metrics/).
   const SchedulerStats& scheduler_stats() const { return queue_.stats(); }
-
-  /// Checkpoint support (src/ckpt/): serializes the clock, sequence counter,
-  /// processed count and the complete pending-event set, preceded by a mode
-  /// byte that is always 0 (serial). load_state rejects any other mode byte:
-  /// those snapshots came from the sharded engine, which no longer exists.
-  /// Handlers are mapped to stable small ids by `id_of` / `handler_of` (the
-  /// checkpoint layer owns the registry). load_state requires a freshly
-  /// constructed engine.
-  void save_state(ckpt::Writer& w,
-                  const std::function<std::uint32_t(EventHandler*)>& id_of) const;
-  void load_state(ckpt::Reader& r,
-                  const std::function<EventHandler*(std::uint32_t)>& handler_of);
 
  private:
   /// True when an event at or before `deadline` may be dispatched now.

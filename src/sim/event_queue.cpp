@@ -2,9 +2,6 @@
 
 #include <bit>
 #include <cassert>
-#include <stdexcept>
-
-#include "ckpt/snapshot_io.hpp"
 
 namespace dfly {
 
@@ -79,72 +76,6 @@ void CalendarEventQueue::promote() {
     overflow_.pop();
     ++stats_.overflow_promotions;
   }
-}
-
-namespace {
-
-void save_event(ckpt::Writer& w, const QueuedEvent& ev,
-                const std::function<std::uint32_t(EventHandler*)>& id_of) {
-  w.i64(ev.time);
-  w.u64(ev.seq);
-  w.u32(id_of(ev.handler));
-  w.i32(ev.payload.kind);
-  w.u32(ev.payload.a);
-  w.u64(ev.payload.b);
-  w.u64(ev.payload.c);
-}
-
-QueuedEvent load_event(ckpt::Reader& r,
-                       const std::function<EventHandler*(std::uint32_t)>& handler_of) {
-  // Braced initializers are evaluated left to right, in field order.
-  return QueuedEvent{r.i64(), r.u64(), handler_of(r.u32()),
-                     EventPayload{r.i32(), r.u32(), r.u64(), r.u64()}};
-}
-
-// Serialized event size: bounds the Reader's count() by the bytes present.
-constexpr std::size_t kEventBytes = 8 + 8 + 4 + 4 + 4 + 8 + 8;
-
-}  // namespace
-
-void CalendarEventQueue::save_state(
-    ckpt::Writer& w, const std::function<std::uint32_t(EventHandler*)>& id_of) const {
-  w.i64(cur_);
-  w.size(size_);
-  // Wheel slots from cur's round, then the overflow tier: (time, seq) order.
-  for (std::size_t i = 0; i < kSlots; ++i) {
-    const Slot& slot = slots_[(static_cast<std::size_t>(cur_) + i) & kMask];
-    for (std::uint32_t n = slot.head; n != kNil; n = pool_[n].next)
-      save_event(w, pool_[n].ev, id_of);
-  }
-  auto overflow = overflow_;
-  while (!overflow.empty()) {
-    save_event(w, overflow.top(), id_of);
-    overflow.pop();
-  }
-  w.size(stats_.peak_pending);
-  w.u64(stats_.resizes);
-  w.u64(stats_.overflow_promotions);
-}
-
-void CalendarEventQueue::load_state(
-    ckpt::Reader& r, const std::function<EventHandler*(std::uint32_t)>& handler_of) {
-  assert(size_ == 0 && "load_state requires a fresh queue");
-  cur_ = r.i64();
-  if (cur_ < 0) throw std::runtime_error("snapshot: negative scheduler clock");
-  const std::size_t n = r.count(kEventBytes);
-  // Re-pushing rebuilds the same wheel/overflow split: it depends on cur only.
-  QueuedEvent prev{cur_, 0, nullptr, EventPayload{}};
-  for (std::size_t i = 0; i < n; ++i) {
-    const QueuedEvent ev = load_event(r, handler_of);
-    if (ev.time < cur_ || (i > 0 && !(ev > prev)))
-      throw std::runtime_error("snapshot: pending events out of (time, seq) order");
-    push(ev);
-    prev = ev;
-  }
-  stats_.peak_pending = static_cast<std::size_t>(r.u64());
-  stats_.resizes = r.u64();
-  stats_.overflow_promotions = r.u64();
-  if (stats_.peak_pending < size_) throw std::runtime_error("snapshot: peak pending below size");
 }
 
 }  // namespace dfly

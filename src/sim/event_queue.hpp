@@ -19,11 +19,6 @@
 
 namespace dfly {
 
-namespace ckpt {
-class Writer;
-class Reader;
-}  // namespace ckpt
-
 /// Small fixed-size event payload interpreted by the receiving handler.
 struct EventPayload {
   std::int32_t kind = 0;
@@ -109,13 +104,6 @@ class CalendarEventQueue {
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
-
-  /// Writes the clock, the events in (time, seq) order and the counters.
-  void save_state(ckpt::Writer& w,
-                  const std::function<std::uint32_t(EventHandler*)>& id_of) const;
-  /// Re-pushes the saved events into a fresh queue; throws on bad input.
-  void load_state(ckpt::Reader& r,
-                  const std::function<EventHandler*(std::uint32_t)>& handler_of);
 
   /// Event nodes allocated: the peak number of in-window events, never more.
   /// Kept out of SchedulerStats so the metrics artifacts do not depend on it.

@@ -36,7 +36,7 @@ void put(std::ostream& os, T value) {
   static_assert(std::is_trivially_copyable_v<T> && (std::is_integral_v<T> || std::is_enum_v<T>),
                 "trace format writes fixed-width integer scalars only");
   // Raw bytes on purpose: the versioned DFTR container carries a byte-order
-  // sentinel; it predates and parallels ckpt/snapshot_io.
+  // sentinel, like the result markers of core/result_io.
   os.write(reinterpret_cast<const char*>(&value), sizeof value);
 }
 
@@ -46,7 +46,7 @@ T get(std::istream& is) {
                 "trace format reads fixed-width integer scalars only");
   T value{};
   // Raw bytes on purpose: the versioned DFTR container carries a byte-order
-  // sentinel; it predates and parallels ckpt/snapshot_io.
+  // sentinel, like the result markers of core/result_io.
   is.read(reinterpret_cast<char*>(&value), sizeof value);
   if (!is) throw std::runtime_error("trace: truncated input");
   return value;

@@ -1,5 +1,7 @@
-// FNV-1a, 64-bit: the hash behind the differential digest tests, which pin
-// seeded results to constants generated at an earlier commit.
+// FNV-1a, 64-bit: a stable hash, the same on every host and build. It keys
+// run_matrix's result markers by what was run, and the differential digest
+// tests use it to pin seeded results to constants generated at an earlier
+// commit.
 #pragma once
 
 #include <cstdint>

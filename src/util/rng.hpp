@@ -67,12 +67,9 @@ class Rng {
   /// statistically independent of each other and of the parent.
   Rng fork(std::uint64_t tag);
 
-  /// The four xoshiro256** state words, for checkpoint/restore: a stream
-  /// restored via set_state continues the exact draw sequence.
+  /// The four xoshiro256** state words, so a test can pin how far a stream
+  /// has advanced (RoutingDigest hashes them).
   std::array<std::uint64_t, 4> state() const { return {s_[0], s_[1], s_[2], s_[3]}; }
-  void set_state(const std::array<std::uint64_t, 4>& s) {
-    for (int i = 0; i < 4; ++i) s_[i] = s[i];
-  }
 
  private:
   std::uint64_t s_[4];

@@ -3,8 +3,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "ckpt/snapshot_io.hpp"
-
 namespace dfly {
 
 const char* to_string(BackgroundSpec::Pattern pattern) {
@@ -48,25 +46,6 @@ void BackgroundDriver::handle_event(SimTime now, const EventPayload& /*payload*/
   if (stopped_) return;
   tick(now);
   engine_.schedule_after(spec_.interval, this, EventPayload{1, 0, 0, 0});
-}
-
-void BackgroundDriver::save_state(ckpt::Writer& w) const {
-  for (const std::uint64_t word : rng_.state()) w.u64(word);
-  w.boolean(stopped_);
-  w.i64(bytes_issued_);
-  w.u64(messages_issued_);
-  w.u64(ticks_);
-}
-
-void BackgroundDriver::load_state(ckpt::Reader& r) {
-  std::array<std::uint64_t, 4> state;
-  for (std::uint64_t& word : state) word = r.u64();
-  rng_.set_state(state);
-  stopped_ = r.boolean();
-  bytes_issued_ = r.i64();
-  messages_issued_ = r.u64();
-  ticks_ = r.u64();
-  if (bytes_issued_ < 0) throw std::runtime_error("snapshot: negative background byte count");
 }
 
 }  // namespace dfly

@@ -60,12 +60,6 @@ class BackgroundDriver : public EventHandler {
   // EventHandler
   void handle_event(SimTime now, const EventPayload& payload) override;
 
-  /// Checkpoint support (src/ckpt/): RNG stream, stop flag and issue
-  /// counters. The node list is recomputed from topology + placement at
-  /// construction, so it is not serialized.
-  void save_state(ckpt::Writer& w) const;
-  void load_state(ckpt::Reader& r);
-
  private:
   void tick(SimTime now);
 

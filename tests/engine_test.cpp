@@ -83,8 +83,8 @@ TEST(Engine, RunUntilAdvancesTimeWhenQueueEmpty) {
 
 TEST(Engine, RunSliceHoldsClockAtLastEventOnDrain) {
   // Unlike run_until, run_slice never teleports to the deadline: a run fully
-  // consumed in slices ends at the same now() as run() — checkpoint slicing
-  // relies on this for bit-exact resume.
+  // consumed in slices ends at the same now() as run(), so pausing a run to
+  // sample it cannot change its time-normalized results.
   Engine engine;
   Recorder rec;
   engine.schedule(10, &rec, EventPayload{1, 0, 0, 0});

@@ -4,10 +4,13 @@
 // under cont-min and rand-adp and hashes everything the study reports from
 // the network: the event count, the makespan, every rank's communication
 // time, every channel's traffic and saturation time, every NIC's saturation
-// time, and the bytes of one mid-run Network::save_state. The constants were
-// generated before the network's state was rebuilt around a channel-indexed
-// port array; a change that moves them changes seeded results and must
-// re-baseline the fig3 goldens with them (tests/golden/README.md).
+// time, and the fabric at one mid-run pause: every port's queued bytes,
+// busy-until time and per-VC credits, every NIC's queue length and credits,
+// and the bytes in flight. The run and channel constants were generated
+// before the network's state was rebuilt around a channel-indexed port
+// array, the mid-run ones before mid-run checkpointing was removed; a change
+// that moves them changes seeded results and must re-baseline the fig3
+// goldens with them (tests/golden/README.md).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,14 +18,13 @@
 #include <memory>
 #include <string>
 
-#include "ckpt/snapshot_io.hpp"
 #include "core/experiment.hpp"
-#include "fnv1a.hpp"
 #include "net/network.hpp"
 #include "place/placement.hpp"
 #include "replay/replay.hpp"
 #include "routing/algorithm.hpp"
 #include "sim/engine.hpp"
+#include "util/fnv1a.hpp"
 #include "workload/workload.hpp"
 
 namespace dfly {
@@ -31,7 +33,7 @@ namespace {
 struct Digests {
   std::uint64_t run;       ///< events, makespan, per-rank communication times
   std::uint64_t channels;  ///< per-channel traffic and saturation, per-NIC saturation
-  std::uint64_t snapshot;  ///< bytes of the mid-run Network::save_state
+  std::uint64_t midrun;    ///< port, NIC and in-flight state at the mid-run pause
 };
 
 Workload paper_workload(const std::string& app) {
@@ -54,7 +56,7 @@ Workload paper_workload(const std::string& app) {
 }
 
 /// One run in run_experiment's construction order and RNG tree, paused once
-/// at `snapshot_at` to serialise the fabric.
+/// at `snapshot_at` to hash the fabric's state.
 Digests run_digests(const Workload& workload, const ExperimentConfig& config, SimTime snapshot_at) {
   const std::uint64_t seed = 42;
   const TopoParams params = TopoParams::theta();
@@ -73,10 +75,17 @@ Digests run_digests(const Workload& workload, const ExperimentConfig& config, Si
   engine.run_slice(snapshot_at);
   EXPECT_GT(engine.pending(), 0u) << config.name() << ": snapshot point past the end of the run";
   EXPECT_GT(network.in_fabric_bytes(), 0) << config.name() << ": empty fabric at the snapshot";
-  ckpt::Writer w;
-  network.save_state(w);
-  Fnv1a snapshot;
-  snapshot.add_bytes(w.buffer());
+  Fnv1a midrun;
+  for (const OutPort& op : network.ports()) {
+    midrun.add(static_cast<std::uint64_t>(op.queued_bytes));
+    midrun.add(static_cast<std::uint64_t>(op.busy_until));
+    for (const std::int32_t c : op.credits) midrun.add(static_cast<std::uint64_t>(c));
+  }
+  for (NodeId n = 0; n < params.total_nodes(); ++n) {
+    midrun.add(network.nic(n).queue.size());
+    midrun.add(static_cast<std::uint64_t>(network.nic(n).credits));
+  }
+  midrun.add(static_cast<std::uint64_t>(network.in_fabric_bytes()));
 
   engine.run();
   network.finalize(engine.now());
@@ -99,7 +108,7 @@ Digests run_digests(const Workload& workload, const ExperimentConfig& config, Si
   }
   for (NodeId n = 0; n < params.total_nodes(); ++n)
     channels.add(static_cast<std::uint64_t>(network.nic(n).saturated_time));
-  return {run.h, channels.h, snapshot.h};
+  return {run.h, channels.h, midrun.h};
 }
 
 TEST(NetworkDigest, PaperWorkloadsMatchParent) {
@@ -112,17 +121,17 @@ TEST(NetworkDigest, PaperWorkloadsMatchParent) {
   };
   const Expected expected[] = {
       {"cr", PlacementKind::Contiguous, RoutingKind::Minimal, 70000,
-       {0x75d6ddf83014a65dULL, 0xae3d92d5e9c1e9eeULL, 0xedc9a6f6a90fe812ULL}},
+       {0x75d6ddf83014a65dULL, 0xae3d92d5e9c1e9eeULL, 0xf39b858992103687ULL}},
       {"cr", PlacementKind::RandomNode, RoutingKind::Adaptive, 50000,
-       {0xa7428fcbce4b68d3ULL, 0x1ac3f9dbf0497d3eULL, 0x19c06253d3e76444ULL}},
+       {0xa7428fcbce4b68d3ULL, 0x1ac3f9dbf0497d3eULL, 0xaf8ea7abd95c4195ULL}},
       {"amg", PlacementKind::Contiguous, RoutingKind::Minimal, 12000,
-       {0xc6f81280f0a6bb37ULL, 0xcfbca47cb92f85ddULL, 0xce660ca6b311d41bULL}},
+       {0xc6f81280f0a6bb37ULL, 0xcfbca47cb92f85ddULL, 0x5314a3e99ad066d5ULL}},
       {"amg", PlacementKind::RandomNode, RoutingKind::Adaptive, 13000,
-       {0xcc43d3a11cb80fe1ULL, 0x005f315bbc0e8df3ULL, 0x71c5e3330f871156ULL}},
+       {0xcc43d3a11cb80fe1ULL, 0x005f315bbc0e8df3ULL, 0xac73a96a30282979ULL}},
       {"fb", PlacementKind::Contiguous, RoutingKind::Minimal, 45000,
-       {0x39990bddbcf9580aULL, 0x40c87c6fcfbabca4ULL, 0xb2674217e098dd7fULL}},
+       {0x39990bddbcf9580aULL, 0x40c87c6fcfbabca4ULL, 0x701fdd58b9b41cfdULL}},
       {"fb", PlacementKind::RandomNode, RoutingKind::Adaptive, 33000,
-       {0x51ce1e76bd1dcf7fULL, 0xde41be965d69461aULL, 0xf45dddd680fea79aULL}},
+       {0x51ce1e76bd1dcf7fULL, 0xde41be965d69461aULL, 0x5b7d2ba6cdfb6e53ULL}},
   };
   for (const Expected& e : expected) {
     const Workload workload = paper_workload(e.app);
@@ -131,7 +140,7 @@ TEST(NetworkDigest, PaperWorkloadsMatchParent) {
     const std::string label = std::string(e.app) + " " + config.name();
     EXPECT_EQ(d.run, e.digests.run) << label << ": run 0x" << std::hex << d.run;
     EXPECT_EQ(d.channels, e.digests.channels) << label << ": channels 0x" << std::hex << d.channels;
-    EXPECT_EQ(d.snapshot, e.digests.snapshot) << label << ": snapshot 0x" << std::hex << d.snapshot;
+    EXPECT_EQ(d.midrun, e.digests.midrun) << label << ": midrun 0x" << std::hex << d.midrun;
   }
 }
 

@@ -1,12 +1,11 @@
 // Profiler suite (DESIGN.md §11): the wall-clock attribution subsystem and
 // its cardinal invariant — profiling must not perturb the simulation. The
-// differential tests run the same experiment with [prof] off and on, and
-// through a checkpoint interrupt + resume, and require every existing
-// artifact to stay byte-identical;
-// prof.json is the one artifact allowed to carry wall-clock values. Plus unit
-// coverage for the HDR-style histogram edge cases, the sim-vs-wall throughput
-// tracker, the [prof] config section, and the sampled, exclusive layer
-// accounting behind prof.json schema 3.
+// differential tests run the same experiment with [prof] off and on and
+// require every existing artifact to stay byte-identical; prof.json is the
+// one artifact allowed to carry wall-clock values. Plus unit coverage for the
+// HDR-style histogram edge cases, the sim-vs-wall throughput tracker, the
+// [prof] config section, and the sampled, exclusive layer accounting behind
+// prof.json schema 4.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -122,27 +121,6 @@ TEST(ThroughputTrackerTest, CumulativeRatesFromExplicitClock) {
   EXPECT_DOUBLE_EQ(r.events_per_sec, 500.0);
   EXPECT_DOUBLE_EQ(r.chunks_per_sec, 250.0);
   EXPECT_DOUBLE_EQ(r.sim_per_wall, 2.0);
-}
-
-TEST(ThroughputTrackerTest, RollingWindowTracksTheRecentRate) {
-  ThroughputTracker t;
-  t.start_at(0, 0, 0, 0);
-  std::int64_t wall = 0;
-  std::uint64_t events = 0;
-  // Four slow seconds (100 ev/s) then eight fast ones (1000 ev/s): the
-  // rolling window (kWindow = 8) should see only the fast phase.
-  for (int i = 0; i < 4; ++i) {
-    wall += 1'000'000'000;
-    events += 100;
-    t.sample_at(wall, wall, events, 0);
-  }
-  for (int i = 0; i < 8; ++i) {
-    wall += 1'000'000'000;
-    events += 1000;
-    t.sample_at(wall, wall, events, 0);
-  }
-  EXPECT_DOUBLE_EQ(t.rolling().events_per_sec, 1000.0);
-  EXPECT_DOUBLE_EQ(t.cumulative().events_per_sec, (4 * 100 + 8 * 1000) / 12.0);
 }
 
 TEST(ThroughputTrackerTest, ZeroWallSpanYieldsZeroRates) {
@@ -355,39 +333,10 @@ TEST(ProfDifferential, FillBoundaryOnThetaIsByteIdenticalWithProfilingOnOrOff) {
   EXPECT_LE(json_int(text, "loop_ns"), json_int(text, "wall_ns"));
 }
 
-TEST(ProfDifferential, CheckpointResumeWithProfilingOnStaysByteIdentical) {
-  const ExperimentConfig config{PlacementKind::Contiguous, RoutingKind::Adaptive};
-  const Workload workload = prof_workload();
-
-  ExperimentOptions golden_opts = prof_options("prof-ck-golden");
-  golden_opts.prof.enabled = true;
-  const ExperimentResult golden = run_experiment(workload, config, golden_opts);
-  const SimTime makespan = static_cast<SimTime>(golden.metrics.makespan_ms * 1e6);
-  ASSERT_GT(makespan, 0);
-
-  const std::string snapshot = temp_path("prof-ck.ckpt");
-  ExperimentOptions interrupted = prof_options("prof-ck-resumed");
-  interrupted.prof.enabled = true;
-  interrupted.checkpoint.interval = makespan / 6 > 0 ? makespan / 6 : 1;
-  interrupted.checkpoint.path = snapshot;
-  interrupted.checkpoint.stop_after = makespan / 2;
-  const ExperimentResult partial = run_experiment(workload, config, interrupted);
-  ASSERT_TRUE(partial.stopped_at_checkpoint);
-
-  ExperimentOptions resumed = interrupted;
-  resumed.checkpoint.resume = true;
-  resumed.checkpoint.stop_after = 0;
-  const ExperimentResult full = run_experiment(workload, config, resumed);
-  EXPECT_EQ(full.metrics.events, golden.metrics.events);
-  EXPECT_EQ(full.metrics.comm_time_ms, golden.metrics.comm_time_ms);
-  expect_artifacts_byte_equal(golden_opts, resumed, config.name(),
-                              "checkpoint resume with profiling on");
-  std::remove(snapshot.c_str());
-}
-
 TEST(ProfReport, ProfJsonCarriesAttributionAndLaneBreakdown) {
-  // Schema 3: exclusive sampled layers, the exact event total and stride,
-  // the whole-run scopes, the sampled dispatch histogram and throughput.
+  // Schema 4: exclusive sampled layers, the exact event total and stride,
+  // the telemetry-export scope, the sampled dispatch histogram and the
+  // cumulative throughput.
   const ExperimentConfig config{PlacementKind::Contiguous, RoutingKind::Minimal};
   ExperimentOptions o = prof_options("prof-report");
   o.prof.enabled = true;
@@ -396,22 +345,23 @@ TEST(ProfReport, ProfJsonCarriesAttributionAndLaneBreakdown) {
 
   const std::string text = prof_json_of(o, config);
   ASSERT_FALSE(text.empty());
-  EXPECT_TRUE(contains(text, "\"schema_version\": 3"));
+  EXPECT_TRUE(contains(text, "\"schema_version\": 4"));
   EXPECT_EQ(json_int(text, "events"), static_cast<std::int64_t>(r.metrics.events));
   EXPECT_EQ(json_int(text, "stride"), kStride);
   EXPECT_GE(json_int(text, "clock_read_ns"), 0);
   for (const char* layer : kLayers) EXPECT_GE(layer_field(text, layer).est_ns, 0) << layer;
   EXPECT_GT(layer_field(text, "network").est_ns, 0);
   EXPECT_GT(layer_field(text, "scheduler").est_ns, 0);
-  for (const char* scope : {"\"checkpoint_io\": {", "\"telemetry_export\": {"})
-    EXPECT_TRUE(contains(text, scope)) << scope;
+  EXPECT_TRUE(contains(text, "\"telemetry_export\": {"));
   EXPECT_GT(json_int(text, "calls", text.find("\"telemetry_export\"")), 0);
   EXPECT_EQ(json_int(text, "count", text.find("\"dispatch_ns\"")),
             static_cast<std::int64_t>(r.metrics.events / kStride));
   EXPECT_TRUE(contains(text, "\"throughput\""));
+  EXPECT_TRUE(contains(text, "\"cumulative\""));
   EXPECT_TRUE(contains(text, "\"p99.9\""));
   for (const char* removed : {"\"subsystems\"", "\"event_dispatch\"", "\"threads\"",
-                              "\"lanes\"", "\"lanes_breakdown\"", "\"barrier_wait_ns\""})
+                              "\"lanes\"", "\"lanes_breakdown\"", "\"barrier_wait_ns\"",
+                              "\"checkpoint_io\"", "\"rolling\""})
     EXPECT_FALSE(contains(text, removed)) << removed;
 
   // The other artifacts keep their own schema versions.
@@ -475,7 +425,7 @@ TEST(ProfReport, ProfilerRejectsAnythingButOneLane) {
   EXPECT_THROW(prof::Profiler(prof::ProfOptions{}, 1, 2), std::invalid_argument);
 }
 
-// Checkpointed sweeps: profiling rides along without extra files
+// Sweeps with result markers: profiling rides along without extra files
 // ---------------------------------------------------------------------------
 
 TEST(ProfSweep, CheckpointedSweepWithProfilingLeavesOnlyResultMarkers) {
@@ -489,7 +439,6 @@ TEST(ProfSweep, CheckpointedSweepWithProfilingLeavesOnlyResultMarkers) {
   o.seed = 11;
   const std::vector<ExperimentResult> golden = run_matrix(workload, configs, o, 2);
 
-  o.checkpoint.interval = 3 * units::kMicrosecond;
   o.checkpoint.path = temp_path("prof-sweep");
   fs::remove_all(o.checkpoint.path);
   o.prof.enabled = true;
@@ -500,11 +449,20 @@ TEST(ProfSweep, CheckpointedSweepWithProfilingLeavesOnlyResultMarkers) {
     EXPECT_EQ(results[i].metrics.comm_time_ms, golden[i].metrics.comm_time_ms);
   }
 
+  // One <config>.<16 hex digits>.done marker per config, nothing else.
   std::vector<std::string> files;
   for (const fs::directory_entry& e : fs::directory_iterator(o.checkpoint.path))
     files.push_back(e.path().filename().string());
   std::sort(files.begin(), files.end());
-  EXPECT_EQ(files, (std::vector<std::string>{"cont-min.done", "rand-adp.done"}));
+  ASSERT_EQ(files.size(), configs.size());
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    const std::string prefix = configs[i].name() + ".";
+    EXPECT_TRUE(files[i].starts_with(prefix)) << files[i];
+    EXPECT_TRUE(files[i].ends_with(".done")) << files[i];
+    EXPECT_EQ(files[i].find_first_not_of("0123456789abcdef", prefix.size()),
+              prefix.size() + 16) << files[i];
+    EXPECT_EQ(files[i].size(), prefix.size() + 16 + 5) << files[i];
+  }
 }
 
 }  // namespace

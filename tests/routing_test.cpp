@@ -5,12 +5,12 @@
 #include <optional>
 #include <set>
 
-#include "fnv1a.hpp"
 #include "routing/adaptive.hpp"
 #include "routing/adaptive_global.hpp"
 #include "routing/minimal.hpp"
 #include "routing/valiant.hpp"
 #include "topo/dragonfly.hpp"
+#include "util/fnv1a.hpp"
 
 namespace dfly {
 namespace {

@@ -7,12 +7,10 @@
 // and the wheel's own edges (window boundary, promotion, bitmap wrap).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <queue>
 #include <stdexcept>
 #include <vector>
 
-#include "ckpt/snapshot_io.hpp"
 #include "sim/engine.hpp"
 #include "sim/event_queue.hpp"
 #include "util/rng.hpp"
@@ -331,77 +329,6 @@ TEST(CalendarQueue, BitmapSearchWrapsFromTheLastWordToTheFirst) {
   const SimTime want[] = {cur + 4, cur + 5, cur + 6, cur + 6, cur + 70, cur + kSlots - 1};
   for (const SimTime t : want) EXPECT_EQ(q.pop_min().time, t);
   EXPECT_TRUE(q.empty());
-}
-
-TEST(CalendarQueue, SnapshotMidRotationWithOverflowResumesIdentically) {
-  NullHandler handler;
-  CalendarEventQueue original;
-  Rng rng(77);
-  std::uint64_t seq = 0;
-  SimTime now = 0;
-  auto random_push = [&](CalendarEventQueue& a, CalendarEventQueue* b) {
-    SimTime when = now + static_cast<SimTime>(rng.uniform(3000));
-    if (rng.bernoulli(0.25)) when = now;
-    if (rng.bernoulli(0.05)) when = now + units::kMillisecond;
-    const QueuedEvent ev{when, seq++, &handler,
-                         EventPayload{static_cast<std::int32_t>(seq), 1, 2, 3}};
-    a.push(ev);
-    if (b != nullptr) b->push(ev);
-  };
-  // Run until cur is a few rotations in, with events pending on both sides of
-  // the wrap and in the overflow tier.
-  for (int i = 0; i < 3000; ++i) random_push(original, nullptr);
-  while (now < 5 * static_cast<SimTime>(CalendarEventQueue::kSlots) + 1234) {
-    now = original.pop_min().time;
-    random_push(original, nullptr);
-  }
-  ASSERT_GT(original.stats().overflow_events, 0u);
-  ASSERT_GT(original.stats().calendar_events, 0u);
-
-  ckpt::Writer w;
-  original.save_state(w, [](EventHandler*) { return 7u; });
-  CalendarEventQueue restored;
-  ckpt::Reader r(w.buffer());
-  restored.load_state(r, [&handler](std::uint32_t id) -> EventHandler* {
-    EXPECT_EQ(id, 7u);
-    return &handler;
-  });
-  r.expect_end();
-  EXPECT_EQ(restored.size(), original.size());
-  EXPECT_EQ(restored.stats().calendar_events, original.stats().calendar_events);
-  EXPECT_EQ(restored.stats().overflow_events, original.stats().overflow_events);
-  EXPECT_EQ(restored.stats().peak_pending, original.stats().peak_pending);
-  EXPECT_EQ(restored.stats().overflow_promotions, original.stats().overflow_promotions);
-
-  for (int i = 0; i < 20'000 && !original.empty(); ++i) {
-    const QueuedEvent a = original.pop_min();
-    const QueuedEvent b = restored.pop_min();
-    ASSERT_EQ(a.time, b.time) << "pop " << i;
-    ASSERT_EQ(a.seq, b.seq) << "pop " << i;
-    ASSERT_EQ(a.payload.kind, b.payload.kind);
-    ASSERT_EQ(b.payload.c, 3u);
-    now = a.time;
-    if (i % 3 != 0) random_push(original, &restored);
-  }
-  EXPECT_EQ(restored.stats().overflow_promotions, original.stats().overflow_promotions);
-  EXPECT_EQ(restored.stats().peak_pending, original.stats().peak_pending);
-}
-
-TEST(CalendarQueue, SnapshotOutOfOrderIsRejected) {
-  NullHandler handler;
-  CalendarEventQueue q;
-  q.push(QueuedEvent{10, 0, &handler, EventPayload{}});
-  q.push(QueuedEvent{20, 1, &handler, EventPayload{}});
-  ckpt::Writer w;
-  q.save_state(w, [](EventHandler*) { return 0u; });
-  // Swap the two events' time fields (each event is 44 bytes after the
-  // 16-byte clock and count header).
-  std::string bytes = w.buffer();
-  std::swap_ranges(bytes.begin() + 16, bytes.begin() + 24, bytes.begin() + 60);
-  CalendarEventQueue fresh;
-  ckpt::Reader r(bytes);
-  EXPECT_THROW(fresh.load_state(r, [&handler](std::uint32_t) -> EventHandler* { return &handler; }),
-               std::runtime_error);
 }
 
 TEST(CalendarQueue, DifferentialMeasuredTrafficShape) {
