@@ -21,25 +21,28 @@ using ChunkId = std::uint32_t;
 using MsgId = std::uint32_t;
 
 /// Flight-recorder serial of a chunk the tracer is not sampling.
-inline constexpr std::uint64_t kNoTraceSerial = ~std::uint64_t{0};
+inline constexpr std::uint32_t kNoTraceSerial = ~std::uint32_t{0};
 
-/// Exactly two cache lines; unaligned, most 128-byte chunks would straddle three.
+/// Exactly one cache line. The route is stored as channel ids
+/// (router * ports_per_router + port, DragonflyTopology::channel_id); the VC
+/// of hop i is i, as in Route.
 struct alignas(64) Chunk {
   MsgId msg = 0;
   std::int32_t bytes = 0;
-  std::int8_t hop_idx = 0;  ///< index of the route hop whose router holds the chunk
   /// Tracer sampling identity. The serial travels with the chunk, so the
   /// tracer needs no chunk-id map; kNoTraceSerial means "not sampled".
-  std::uint64_t trace_serial = kNoTraceSerial;
-  Route route;
+  std::uint32_t trace_serial = kNoTraceSerial;
+  std::int8_t hop_idx = 0;  ///< index of the route hop whose router holds the chunk
+  std::int8_t hops = 0;     ///< route length
+  std::int32_t channel[kMaxRouteHops];  ///< channel of each route hop
 };
-static_assert(sizeof(Chunk) == 128, "a chunk must fill exactly two cache lines");
+static_assert(sizeof(Chunk) == 64, "a chunk must fill exactly one cache line");
 static_assert(alignof(Chunk) == 64, "a chunk must start on a cache line");
 
 class ChunkPool {
  public:
   static constexpr std::size_t kBlockSize = 4096;
-  /// Pool capacity (4M chunks, 512 MiB of slots); allocating past it is a bug.
+  /// Pool capacity (4M chunks, 256 MiB of slots); allocating past it is a bug.
   static constexpr std::uint32_t kMaxChunks = std::uint32_t{1} << 22;
 
   ChunkId allocate() {

@@ -91,31 +91,36 @@ void Network::try_inject(NodeId node, SimTime now) {
   totals_.bytes_injected += size;
   totals_.in_fabric += size;
 
-  const ChunkId cid = chunks_.allocate();
-  Chunk& chunk = chunks_[cid];
-  chunk.msg = head.msg;
-  chunk.bytes = static_cast<std::int32_t>(size);
-  chunk.hop_idx = 0;
+  Route route;
   {
     // Timed only inside a sampled dispatch (sampling() is null otherwise);
     // the profiler takes this time out of the network layer's share of the
     // dispatch and charges it to routing alone.
     prof::LayerScope prof_scope(engine_.sampling(), prof::Layer::Routing);
-    chunk.route = routing_.compute(m.src, m.dst, *this, rng_);
+    route = routing_.compute(m.src, m.dst, *this, rng_);
   }
-  assert(chunk.route.size() > 0);
+  assert(route.size() > 0);
+  const ChunkId cid = chunks_.allocate();
+  Chunk& chunk = chunks_[cid];
+  chunk.msg = head.msg;
+  chunk.bytes = static_cast<std::int32_t>(size);
+  chunk.hop_idx = 0;
+  chunk.hops = static_cast<std::int8_t>(route.size());
+  for (int i = 0; i < route.size(); ++i) {
+    assert(route[i].vc == i);
+    chunk.channel[i] = topo_.channel_id(route[i].router, route[i].port);
+  }
 
   HopStats& hs = hop_stats_[node];
   ++hs.chunks;
-  hs.routers_sum += static_cast<std::uint64_t>(chunk.route.routers_traversed());
+  hs.routers_sum += static_cast<std::uint64_t>(route.routers_traversed());
   if (tracer_) chunk.trace_serial = tracer_->on_chunk_injected(head.msg, m.src, m.dst, size, now);
 
   const SimTime t_end = now + units::transfer_time(size, params_.bandwidth(PortKind::Terminal));
   nic.busy_until = t_end;
   nic.traffic += size;
   engine_.schedule(t_end + params_.terminal_latency + params_.router_delay, this,
-                   EventPayload{kChunkArrive, cid,
-                                static_cast<std::uint64_t>(chunk.route.first().router), 0});
+                   EventPayload{kChunkArrive, cid, 0, 0});
   engine_.schedule(t_end, this, EventPayload{kNicFree, 0, static_cast<std::uint64_t>(node), 0});
 
   head.bytes_left -= size;
@@ -176,11 +181,11 @@ void Network::try_send(int channel, SimTime now) {
   const ChunkId cid = op.queue[pick].id;
   op.queue.erase(op.queue.begin() + static_cast<std::ptrdiff_t>(pick));
   Chunk& chunk = chunks_[cid];
-  const Hop hop = chunk.route[chunk.hop_idx];
-  assert(topo_.channel_id(hop.router, hop.port) == channel);
+  const int vc = chunk.hop_idx;
+  assert(chunk.channel[vc] == channel);
   op.queued_bytes -= chunk.bytes;
-  op.last_vc_served = hop.vc;
-  if (!op.is_terminal()) op.credits[hop.vc] -= chunk.bytes;
+  op.last_vc_served = static_cast<std::int8_t>(vc);
+  if (!op.is_terminal()) op.credits[vc] -= chunk.bytes;
 
   const SimTime t_end = now + units::transfer_time(chunk.bytes, params_.bandwidth(op.kind));
   op.busy_until = t_end;
@@ -192,16 +197,16 @@ void Network::try_send(int channel, SimTime now) {
 
   // Return the input-buffer space this chunk occupied here to its upstream
   // sender, one upstream-link latency after the last byte departs.
-  if (chunk.hop_idx == 0) {
+  if (vc == 0) {
     const NodeId src = msgs_[chunk.msg].src;
     engine_.schedule(t_end + params_.terminal_latency, this,
                      EventPayload{kCreditToNic, 0, static_cast<std::uint64_t>(src),
                                   static_cast<std::uint64_t>(chunk.bytes)});
   } else {
-    const Hop& up = chunk.route[chunk.hop_idx - 1];
-    engine_.schedule(t_end + params_.latency(port_kind_[up.port]), this,
-                     EventPayload{kCreditToRouter, static_cast<std::uint32_t>(up.vc),
-                                  static_cast<std::uint64_t>(topo_.channel_id(up.router, up.port)),
+    const int up = chunk.channel[vc - 1];
+    engine_.schedule(t_end + params_.latency(port_kind_[topo_.channel_port(up)]), this,
+                     EventPayload{kCreditToRouter, static_cast<std::uint32_t>(vc - 1),
+                                  static_cast<std::uint64_t>(up),
                                   static_cast<std::uint64_t>(chunk.bytes)});
   }
 
@@ -209,10 +214,9 @@ void Network::try_send(int channel, SimTime now) {
     engine_.schedule(t_end + params_.terminal_latency, this, EventPayload{kDeliver, cid, 0, 0});
   } else {
     ++chunk.hop_idx;
-    assert(chunk.hop_idx < chunk.route.size());
+    assert(chunk.hop_idx < chunk.hops);
     engine_.schedule(t_end + params_.latency(op.kind) + params_.router_delay, this,
-                     EventPayload{kChunkArrive, cid,
-                                  static_cast<std::uint64_t>(chunk.route[chunk.hop_idx].router), 0});
+                     EventPayload{kChunkArrive, cid, 0, 0});
   }
 }
 
@@ -226,17 +230,16 @@ void Network::handle_event(SimTime now, const EventPayload& payload) {
     case kChunkArrive: {
       const ChunkId cid = payload.a;
       const Chunk& chunk = chunks_[cid];
-      const auto rid = static_cast<RouterId>(payload.b);
-      const Hop& hop = chunk.route[chunk.hop_idx];
-      assert(hop.router == rid);
-      const int channel = topo_.channel_id(rid, hop.port);
+      const int vc = chunk.hop_idx;
+      const int channel = chunk.channel[vc];
       OutPort& op = ports_[channel];
       if (tracer_ && chunk.trace_serial != kNoTraceSerial) {
         const MessageRecord& m = msgs_[chunk.msg];
-        tracer_->on_hop_enqueue(chunk.trace_serial, chunk.msg, m.src, m.dst, chunk.bytes, rid,
-                                hop.port, op.kind, hop.vc, op.queued_bytes, now);
+        tracer_->on_hop_enqueue(chunk.trace_serial, chunk.msg, m.src, m.dst, chunk.bytes,
+                                topo_.channel_router(channel), topo_.channel_port(channel),
+                                op.kind, vc, op.queued_bytes, now);
       }
-      op.queue.push_back(QueuedChunk{cid, chunk.bytes, hop.vc});
+      op.queue.push_back(QueuedChunk{cid, chunk.bytes, vc});
       op.queued_bytes += chunk.bytes;
       try_send(channel, now);
       break;
@@ -292,6 +295,28 @@ void Network::handle_event(SimTime now, const EventPayload& payload) {
     }
     default:
       assert(false && "unknown event kind");
+  }
+}
+
+void Network::prefetch(const EventPayload& payload) {
+  switch (payload.kind) {
+    case kChunkArrive:
+    case kDeliver:
+      __builtin_prefetch(&chunks_[payload.a]);
+      break;
+    case kPortFree:
+    case kCreditToRouter: {
+      const char* port = reinterpret_cast<const char*>(&ports_[payload.b]);
+      __builtin_prefetch(port);
+      __builtin_prefetch(port + 64);
+      break;
+    }
+    case kCreditToNic:
+    case kNicFree:
+      __builtin_prefetch(&nics_[payload.b]);
+      break;
+    default:
+      break;
   }
 }
 

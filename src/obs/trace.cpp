@@ -18,20 +18,21 @@ ChunkPathTracer::ChunkPathTracer(TraceSink& sink, double sample_rate)
     throw std::invalid_argument("chunk tracer: sample_rate must be in [0, 1]");
 }
 
-std::uint64_t ChunkPathTracer::on_chunk_injected(MsgId msg, NodeId src, NodeId dst, Bytes bytes,
+std::uint32_t ChunkPathTracer::on_chunk_injected(MsgId msg, NodeId src, NodeId dst, Bytes bytes,
                                                  SimTime now) {
   ++seen_;
+  if (next_ == kNoTraceSerial) return kNoTraceSerial;  // serials exhausted
   acc_ += rate_;
   if (acc_ < 1.0) return kNoTraceSerial;
   acc_ -= 1.0;
   ++sampled_;
   ++live_;
-  const std::uint64_t serial = next_++;
+  const std::uint32_t serial = next_++;
   sink_.on_chunk_sampled(serial, msg, src, dst, bytes, now);
   return serial;
 }
 
-void ChunkPathTracer::on_hop_enqueue(std::uint64_t serial, MsgId msg, NodeId src, NodeId dst,
+void ChunkPathTracer::on_hop_enqueue(std::uint32_t serial, MsgId msg, NodeId src, NodeId dst,
                                      Bytes bytes, RouterId router, int port, PortKind kind,
                                      int vc, Bytes queue_depth, SimTime now) {
   HopEvent hop;
@@ -49,7 +50,7 @@ void ChunkPathTracer::on_hop_enqueue(std::uint64_t serial, MsgId msg, NodeId src
   pending_[serial] = hop;
 }
 
-void ChunkPathTracer::on_transmit_start(std::uint64_t serial, SimTime start, SimTime end) {
+void ChunkPathTracer::on_transmit_start(std::uint32_t serial, SimTime start, SimTime end) {
   const auto it = pending_.find(serial);
   if (it == pending_.end()) return;
   HopEvent hop = it->second;
@@ -60,7 +61,7 @@ void ChunkPathTracer::on_transmit_start(std::uint64_t serial, SimTime start, Sim
   sink_.on_hop(hop);
 }
 
-void ChunkPathTracer::on_delivered(std::uint64_t serial, SimTime now) {
+void ChunkPathTracer::on_delivered(std::uint32_t serial, SimTime now) {
   --live_;
   sink_.on_chunk_closed(serial, now);
 }

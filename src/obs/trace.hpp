@@ -68,13 +68,15 @@ class ChunkPathTracer {
 
   // --- Network hooks (call sites branch on a null tracer pointer) ---
   /// Sampling decision for a freshly injected chunk. Returns the serial to
-  /// store in Chunk::trace_serial, or kNoTraceSerial if unsampled.
-  std::uint64_t on_chunk_injected(MsgId msg, NodeId src, NodeId dst, Bytes bytes, SimTime now);
-  void on_hop_enqueue(std::uint64_t serial, MsgId msg, NodeId src, NodeId dst, Bytes bytes,
+  /// store in Chunk::trace_serial, or kNoTraceSerial if unsampled. Serials
+  /// are 32-bit and never wrap: once the next one would be kNoTraceSerial,
+  /// the tracer samples no further chunks.
+  std::uint32_t on_chunk_injected(MsgId msg, NodeId src, NodeId dst, Bytes bytes, SimTime now);
+  void on_hop_enqueue(std::uint32_t serial, MsgId msg, NodeId src, NodeId dst, Bytes bytes,
                       RouterId router, int port, PortKind kind, int vc, Bytes queue_depth,
                       SimTime now);
-  void on_transmit_start(std::uint64_t serial, SimTime start, SimTime end);
-  void on_delivered(std::uint64_t serial, SimTime now);
+  void on_transmit_start(std::uint32_t serial, SimTime start, SimTime end);
+  void on_delivered(std::uint32_t serial, SimTime now);
 
   double sample_rate() const { return rate_; }
   std::uint64_t chunks_seen() const { return seen_; }
@@ -87,13 +89,13 @@ class ChunkPathTracer {
   TraceSink& sink_;
   double rate_;
   double acc_ = 0;  ///< error-feedback sampling accumulator
-  std::uint64_t next_ = 0;  ///< serial of the next sampled chunk
+  std::uint32_t next_ = 0;  ///< serial of the next sampled chunk
   std::uint64_t seen_ = 0;
   std::uint64_t sampled_ = 0;
   std::uint64_t hops_ = 0;
   std::int64_t live_ = 0;  ///< sampled chunks not yet delivered
   /// Hops enqueued but not yet transmitted, by serial.
-  std::unordered_map<std::uint64_t, HopEvent> pending_;
+  std::unordered_map<std::uint32_t, HopEvent> pending_;
 };
 
 /// Buffers hop events and renders them as Chrome trace-event JSON.

@@ -28,6 +28,17 @@ MinimalPathTable::MinimalPathTable(const DragonflyTopology& topo) : topo_(topo) 
   }
   if (near_links > static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max()))
     throw std::length_error("MinimalPathTable: too many near links for 32-bit offsets");
+  if (p.rows > std::numeric_limits<std::uint8_t>::max() ||
+      p.cols > std::numeric_limits<std::uint8_t>::max())
+    throw std::length_error("MinimalPathTable: more than 255 rows or columns for 8-bit coordinates");
+  for (GroupId g = 0; g < p.groups; ++g) {
+    for (GroupId peer = 0; peer < p.groups; ++peer) {
+      if (peer != g &&
+          topo_.global_links(g, peer).size() > std::numeric_limits<std::uint16_t>::max())
+        throw std::length_error("MinimalPathTable: more than 65535 links between two groups "
+                                "for 16-bit link indices");
+    }
+  }
   links_.reserve(near_links);
   spans_.resize(static_cast<std::size_t>(p.total_routers()) * p.groups);
   for (RouterId r = 0; r < p.total_routers(); ++r) {
@@ -36,19 +47,22 @@ MinimalPathTable::MinimalPathTable(const DragonflyTopology& topo) : topo_(topo) 
       Span& span = spans_[span_index(r, peer)];
       span.begin = span.bucket1_begin = span.end = static_cast<std::int32_t>(links_.size());
       if (peer == g) continue;
+      const std::span<const GlobalLink> pair = topo_.global_links(g, peer);
       for (int bucket = 0; bucket < 2; ++bucket) {
         if (bucket == 1) span.bucket1_begin = static_cast<std::int32_t>(links_.size());
-        for (const GlobalLink& link : topo_.global_links(g, peer))
-          if (local_hops(r, link.src_router) == bucket) links_.push_back(near_link(link));
+        for (std::size_t i = 0; i < pair.size(); ++i)
+          if (local_hops(r, pair[i].src_router) == bucket) links_.push_back(near_link(pair, i));
       }
       span.end = static_cast<std::int32_t>(links_.size());
     }
   }
 }
 
-MinimalPathTable::NearLink MinimalPathTable::near_link(const GlobalLink& link) const {
-  return {link.src_router, link.dst_router, static_cast<std::int16_t>(link.src_port),
-          row_[link.dst_router], col_[link.dst_router]};
+MinimalPathTable::NearLink MinimalPathTable::near_link(std::span<const GlobalLink> pair,
+                                                       std::size_t index) const {
+  const RouterId dst = pair[index].dst_router;
+  return {static_cast<std::uint16_t>(index), static_cast<std::uint8_t>(row_[dst]),
+          static_cast<std::uint8_t>(col_[dst])};
 }
 
 int MinimalPathTable::port_to(RouterId from, RouterId to) const {
@@ -60,14 +74,8 @@ int MinimalPathTable::port_to(RouterId from, RouterId to) const {
 }
 
 int MinimalPathTable::local_hops(RouterId a, RouterId b) const {
-  return local_hops(a, row_[a], col_[a], b, row_[b], col_[b]);
-}
-
-int MinimalPathTable::local_hops(RouterId a, int a_row, int a_col, RouterId b, int b_row,
-                                 int b_col) const {
   assert(topo_.coords().group_of_router(a) == topo_.coords().group_of_router(b));
-  if (a == b) return 0;
-  return a_row != b_row && a_col != b_col ? 2 : 1;
+  return local_hops(row_[a], col_[a], row_[b], col_[b]);
 }
 
 void MinimalPathTable::append_local(Route& route, RouterId from, RouterId to, Rng& rng) const {
@@ -97,21 +105,22 @@ void MinimalPathTable::append_minimal(Route& route, RouterId from, RouterId to, 
   }
 
   // Pick a global link minimizing src_hops + 1 + dst_hops; ties broken
-  // uniformly by reservoir sampling over the candidate stream.
+  // uniformly by reservoir sampling over the candidate stream. Both routers
+  // at the far end are in group gt, so equal coordinates mean the same router.
+  const std::span<const GlobalLink> pair = topo_.global_links(gf, gt);
   const int to_row = row_[to], to_col = col_[to];
   int best_cost = 100;
-  NearLink best{};
+  std::size_t best = 0;
   std::uint64_t ties = 0;
   auto consider = [&](const NearLink& link, int src_hops) {
-    const int cost =
-        src_hops + 1 + local_hops(link.dst_router, link.dst_row, link.dst_col, to, to_row, to_col);
+    const int cost = src_hops + 1 + local_hops(link.dst_row, link.dst_col, to_row, to_col);
     if (cost < best_cost) {
       best_cost = cost;
-      best = link;
+      best = link.link;
       ties = 1;
     } else if (cost == best_cost) {
       ++ties;
-      if (rng.uniform(ties) == 0) best = link;
+      if (rng.uniform(ties) == 0) best = link.link;
     }
   };
 
@@ -123,15 +132,16 @@ void MinimalPathTable::append_minimal(Route& route, RouterId from, RouterId to, 
   }
   // Bucket 2 (2 src-side hops) can only help if best > 3.
   if (best_cost > 3) {
-    for (const GlobalLink& link : topo_.global_links(gf, gt)) {
-      if (local_hops(from, link.src_router) == 2) consider(near_link(link), 2);
+    for (std::size_t i = 0; i < pair.size(); ++i) {
+      if (local_hops(from, pair[i].src_router) == 2) consider(near_link(pair, i), 2);
     }
   }
   assert(best_cost < 100);
 
-  append_local(route, from, best.src_router, rng);
-  route.push(best.src_router, best.src_port);
-  append_local(route, best.dst_router, to, rng);
+  const GlobalLink& link = pair[best];
+  append_local(route, from, link.src_router, rng);
+  route.push(link.src_router, link.src_port);
+  append_local(route, link.dst_router, to, rng);
 }
 
 int MinimalPathTable::min_hops(RouterId from, RouterId to) const {
@@ -141,12 +151,16 @@ int MinimalPathTable::min_hops(RouterId from, RouterId to) const {
   const GroupId gt = c.group_of_router(to);
   if (gf == gt) return local_hops(from, to);
   const Span& span = spans_[span_index(from, gt)];
+  const int to_row = row_[to], to_col = col_[to];
+  auto dst_hops = [&](const NearLink& link) {
+    return local_hops(link.dst_row, link.dst_col, to_row, to_col);
+  };
   int best = 100;
   for (std::int32_t i = span.begin; i < span.bucket1_begin && best > 1; ++i)
-    best = std::min(best, 1 + local_hops(links_[i].dst_router, to));
+    best = std::min(best, 1 + dst_hops(links_[i]));
   if (best > 2) {
     for (std::int32_t i = span.bucket1_begin; i < span.end && best > 2; ++i)
-      best = std::min(best, 2 + local_hops(links_[i].dst_router, to));
+      best = std::min(best, 2 + dst_hops(links_[i]));
   }
   if (best > 3) {
     for (const GlobalLink& link : topo_.global_links(gf, gt)) {

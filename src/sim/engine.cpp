@@ -22,7 +22,7 @@ void Engine::schedule(SimTime when, EventHandler* handler, EventPayload payload)
 bool Engine::step(SimTime deadline) {
   if (profiler_ != nullptr && profiler_->sample_next()) return timed_step(deadline);
   if (!ready(deadline)) return false;
-  const QueuedEvent ev = queue_.pop_min();
+  const QueuedEvent ev = pop_and_hint();
   now_ = ev.time;
   ++processed_;
   if (profiler_ != nullptr) profiler_->count_untimed();
@@ -36,7 +36,7 @@ bool Engine::step(SimTime deadline) {
 bool Engine::timed_step(SimTime deadline) {
   const std::int64_t t0 = prof::Profiler::now_ns();
   if (!ready(deadline)) return false;
-  const QueuedEvent ev = queue_.pop_min();
+  const QueuedEvent ev = pop_and_hint();
   now_ = ev.time;
   ++processed_;
   const std::int64_t t1 = prof::Profiler::now_ns();

@@ -103,6 +103,16 @@ class Engine {
   /// Dispatches the next event if ready(deadline); false otherwise.
   bool step(SimTime deadline);
   bool timed_step(SimTime deadline);
+  /// Pops the earliest event and hands the one after it to its handler's
+  /// prefetch() hook.
+  QueuedEvent pop_and_hint() {
+    const QueuedEvent ev = queue_.pop_min();
+    if (!queue_.empty()) {
+      const QueuedEvent& next = queue_.min();
+      next.handler->prefetch(next.payload);
+    }
+    return ev;
+  }
 
   CalendarEventQueue queue_;
   std::uint64_t seq_ = 0;

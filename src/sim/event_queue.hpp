@@ -33,6 +33,14 @@ class EventHandler {
   virtual ~EventHandler() = default;
   virtual void handle_event(SimTime now, const EventPayload& payload) = 0;
 
+  /// Hint that `payload` is the next event due for this handler: the engine
+  /// passes it the earliest pending event right after popping the current
+  /// one, so a handler may start loading the state that event will touch
+  /// while the current one runs. It must not change any state a dispatch
+  /// reads; the event may not be next after all, because the current one
+  /// can schedule an earlier event. The default ignores the hint.
+  virtual void prefetch(const EventPayload& /*payload*/) {}
+
   /// The profiler layer charged with this handler's dispatch time, less its
   /// nested scopes (DESIGN.md §11).
   virtual prof::Layer prof_layer() const { return prof::Layer::Other; }

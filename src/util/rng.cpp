@@ -39,12 +39,6 @@ std::uint64_t Rng::uniform(std::uint64_t bound) {
   }
 }
 
-std::int64_t Rng::uniform_range(std::int64_t lo, std::int64_t hi) {
-  assert(lo <= hi);
-  const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(span == 0 ? next() : uniform(span));
-}
-
 double Rng::uniform_double() {
   return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }

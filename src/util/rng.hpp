@@ -41,9 +41,6 @@ class Rng {
   /// Uniform integer in [0, bound) with rejection sampling (no modulo bias).
   std::uint64_t uniform(std::uint64_t bound);
 
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t uniform_range(std::int64_t lo, std::int64_t hi);
-
   /// Uniform double in [0, 1).
   double uniform_double();
 

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
+
+#include "prof/profiler.hpp"
 
 namespace dfly {
 namespace {
@@ -175,6 +178,81 @@ TEST(Engine, ZeroDelaySelfScheduleRunsAtSameTime) {
   engine.schedule_after(0, &rec, EventPayload{2, 0, 0, 0});
   engine.run();
   EXPECT_EQ(rec.times, (std::vector<SimTime>{5, 5}));
+}
+
+// Writes "h<kind>" per dispatch into a log shared by every handler, so the
+// test sees how dispatches and hints interleave. Keeps the default prefetch.
+class DispatchLog : public EventHandler {
+ public:
+  explicit DispatchLog(std::vector<std::string>& log) : log_(log) {}
+  void handle_event(SimTime /*now*/, const EventPayload& payload) override {
+    log_.push_back("h" + std::to_string(payload.kind));
+  }
+
+ protected:
+  std::vector<std::string>& log_;
+};
+
+// Also writes "p<kind>" per prefetch hint.
+class HintLog : public DispatchLog {
+ public:
+  using DispatchLog::DispatchLog;
+  void prefetch(const EventPayload& payload) override {
+    log_.push_back("p" + std::to_string(payload.kind));
+  }
+};
+
+// Runs 200 events split over a handler that takes hints (even kinds) and one
+// that keeps the default no-op prefetch (odd kinds), with a profiler attached
+// when `profiled`, so several dispatches go through the timed step.
+std::vector<std::string> hint_log(bool profiled) {
+  std::vector<std::string> log;
+  HintLog hinted(log);
+  DispatchLog plain(log);
+  prof::Profiler profiler(prof::ProfOptions{});
+  Engine engine;
+  if (profiled) engine.set_profiler(&profiler);
+  for (int k = 0; k < 200; ++k) {
+    // Times repeat and go backwards in schedule order, so the dispatch order
+    // (time, then schedule order) differs from the kind order.
+    const SimTime t = (k * 37) % 50;
+    engine.schedule(t, k % 2 == 0 ? &hinted : &plain, EventPayload{k, 0, 0, 0});
+  }
+  engine.run();
+  return log;
+}
+
+TEST(Engine, HintsTheEarliestPendingEventBeforeEachDispatch) {
+  const std::vector<std::string> log = hint_log(false);
+  // Dispatch order: by time, then by schedule order.
+  std::vector<int> order;
+  for (int t = 0; t < 50; ++t)
+    for (int k = 0; k < 200; ++k)
+      if ((k * 37) % 50 == t) order.push_back(k);
+  // Popping event i hints event i + 1 (the earliest still pending) before
+  // event i runs, and only to a handler that overrides prefetch(); popping
+  // the last event leaves the queue empty and hints nothing.
+  std::vector<std::string> expected;
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    if (i + 1 < order.size() && order[i + 1] % 2 == 0)
+      expected.push_back("p" + std::to_string(order[i + 1]));
+    expected.push_back("h" + std::to_string(order[i]));
+  }
+  EXPECT_EQ(log, expected);
+}
+
+TEST(Engine, TimedStepsIssueTheSameHints) {
+  static_assert(prof::Profiler::kStride < 200, "the run must include timed steps");
+  EXPECT_EQ(hint_log(true), hint_log(false));
+}
+
+TEST(Engine, NoHintWhenThePopEmptiesTheQueue) {
+  std::vector<std::string> log;
+  HintLog hinted(log);
+  Engine engine;
+  engine.schedule(3, &hinted, EventPayload{1, 0, 0, 0});
+  engine.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"h1"}));
 }
 
 }  // namespace

@@ -27,6 +27,9 @@ class FixedRouting : public RoutingAlgorithm {
     routes_[{src, dst}] = route;
   }
 
+  /// Routes `src` -> `dst` along `route` as given.
+  void pin(NodeId src, NodeId dst, const Route& route) { routes_[{src, dst}] = route; }
+
   Route compute(NodeId src, NodeId dst, const CongestionView& /*congestion*/,
                 Rng& /*rng*/) const override {
     return routes_.at({src, dst});

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include "fixed_routing.hpp"
+#include "obs/trace.hpp"
 #include "routing/minimal.hpp"
+#include "routing/valiant.hpp"
 #include "sim/engine.hpp"
 
 namespace dfly {
@@ -251,6 +254,82 @@ TEST(Network, DeterministicAcrossRuns) {
   const auto b = run_once();
   EXPECT_EQ(a.first, b.first);
   EXPECT_EQ(a.second, b.second);
+}
+
+struct HopSink : TraceSink {
+  std::vector<HopEvent> hops;
+  void on_hop(const HopEvent& hop) override { hops.push_back(hop); }
+};
+
+// Sends one chunk along `route` with every chunk traced, and checks that the
+// hops the tracer decodes from the chunk's channel ids are the route's.
+void expect_hops_follow(const DragonflyTopology& topo, NodeId src, NodeId dst,
+                        const Route& route) {
+  Engine engine;
+  FixedRouting routing(topo);
+  routing.pin(src, dst, route);
+  Network network(engine, topo, NetworkParams::theta(), routing, Rng(1));
+  HopSink sink;
+  ChunkPathTracer tracer(sink, 1.0);
+  network.set_tracer(&tracer);
+  network.send(src, dst, 1000);
+  engine.run();
+  ASSERT_EQ(network.bytes_delivered(), 1000);
+  ASSERT_EQ(static_cast<int>(sink.hops.size()), route.size());
+  for (int i = 0; i < route.size(); ++i) {
+    SCOPED_TRACE("hop " + std::to_string(i));
+    EXPECT_EQ(sink.hops[i].router, route[i].router);
+    EXPECT_EQ(sink.hops[i].port, route[i].port);
+    EXPECT_EQ(sink.hops[i].vc, route[i].vc);
+    EXPECT_EQ(sink.hops[i].kind, topo.port_kind(route[i].port));
+  }
+  EXPECT_EQ(network.hop_stats(src).routers_sum, static_cast<std::uint64_t>(route.size()));
+}
+
+TEST(NetworkRoute, MaximalValiantRouteTravelsAsChannelIds) {
+  // 10 groups of 3x3 routers with one global port each: every group pair
+  // has one link, so a minimal segment can need 2 local hops on each side of
+  // it, and two links of one group can both be 2 hops from a third router.
+  TopoParams p;
+  p.groups = 10;
+  p.rows = 3;
+  p.cols = 3;
+  p.nodes_per_router = 2;
+  p.global_ports_per_router = 1;
+  const DragonflyTopology topo(p);
+  const MinimalPathTable table(topo);
+  const Coordinates& c = topo.coords();
+  // Search for the longest admissible route: two 5-hop minimal segments
+  // through an intermediate router in a third group, plus the ejection hop.
+  auto longest_valiant = [&]() -> Route {
+    const RouterId routers = p.total_routers();
+    for (RouterId src = 0; src < routers; ++src) {
+      for (RouterId via = 0; via < routers; ++via) {
+        for (RouterId dst = 0; dst < routers; ++dst) {
+          const GroupId gs = c.group_of_router(src), gv = c.group_of_router(via),
+                        gd = c.group_of_router(dst);
+          if (gs == gv || gv == gd || gs == gd) continue;
+          for (std::uint64_t seed = 0; seed < 4; ++seed) {
+            Rng rng(seed);
+            const Route route = valiant_route(table, src, via, dst, 1, rng);
+            if (route.size() == kMaxRouteHops - 1) return route;
+          }
+        }
+      }
+    }
+    return Route{};
+  };
+  const Route route = longest_valiant();
+  ASSERT_EQ(route.size(), kMaxRouteHops - 1);
+  const RouterId r_src = route.first().router, r_dst = route.last().router;
+  expect_hops_follow(topo, r_src * p.nodes_per_router, r_dst * p.nodes_per_router + 1, route);
+}
+
+TEST(NetworkRoute, SameRouterRouteIsOneEjectionHop) {
+  const DragonflyTopology topo(TopoParams::tiny());
+  Route route;
+  route.push(0, 1);  // nodes 0 and 1 share router 0; node 1 is its slot 1
+  expect_hops_follow(topo, 0, 1, route);
 }
 
 }  // namespace

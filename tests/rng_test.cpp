@@ -37,20 +37,6 @@ TEST(Rng, UniformBoundOneIsAlwaysZero) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.uniform(1), 0u);
 }
 
-TEST(Rng, UniformRangeInclusive) {
-  Rng rng(9);
-  bool saw_lo = false, saw_hi = false;
-  for (int i = 0; i < 2000; ++i) {
-    const std::int64_t v = rng.uniform_range(-3, 3);
-    EXPECT_GE(v, -3);
-    EXPECT_LE(v, 3);
-    saw_lo |= (v == -3);
-    saw_hi |= (v == 3);
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
-}
-
 TEST(Rng, UniformDoubleInUnitInterval) {
   Rng rng(11);
   double sum = 0;
