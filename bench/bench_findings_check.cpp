@@ -6,6 +6,7 @@
 // Exit code is the number of failed findings.
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -56,10 +57,31 @@ int main() {
 
   std::vector<Verdict> verdicts;
 
+  // The five sweeps of §IV-A/B (Table I on CR, FB and AMG; the extremes on
+  // light and heavy AMG) run as one pool, longest job first.
+  const Workload cr = bench::cr_workload(scale);
+  const Workload fb = bench::fb_workload(scale);
+  const Workload amg = bench::amg_workload(scale);
+  const Workload amg_light = bench::amg_workload(scale * 0.5);
+  const Workload amg_heavy = bench::amg_workload(scale * 20);
+  const std::pair<const Workload*, std::vector<ExperimentConfig>> sweeps[] = {
+      {&cr, table1_configs()},        {&fb, table1_configs()},
+      {&amg, table1_configs()},       {&amg_light, extreme_configs()},
+      {&amg_heavy, extreme_configs()}};
+  std::vector<SweepJob> jobs;
+  for (const auto& [workload, configs] : sweeps)
+    for (const ExperimentConfig& config : configs) jobs.push_back({workload, config, options});
+  const std::vector<ExperimentResult> runs = run_jobs(jobs, threads);
+  std::vector<std::vector<ExperimentResult>> sweep_results;  // per sweep, in its configs' order
+  for (auto next = runs.begin(); const auto& sweep : sweeps) {
+    const auto end = next + static_cast<std::ptrdiff_t>(sweep.second.size());
+    sweep_results.emplace_back(next, end);
+    next = end;
+  }
+
   // --- §IV-A: application study -------------------------------------------
   {
-    const Workload cr = bench::cr_workload(scale);
-    const auto results = run_matrix(cr, table1_configs(), options, threads);
+    const auto& results = sweep_results[0];
     const double cont = median_of(results, "cont-min");
     const double rand = median_of(results, "rand-min");
     verdicts.push_back({"CR benefits from balanced traffic (rand-min < cont-min)", rand < cont,
@@ -71,8 +93,7 @@ int main() {
              Table::num(hops_of(results, "rand-min"), 2)});
   }
   {
-    const Workload fb = bench::fb_workload(scale);
-    const auto results = run_matrix(fb, table1_configs(), options, threads);
+    const auto& results = sweep_results[1];
     const double best = median_of(results, "rand-adp");
     bool is_best = true;
     for (const ExperimentResult& r : results)
@@ -82,8 +103,7 @@ int main() {
                                        median_of(results, "cont-min"))});
   }
   {
-    const Workload amg = bench::amg_workload(scale);
-    const auto results = run_matrix(amg, table1_configs(), options, threads);
+    const auto& results = sweep_results[2];
     const double cont_adp = median_of(results, "cont-adp");
     const double rand_adp = median_of(results, "rand-adp");
     const double rotr_adp = median_of(results, "rotr-adp");
@@ -97,11 +117,8 @@ int main() {
 
   // --- §IV-B: sensitivity ---------------------------------------------------
   {
-    const Workload amg_light = bench::amg_workload(scale * 0.5);
-    const Workload amg_heavy = bench::amg_workload(scale * 20);
-    const std::vector<ExperimentConfig> extremes = extreme_configs();
-    const auto light = run_matrix(amg_light, extremes, options, threads);
-    const auto heavy = run_matrix(amg_heavy, extremes, options, threads);
+    const auto& light = sweep_results[3];
+    const auto& heavy = sweep_results[4];
     verdicts.push_back({"AMG prefers contiguous at low intensity",
                         median_of(light, "cont-adp") <= median_of(light, "rand-adp"),
                         ratio_evidence("cont-adp", median_of(light, "cont-adp"), "rand-adp",
@@ -114,7 +131,6 @@ int main() {
 
   // --- §IV-C: external interference ----------------------------------------
   {
-    const Workload cr = bench::cr_workload(scale);
     BackgroundSpec bursty;
     bursty.pattern = BackgroundSpec::Pattern::Bursty;
     bursty.message_bytes = static_cast<Bytes>(100 * units::kKB * (scale / 0.25));

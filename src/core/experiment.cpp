@@ -24,6 +24,12 @@ std::vector<ExperimentConfig> extreme_configs() {
           ExperimentConfig{PlacementKind::RandomNode, RoutingKind::Adaptive}};
 }
 
+Placement experiment_placement(const Workload& workload, const ExperimentConfig& config,
+                               const ExperimentOptions& options) {
+  Rng rng(options.seed ^ (static_cast<std::uint64_t>(config.placement) + 0x1000));
+  return make_placement(config.placement, options.topo, workload.trace.ranks(), rng);
+}
+
 ExperimentResult run_experiment(const Workload& workload, const ExperimentConfig& config,
                                 const ExperimentOptions& options,
                                 const DragonflyTopology* shared_topo) {
@@ -37,17 +43,19 @@ ExperimentResult run_experiment(const Workload& workload, const ExperimentConfig
   if (shared_topo == nullptr) local_topo.emplace(options.topo);
   const DragonflyTopology& topo = local_topo ? *local_topo : *shared_topo;
 
-  // The RNG tree: placement draws depend on (seed, placement kind) only, so a
-  // given policy selects the same nodes under minimal and adaptive routing —
-  // the comparison the paper makes. Network/background streams get their own
-  // forks.
+  // The RNG tree: the placement has its own stream (experiment_placement);
+  // network/background streams get their own forks of the master.
   Rng master(options.seed);
-  Rng placement_rng(options.seed ^ (static_cast<std::uint64_t>(config.placement) + 0x1000));
-  const Placement placement =
-      make_placement(config.placement, options.topo, workload.trace.ranks(), placement_rng);
+  const Placement placement = experiment_placement(workload, config, options);
 
-  Trace trace = workload.trace;  // scaling mutates; keep the workload pristine
-  if (options.msg_scale != 1.0) trace.scale_message_sizes(options.msg_scale);
+  // Scaling mutates, so a scaled run replays a copy; an unscaled one replays
+  // the workload's own trace.
+  std::optional<Trace> scaled;
+  if (options.msg_scale != 1.0) {
+    scaled.emplace(workload.trace);
+    scaled->scale_message_sizes(options.msg_scale);
+  }
+  const Trace& trace = scaled ? *scaled : workload.trace;
 
   // The profiler is constructed before the engine (and so destroyed after
   // it): the engine and the network hold raw pointers into it for the whole

@@ -95,6 +95,12 @@ struct ExperimentResult {
   bool stopped_at_checkpoint = false;
 };
 
+/// The job placement run_experiment uses for `config`. Its draws depend on
+/// (seed, placement kind) only, so a given policy selects the same nodes
+/// under every routing, the comparison the paper makes.
+Placement experiment_placement(const Workload& workload, const ExperimentConfig& config,
+                               const ExperimentOptions& options);
+
 /// Runs `workload` under `config`. If `shared_topo` is non-null it must match
 /// options.topo and is reused read-only (topology construction is the only
 /// sizable fixed cost); otherwise a topology is built locally.

@@ -1,7 +1,9 @@
 #include "core/formatters.hpp"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "core/experiment.hpp"
@@ -36,16 +38,30 @@ double env_double(const char* name, double fallback) {
   return (end != value && parsed > 0) ? parsed : fallback;
 }
 
+/// A positive decimal integer no larger than `max`, the whole of the
+/// variable; anything else (unset, empty, signed, trailing text, 0, out of
+/// range) yields `fallback`.
+std::uint64_t env_count(const char* name, std::uint64_t max, std::uint64_t fallback) {
+  const char* value = std::getenv(name);
+  if (value == nullptr || *value < '0' || *value > '9') return fallback;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long parsed = std::strtoull(value, &end, 10);
+  if (errno == ERANGE || *end != '\0' || parsed == 0 || parsed > max) return fallback;
+  return parsed;
+}
+
 }  // namespace
 
 double env_scale(double fallback) { return env_double("DFLY_SCALE", fallback); }
 
 std::uint64_t env_seed(std::uint64_t fallback) {
-  return static_cast<std::uint64_t>(env_double("DFLY_SEED", static_cast<double>(fallback)));
+  return env_count("DFLY_SEED", std::numeric_limits<std::uint64_t>::max(), fallback);
 }
 
 int env_threads(int fallback) {
-  return static_cast<int>(env_double("DFLY_THREADS", fallback));
+  return static_cast<int>(env_count("DFLY_THREADS", std::numeric_limits<int>::max(),
+                                    static_cast<std::uint64_t>(fallback)));
 }
 
 void print_bench_header(const std::string& id, const std::string& what, double scale,

@@ -21,10 +21,12 @@ const std::vector<double>& standard_cdf_fractions();
 /// EXPERIMENTS.md records the scale each result was produced at).
 double env_scale(double fallback);
 
-/// DFLY_SEED: master seed override for the benches.
+/// DFLY_SEED: master seed override for the benches, a decimal integer in
+/// [1, 2^64 - 1]; `fallback` when unset or not such an integer.
 std::uint64_t env_seed(std::uint64_t fallback);
 
-/// DFLY_THREADS: worker override for run_matrix in the benches.
+/// DFLY_THREADS: worker override for run_matrix in the benches, a decimal
+/// integer in [1, INT_MAX]; `fallback` when unset or not such an integer.
 int env_threads(int fallback);
 
 /// Standard bench banner: paper context line + active scale/seed.

@@ -25,20 +25,24 @@ InterferenceResult run_interference(const Workload& workload,
                                     const std::vector<ExperimentConfig>& configs,
                                     const ExperimentOptions& options, const BackgroundSpec& spec,
                                     int threads) {
-  InterferenceResult result;
-
+  // One pool: every config with the background job, then every config
+  // without it.
   ExperimentOptions with_bg = options;
   with_bg.background = spec;
-  const std::vector<ExperimentResult> bg_runs = run_matrix(workload, configs, with_bg, threads);
-
   ExperimentOptions without_bg = options;
   without_bg.background.reset();
-  const std::vector<ExperimentResult> base_runs =
-      run_matrix(workload, configs, without_bg, threads);
+  std::vector<SweepJob> jobs;
+  jobs.reserve(2 * configs.size());
+  for (const ExperimentOptions* o : {&with_bg, &without_bg})
+    for (const ExperimentConfig& config : configs) jobs.push_back({&workload, config, *o});
+  const std::vector<ExperimentResult> runs = run_jobs(jobs, threads);
 
+  InterferenceResult result;
   for (std::size_t i = 0; i < configs.size(); ++i) {
-    result.with_background.push_back(NamedMetrics{bg_runs[i].config, bg_runs[i].metrics});
-    result.baseline.push_back(NamedMetrics{base_runs[i].config, base_runs[i].metrics});
+    const ExperimentResult& bg = runs[i];
+    const ExperimentResult& base = runs[configs.size() + i];
+    result.with_background.push_back(NamedMetrics{bg.config, bg.metrics});
+    result.baseline.push_back(NamedMetrics{base.config, base.metrics});
   }
   // The app can occupy every node (ranks == total_nodes); the subtraction
   // must not underflow in size_t and report a near-2^64 background job.

@@ -44,18 +44,28 @@ SensitivityResult run_sensitivity(const std::function<Workload(double)>& make_wo
       }))
     all.push_back(baseline);
 
+  // Every (scale, config) job goes into one pool; the results come back
+  // scale-major, in `all` order within a scale.
+  std::vector<Workload> workloads;
+  workloads.reserve(scales.size());
+  for (const double scale : scales) workloads.push_back(make_workload(scale));
+  std::vector<SweepJob> jobs;
+  jobs.reserve(scales.size() * all.size());
+  for (const Workload& workload : workloads)
+    for (const ExperimentConfig& config : all) jobs.push_back({&workload, config, options});
+  const std::vector<ExperimentResult> runs = run_jobs(jobs, threads);
+
   SensitivityResult result;
-  for (const double scale : scales) {
-    const Workload workload = make_workload(scale);
-    const std::vector<ExperimentResult> runs = run_matrix(workload, all, options, threads);
+  for (std::size_t s = 0; s < scales.size(); ++s) {
+    const ExperimentResult* const at_scale = runs.data() + s * all.size();
     double baseline_max = 0;
     for (std::size_t i = 0; i < all.size(); ++i)
-      if (all[i].name() == baseline.name()) baseline_max = runs[i].metrics.max_comm_ms();
+      if (all[i].name() == baseline.name()) baseline_max = at_scale[i].metrics.max_comm_ms();
     if (baseline_max <= 0) throw std::runtime_error("sensitivity: baseline produced no time");
     for (std::size_t i = 0; i < all.size(); ++i) {
-      const double max_ms = runs[i].metrics.max_comm_ms();
+      const double max_ms = at_scale[i].metrics.max_comm_ms();
       result.points.push_back(
-          SensitivityPoint{scale, all[i].name(), max_ms, 100.0 * max_ms / baseline_max});
+          SensitivityPoint{scales[s], all[i].name(), max_ms, 100.0 * max_ms / baseline_max});
     }
   }
   return result;

@@ -45,6 +45,8 @@ struct TopoParams {
   void validate() const;
 
   std::string describe() const;
+
+  bool operator==(const TopoParams&) const = default;
 };
 
 /// Decomposed router coordinate.

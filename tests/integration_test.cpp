@@ -149,6 +149,95 @@ TEST(RunMatrix, ParallelMatchesSequential) {
   }
 }
 
+TEST(RunMatrix, DispatchOrderFollowsPredictedWork) {
+  CrParams params;
+  params.iterations = 1;
+  params.scale = 0.25;
+  const Workload cr = make_crystal_router(params);
+  const ExperimentOptions theta;
+  const std::vector<ExperimentConfig> configs = table1_configs();
+  std::vector<SweepJob> jobs;
+  for (const ExperimentConfig& config : configs) jobs.push_back({&cr, config, theta});
+  // Reverse Table I: rand-adp ... cont-adp, then rand-min ... cont-min.
+  const std::vector<std::size_t> order = dispatch_order(jobs);
+  ASSERT_EQ(order.size(), configs.size());
+  for (std::size_t k = 0; k < order.size(); ++k)
+    EXPECT_EQ(configs[order[k]].name(), configs[configs.size() - 1 - k].name()) << "slot " << k;
+
+  // A copy of rand-adp ties with it and keeps its input place; a background
+  // job, however small, starts before every job without one.
+  jobs.push_back(jobs[9]);
+  const Workload ring{"ring", make_ring_trace(16, 1024, 1)};
+  ExperimentOptions with_bg = theta;
+  with_bg.background = BackgroundSpec{};
+  jobs.push_back({&ring, {PlacementKind::Contiguous, RoutingKind::Minimal}, with_bg});
+  EXPECT_LT(predicted_work(jobs.back()).work, predicted_work(jobs[0]).work);
+  EXPECT_GT(predicted_work(jobs.back()), predicted_work(jobs[9]));
+  const std::vector<std::size_t> mixed = dispatch_order(jobs);
+  const std::vector<std::size_t> expected = {11, 9, 10, 8, 7, 6, 5, 4, 3, 2, 1, 0};
+  EXPECT_EQ(mixed, expected);
+}
+
+void expect_same_result(const ExperimentResult& a, const ExperimentResult& b) {
+  EXPECT_EQ(a.config, b.config);
+  EXPECT_EQ(a.metrics.comm_time_ms, b.metrics.comm_time_ms);
+  EXPECT_EQ(a.metrics.avg_hops, b.metrics.avg_hops);
+  EXPECT_EQ(a.metrics.local_traffic_mb, b.metrics.local_traffic_mb);
+  EXPECT_EQ(a.metrics.global_traffic_mb, b.metrics.global_traffic_mb);
+  EXPECT_EQ(a.metrics.local_saturation_ms, b.metrics.local_saturation_ms);
+  EXPECT_EQ(a.metrics.global_saturation_ms, b.metrics.global_saturation_ms);
+  EXPECT_EQ(a.metrics.makespan_ms, b.metrics.makespan_ms);
+  EXPECT_EQ(a.metrics.events, b.metrics.events);
+  EXPECT_EQ(a.metrics.chunks, b.metrics.chunks);
+  EXPECT_EQ(a.metrics.bytes_delivered, b.metrics.bytes_delivered);
+  EXPECT_EQ(a.metrics.scheduler.peak_pending, b.metrics.scheduler.peak_pending);
+  EXPECT_EQ(a.metrics.scheduler.overflow_promotions, b.metrics.scheduler.overflow_promotions);
+  EXPECT_EQ(a.background_bytes, b.background_bytes);
+  EXPECT_EQ(a.hit_event_limit, b.hit_event_limit);
+  EXPECT_EQ(a.stalled, b.stalled);
+  EXPECT_EQ(a.conservation_ok, b.conservation_ok);
+  EXPECT_EQ(a.health_report, b.health_report);
+}
+
+TEST(RunMatrix, MixedJobPoolMatchesRunExperiment) {
+  // Two workloads, two seeds and one background job, listed out of dispatch
+  // order: whatever order the pool runs them in, each result lands in its
+  // job's slot and equals a direct run of that job.
+  const Workload ring32{"ring32", make_ring_trace(32, 32 * units::kKiB, 2)};
+  const Workload ring24{"ring24", make_ring_trace(24, 8 * units::kKiB, 3)};
+  ExperimentOptions seed7 = tiny_options();
+  ExperimentOptions seed11 = tiny_options();
+  seed11.seed = 11;
+  ExperimentOptions with_bg = seed7;
+  BackgroundSpec spec;
+  spec.message_bytes = 16 * units::kKiB;
+  spec.interval = 5 * units::kMicrosecond;
+  with_bg.background = spec;
+  const ExperimentConfig cont_min{PlacementKind::Contiguous, RoutingKind::Minimal};
+  const ExperimentConfig rand_adp{PlacementKind::RandomNode, RoutingKind::Adaptive};
+  const ExperimentConfig chas_val{PlacementKind::RandomChassis, RoutingKind::Valiant};
+  const std::vector<SweepJob> jobs = {
+      {&ring24, cont_min, seed11}, {&ring32, rand_adp, seed7},  {&ring24, chas_val, seed7},
+      {&ring32, cont_min, seed11}, {&ring24, rand_adp, seed11}, {&ring32, chas_val, seed11},
+      {&ring32, cont_min, seed7},  {&ring32, rand_adp, with_bg}};
+  std::vector<std::size_t> identity(jobs.size());
+  for (std::size_t i = 0; i < identity.size(); ++i) identity[i] = i;
+  ASSERT_NE(dispatch_order(jobs), identity) << "the list must be shuffled against the key";
+
+  std::vector<ExperimentResult> direct;
+  for (const SweepJob& job : jobs)
+    direct.push_back(run_experiment(*job.workload, job.config, job.options));
+  EXPECT_GT(direct.back().background_bytes, 0);
+  for (const int threads : {1, 4}) {
+    const std::vector<ExperimentResult> pooled = run_jobs(jobs, threads);
+    ASSERT_EQ(pooled.size(), jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + ", job " + std::to_string(i));
+      expect_same_result(pooled[i], direct[i]);
+    }
+  }
+}
+
 TEST(Interference, BackgroundTrafficSlowsTheTargetApp) {
   // 32 of the tiny system's 48 nodes run the app; 16 host the background job.
   const Workload w{"ring", make_ring_trace(32, 32 * units::kKiB, 2)};

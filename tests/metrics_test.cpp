@@ -103,5 +103,31 @@ TEST(Formatters, EnvFallbacks) {
   unsetenv("DFLY_SCALE");
 }
 
+TEST(Formatters, EnvSeedAndThreadsParseAsIntegers) {
+  // 2^53 + 1 has no double; a float parse would round it to 2^53.
+  setenv("DFLY_SEED", "9007199254740993", 1);
+  EXPECT_EQ(env_seed(99), 9007199254740993u);
+  setenv("DFLY_SEED", "18446744073709551615", 1);
+  EXPECT_EQ(env_seed(99), 18446744073709551615u);
+  for (const char* bad : {"18446744073709551616", "seed", "12abc", "-1", " 7", "0", "1e3", ""}) {
+    setenv("DFLY_SEED", bad, 1);
+    EXPECT_EQ(env_seed(99), 99u) << '"' << bad << '"';
+  }
+  unsetenv("DFLY_SEED");
+
+  unsetenv("DFLY_THREADS");
+  EXPECT_EQ(env_threads(0), 0);
+  setenv("DFLY_THREADS", "3", 1);
+  EXPECT_EQ(env_threads(0), 3);
+  setenv("DFLY_THREADS", "2147483647", 1);
+  EXPECT_EQ(env_threads(0), 2147483647);
+  // Parsing only: no run is started with any of these.
+  for (const char* bad : {"3e9", "2147483648", "3000000000", "four", "-2", "0", "2.5"}) {
+    setenv("DFLY_THREADS", bad, 1);
+    EXPECT_EQ(env_threads(0), 0) << '"' << bad << '"';
+  }
+  unsetenv("DFLY_THREADS");
+}
+
 }  // namespace
 }  // namespace dfly

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -323,6 +324,56 @@ TEST(SweepResume, DifferentWorkloadsNeverShareMarkers) {
   expect_identical(big_fresh, run_matrix(big, configs, resumed, 1)[0]);
   expect_identical(small_fresh, run_matrix(small, configs, resumed, 1)[0]);
   EXPECT_EQ(markers(dir).size(), 3u);
+  fs::remove_all(dir);
+}
+
+TEST(SweepResume, MixedPoolResumesPerJob) {
+  // One pool over two workloads, two seeds and a background job, all marking
+  // into one directory: each job keys its own marker, and after a kill only
+  // the job whose marker is missing runs again.
+  const Workload big = ring_workload(32 * units::kKiB);
+  const Workload small = ring_workload(4 * units::kKiB);
+  const std::string dir = temp_path("sweep-mixed");
+  fs::remove_all(dir);
+  ExperimentOptions seed31 = tiny_options(31);
+  ExperimentOptions seed37 = tiny_options(37);
+  ExperimentOptions with_bg = seed31;
+  BackgroundSpec spec;
+  spec.message_bytes = 8 * units::kKiB;
+  spec.interval = 5 * units::kMicrosecond;
+  with_bg.background = spec;
+  for (ExperimentOptions* o : {&seed31, &seed37, &with_bg}) {
+    o->checkpoint.path = dir;
+    o->checkpoint.resume = true;
+  }
+  const ExperimentConfig cont_min{PlacementKind::Contiguous, RoutingKind::Minimal};
+  const ExperimentConfig rand_adp{PlacementKind::RandomNode, RoutingKind::Adaptive};
+  const std::vector<SweepJob> jobs = {{&big, cont_min, seed31},   {&small, cont_min, seed31},
+                                      {&big, rand_adp, seed37},   {&small, cont_min, seed37},
+                                      {&small, cont_min, with_bg}, {&big, rand_adp, with_bg}};
+
+  const std::vector<ExperimentResult> first = run_jobs(jobs, 2);
+  for (std::size_t i = 0; i < jobs.size(); ++i)
+    expect_identical(first[i], run_experiment(*jobs[i].workload, jobs[i].config, jobs[i].options));
+  std::vector<std::string> names = markers(dir);
+  ASSERT_EQ(names.size(), jobs.size()) << "every job keys its own marker";
+
+  std::map<std::string, fs::file_time_type> mtime;
+  for (const std::string& name : names) mtime[name] = fs::last_write_time(fs::path(dir) / name);
+  const std::string killed = names[names.size() / 2];
+  ASSERT_TRUE(fs::remove(fs::path(dir) / killed));
+
+  const std::vector<ExperimentResult> resumed = run_jobs(jobs, 2);
+  for (std::size_t i = 0; i < jobs.size(); ++i) expect_identical(first[i], resumed[i]);
+  names = markers(dir);
+  EXPECT_EQ(names.size(), jobs.size());
+  for (const std::string& name : names) {
+    const fs::file_time_type now = fs::last_write_time(fs::path(dir) / name);
+    if (name == killed)
+      EXPECT_NE(now, mtime[name]) << "the job without a marker must run and leave one";
+    else
+      EXPECT_EQ(now, mtime[name]) << name << " must be loaded, not re-run";
+  }
   fs::remove_all(dir);
 }
 
