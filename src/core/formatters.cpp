@@ -1,6 +1,7 @@
 #include "core/formatters.hpp"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -30,12 +31,17 @@ const std::vector<double>& standard_cdf_fractions() {
 
 namespace {
 
+/// A finite positive number, the whole of the variable; anything else
+/// (unset, empty, trailing text, inf, nan, out of range, <= 0) yields
+/// `fallback`.
 double env_double(const char* name, double fallback) {
   const char* value = std::getenv(name);
   if (value == nullptr || *value == '\0') return fallback;
+  errno = 0;
   char* end = nullptr;
   const double parsed = std::strtod(value, &end);
-  return (end != value && parsed > 0) ? parsed : fallback;
+  if (errno == ERANGE || *end != '\0' || !std::isfinite(parsed) || parsed <= 0) return fallback;
+  return parsed;
 }
 
 /// A positive decimal integer no larger than `max`, the whole of the

@@ -17,8 +17,9 @@ Table table1_nomenclature();
 const std::vector<double>& standard_cdf_fractions();
 
 /// DFLY_SCALE: multiplies message volumes in the figure benches so the whole
-/// suite's runtime can be traded against fidelity (default `fallback`;
-/// EXPERIMENTS.md records the scale each result was produced at).
+/// suite's runtime can be traded against fidelity (EXPERIMENTS.md records
+/// the scale each result was produced at). A finite positive number, the
+/// whole of the variable; `fallback` when unset or not such a number.
 double env_scale(double fallback);
 
 /// DFLY_SEED: master seed override for the benches, a decimal integer in

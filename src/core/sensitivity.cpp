@@ -49,10 +49,14 @@ SensitivityResult run_sensitivity(const std::function<Workload(double)>& make_wo
   std::vector<Workload> workloads;
   workloads.reserve(scales.size());
   for (const double scale : scales) workloads.push_back(make_workload(scale));
+  // The workloads are already scaled: a caller's msg_scale must not scale
+  // them again.
+  ExperimentOptions job_options = options;
+  job_options.msg_scale = 1.0;
   std::vector<SweepJob> jobs;
   jobs.reserve(scales.size() * all.size());
   for (const Workload& workload : workloads)
-    for (const ExperimentConfig& config : all) jobs.push_back({&workload, config, options});
+    for (const ExperimentConfig& config : all) jobs.push_back({&workload, config, job_options});
   const std::vector<ExperimentResult> runs = run_jobs(jobs, threads);
 
   SensitivityResult result;

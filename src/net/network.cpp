@@ -62,7 +62,7 @@ MsgId Network::send(NodeId src, NodeId dst, Bytes bytes, std::uint64_t user_data
   nics_[src].queue.push_back(PendingMsg{id, bytes});
   // Kick the NIC via a zero-delay event so send() may be called both from
   // outside the engine and from within event handlers.
-  engine_.schedule_after(0, this, EventPayload{kNicFree, 0, static_cast<std::uint64_t>(src), 0});
+  engine_.schedule_after(0, this, EventPayload{kNicFree, 0, static_cast<std::uint32_t>(src), 0});
   return id;
 }
 
@@ -120,8 +120,9 @@ void Network::try_inject(NodeId node, SimTime now) {
   nic.busy_until = t_end;
   nic.traffic += size;
   engine_.schedule(t_end + params_.terminal_latency + params_.router_delay, this,
-                   EventPayload{kChunkArrive, cid, 0, 0});
-  engine_.schedule(t_end, this, EventPayload{kNicFree, 0, static_cast<std::uint64_t>(node), 0});
+                   EventPayload{kChunkArrive, cid,
+                                static_cast<std::uint32_t>(chunk.channel[0]), 0});
+  engine_.schedule(t_end, this, EventPayload{kNicFree, 0, static_cast<std::uint32_t>(node), 0});
 
   head.bytes_left -= size;
   m.injected += size;
@@ -193,21 +194,21 @@ void Network::try_send(int channel, SimTime now) {
   ++totals_.chunks_forwarded;
   if (tracer_ && chunk.trace_serial != kNoTraceSerial)
     tracer_->on_transmit_start(chunk.trace_serial, now, t_end);
-  engine_.schedule(t_end, this, EventPayload{kPortFree, 0, static_cast<std::uint64_t>(channel), 0});
+  engine_.schedule(t_end, this, EventPayload{kPortFree, 0, static_cast<std::uint32_t>(channel), 0});
 
   // Return the input-buffer space this chunk occupied here to its upstream
   // sender, one upstream-link latency after the last byte departs.
   if (vc == 0) {
     const NodeId src = msgs_[chunk.msg].src;
     engine_.schedule(t_end + params_.terminal_latency, this,
-                     EventPayload{kCreditToNic, 0, static_cast<std::uint64_t>(src),
-                                  static_cast<std::uint64_t>(chunk.bytes)});
+                     EventPayload{kCreditToNic, 0, static_cast<std::uint32_t>(src),
+                                  static_cast<std::uint32_t>(chunk.bytes)});
   } else {
     const int up = chunk.channel[vc - 1];
     engine_.schedule(t_end + params_.latency(port_kind_[topo_.channel_port(up)]), this,
                      EventPayload{kCreditToRouter, static_cast<std::uint32_t>(vc - 1),
-                                  static_cast<std::uint64_t>(up),
-                                  static_cast<std::uint64_t>(chunk.bytes)});
+                                  static_cast<std::uint32_t>(up),
+                                  static_cast<std::uint32_t>(chunk.bytes)});
   }
 
   if (op.is_terminal()) {
@@ -216,7 +217,8 @@ void Network::try_send(int channel, SimTime now) {
     ++chunk.hop_idx;
     assert(chunk.hop_idx < chunk.hops);
     engine_.schedule(t_end + params_.latency(op.kind) + params_.router_delay, this,
-                     EventPayload{kChunkArrive, cid, 0, 0});
+                     EventPayload{kChunkArrive, cid,
+                                  static_cast<std::uint32_t>(chunk.channel[chunk.hop_idx]), 0});
   }
 }
 
@@ -229,10 +231,11 @@ void Network::handle_event(SimTime now, const EventPayload& payload) {
   switch (payload.kind) {
     case kChunkArrive: {
       const ChunkId cid = payload.a;
+      const auto channel = static_cast<int>(payload.b);
+      OutPort& op = ports_[channel];
       const Chunk& chunk = chunks_[cid];
       const int vc = chunk.hop_idx;
-      const int channel = chunk.channel[vc];
-      OutPort& op = ports_[channel];
+      assert(chunk.channel[vc] == channel);
       if (tracer_ && chunk.trace_serial != kNoTraceSerial) {
         const MessageRecord& m = msgs_[chunk.msg];
         tracer_->on_hop_enqueue(chunk.trace_serial, chunk.msg, m.src, m.dst, chunk.bytes,
@@ -300,10 +303,12 @@ void Network::handle_event(SimTime now, const EventPayload& payload) {
 
 void Network::prefetch(const EventPayload& payload) {
   switch (payload.kind) {
-    case kChunkArrive:
     case kDeliver:
       __builtin_prefetch(&chunks_[payload.a]);
       break;
+    case kChunkArrive:
+      __builtin_prefetch(&chunks_[payload.a]);
+      [[fallthrough]];
     case kPortFree:
     case kCreditToRouter: {
       const char* port = reinterpret_cast<const char*>(&ports_[payload.b]);

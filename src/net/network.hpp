@@ -60,8 +60,8 @@ class Network : public EventHandler, public CongestionView {
   // EventHandler
   void handle_event(SimTime now, const EventPayload& payload) override;
   /// Prefetches what the event will touch: the chunk's line for an arrival
-  /// or a delivery, the port's first two lines for a port-free or a credit
-  /// return, the NIC for a NIC event.
+  /// or a delivery, the port's first two lines for an arrival, a port-free
+  /// or a credit return, the NIC for a NIC event.
   void prefetch(const EventPayload& payload) override;
   prof::Layer prof_layer() const override { return prof::Layer::Network; }
 
@@ -110,7 +110,7 @@ class Network : public EventHandler, public CongestionView {
 
  private:
   enum EventKind : std::int32_t {
-    kChunkArrive = 1,    // a=chunk
+    kChunkArrive = 1,    // a=chunk, b=channel of its current hop
     kPortFree = 2,       // b=channel
     kCreditToRouter = 3, // a=vc, b=channel, c=bytes
     kCreditToNic = 4,    // b=node, c=bytes

@@ -121,7 +121,7 @@ void ReplayEngine::advance(int rank, SimTime now) {
         if (op.delay > 0) {
           rs.block = Block::Delay;
           engine_.schedule_after(op.delay, this,
-                                 EventPayload{kResume, 0, static_cast<std::uint64_t>(rank), 0});
+                                 EventPayload{kResume, 0, static_cast<std::uint32_t>(rank), 0});
           return;
         }
         break;

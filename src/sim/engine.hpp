@@ -93,7 +93,7 @@ class Engine {
  private:
   /// True when an event at or before `deadline` may be dispatched now.
   bool ready(SimTime deadline) {
-    if (stop_requested_ || queue_.empty() || queue_.min().time > deadline) return false;
+    if (stop_requested_ || queue_.empty() || queue_.min_time() > deadline) return false;
     if (event_limit_ != 0 && processed_ >= event_limit_) {
       hit_limit_ = true;
       return false;
@@ -108,7 +108,7 @@ class Engine {
   QueuedEvent pop_and_hint() {
     const QueuedEvent ev = queue_.pop_min();
     if (!queue_.empty()) {
-      const QueuedEvent& next = queue_.min();
+      const QueuedEvent next = queue_.min();
       next.handler->prefetch(next.payload);
     }
     return ev;

@@ -17,30 +17,35 @@ void CalendarEventQueue::push(const QueuedEvent& ev) {
 
 QueuedEvent CalendarEventQueue::pop_min() {
   assert(size_ > 0);
-  if (size_ == overflow_.size()) {
+  if (first_ == kNone) {
     // Only far-future events are pending: jump the window to the earliest.
     cur_ = overflow_.top().time;
     promote();
   }
-  const std::size_t s = first_slot();
+  const std::size_t s = first_;
+  const SimTime time = slot_time(s);
   Slot& slot = slots_[s];
   const std::uint32_t n = slot.head;
-  const QueuedEvent ev = pool_[n].ev;
-  slot.head = pool_[n].next;
-  if (slot.head == kNil) occupied_[s / 64] &= ~(std::uint64_t{1} << (s % 64));
-  pool_[n].next = free_;
+  Node& node = pool_[n];
+  const QueuedEvent ev{time, 0, node.handler, node.payload};
+  slot.head = node.next;
+  node.next = free_;
   free_ = n;
   --size_;
-  if (ev.time != cur_) {
-    cur_ = ev.time;
+  if (slot.head == kNil) {
+    occupied_[s / 64] &= ~(std::uint64_t{1} << (s % 64));
+    // Nothing pending is earlier than this slot, so the search starts here.
+    first_ = size_ == overflow_.size() ? kNone : scan_from(s);
+  }
+  if (time != cur_) {
+    cur_ = time;
     promote();
   }
   return ev;
 }
 
-std::size_t CalendarEventQueue::first_slot() const {
-  // Times rise from cur's slot upwards, then wrap round to the slots below it.
-  const std::size_t start = static_cast<std::size_t>(cur_) & kMask;
+std::size_t CalendarEventQueue::scan_from(std::size_t start) const {
+  // Slots rise from `start` upwards, then wrap round to the slots below it.
   std::size_t w = start / 64;
   std::uint64_t bits = occupied_[w] & (~std::uint64_t{0} << (start % 64));
   while (bits == 0) {
@@ -54,10 +59,10 @@ void CalendarEventQueue::append(const QueuedEvent& ev) {
   std::uint32_t n = free_;
   if (n != kNil) {
     free_ = pool_[n].next;
-    pool_[n] = Node{ev, kNil};
+    pool_[n] = Node{ev.handler, ev.payload, kNil};
   } else {
     n = static_cast<std::uint32_t>(pool_.size());
-    pool_.push_back(Node{ev, kNil});
+    pool_.push_back(Node{ev.handler, ev.payload, kNil});
   }
   const std::size_t s = static_cast<std::size_t>(ev.time) & kMask;
   Slot& slot = slots_[s];
@@ -68,6 +73,7 @@ void CalendarEventQueue::append(const QueuedEvent& ev) {
     pool_[slot.tail].next = n;
   }
   slot.tail = n;
+  if (first_ == kNone || offset(s) < offset(first_)) first_ = s;
 }
 
 void CalendarEventQueue::promote() {

@@ -19,13 +19,16 @@
 
 namespace dfly {
 
-/// Small fixed-size event payload interpreted by the receiving handler.
+/// Small fixed-size event payload interpreted by the receiving handler. The
+/// fields carry ids (channel, node, message, rank, chunk) and chunk byte
+/// counts, all 32-bit (NetworkParams::validate() caps bytes at INT32_MAX).
 struct EventPayload {
   std::int32_t kind = 0;
   std::uint32_t a = 0;
-  std::uint64_t b = 0;
-  std::uint64_t c = 0;
+  std::uint32_t b = 0;
+  std::uint32_t c = 0;
 };
+static_assert(sizeof(EventPayload) == 16, "a payload is 16 bytes: half a wheel node");
 
 /// Implemented by any subsystem that receives events (network, replay, ...).
 class EventHandler {
@@ -95,18 +98,40 @@ struct SchedulerStats {
 /// every one the window now covers is promoted, before any push can reach
 /// its slot. Slots are intrusive lists over a node pool with a free list.
 ///
+/// A wheel node is 32 bytes: handler, payload and list link. It stores no
+/// time and no seq: a slot holds one time, implied by the slot's offset from
+/// cur, and a slot's FIFO order is seq order. The slot of the earliest
+/// in-window event is kept up to date, so min() and pop_min() need no scan
+/// until a pop empties that slot.
+///
 /// Preconditions: a pushed time is at least cur (Engine::schedule enforces
 /// time >= now) and seq increases with push order. pop_min()/min() then
 /// return events in strict (time, seq) order — identical to HeapEventQueue.
+/// The wheel does not keep seq, so the seq of a returned event is not valid.
 class CalendarEventQueue {
+  struct Node {
+    EventHandler* handler;
+    EventPayload payload;
+    std::uint32_t next;
+  };
+
  public:
   /// Window length in ns; a power of two. Affects speed only, never order.
   static constexpr std::size_t kSlots = 4096;
+  /// Bytes per wheel node: two nodes share a cache line.
+  static constexpr std::size_t kNodeBytes = sizeof(Node);
 
   void push(const QueuedEvent& ev);
-  /// Never moves the window, so a push earlier than the result stays legal.
-  const QueuedEvent& min() const {
-    return size_ == overflow_.size() ? overflow_.top() : pool_[slots_[first_slot()].head].ev;
+  /// The earliest event. Never moves the window, so a push earlier than the
+  /// result stays legal.
+  QueuedEvent min() const {
+    if (first_ == kNone) return overflow_.top();
+    const Node& n = pool_[slots_[first_].head];
+    return QueuedEvent{slot_time(first_), 0, n.handler, n.payload};
+  }
+  /// The time of min().
+  SimTime min_time() const {
+    return first_ == kNone ? overflow_.top().time : slot_time(first_);
   }
   QueuedEvent pop_min();
 
@@ -125,14 +150,20 @@ class CalendarEventQueue {
 
  private:
   static constexpr std::uint32_t kNil = UINT32_MAX;
+  static constexpr std::size_t kNone = SIZE_MAX;
   static constexpr std::size_t kMask = kSlots - 1;
   static_assert((kSlots & kMask) == 0 && kSlots % 64 == 0);
+  static_assert(kNodeBytes == 32);
 
-  struct Node { QueuedEvent ev; std::uint32_t next; };
   struct Slot { std::uint32_t head = kNil, tail = kNil; };
 
-  /// Slot of the earliest in-window event; the wheel must be non-empty.
-  std::size_t first_slot() const;
+  /// Window position of slot `s`: 0 for cur's slot, kSlots - 1 for the last.
+  std::size_t offset(std::size_t s) const { return (s - static_cast<std::size_t>(cur_)) & kMask; }
+  /// The one time the events in slot `s` can have.
+  SimTime slot_time(std::size_t s) const { return cur_ + static_cast<SimTime>(offset(s)); }
+  /// First occupied slot at or after `s` in window order; the wheel must be
+  /// non-empty.
+  std::size_t scan_from(std::size_t s) const;
   void append(const QueuedEvent& ev);
   /// Moves every overflow event inside the window into its slot.
   void promote();
@@ -141,6 +172,7 @@ class CalendarEventQueue {
   std::array<std::uint64_t, kSlots / 64> occupied_{};  ///< bit per non-empty slot
   std::vector<Node> pool_;
   std::uint32_t free_ = kNil;  ///< free-list head in pool_
+  std::size_t first_ = kNone;  ///< slot of the earliest in-window event; kNone: none
   SimTime cur_ = 0;            ///< window start: time of the last pop_min()
   std::size_t size_ = 0;       ///< wheel + overflow
   std::priority_queue<QueuedEvent, std::vector<QueuedEvent>, std::greater<>> overflow_;

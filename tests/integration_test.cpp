@@ -297,6 +297,28 @@ TEST(Sensitivity, RelativeValuesAnchorAtBaseline) {
   EXPECT_EQ(t.rows(), 2u);
 }
 
+TEST(Sensitivity, CallerMsgScaleDoesNotRescaleTheWorkload) {
+  // make_workload(scale) already scales the trace; options.msg_scale must
+  // not scale it a second time.
+  auto make = [](double scale) {
+    Trace t = make_ring_trace(32, 64 * units::kKiB, 1);
+    t.scale_message_sizes(scale);
+    return Workload{"ring", std::move(t)};
+  };
+  const std::vector<ExperimentConfig> configs = {
+      ExperimentConfig{PlacementKind::Contiguous, RoutingKind::Minimal}};
+  ExperimentOptions unit = tiny_options();
+  ExperimentOptions halved = tiny_options();
+  halved.msg_scale = 0.5;
+  const SensitivityResult a = run_sensitivity(make, {0.5}, configs, unit, 2);
+  const SensitivityResult b = run_sensitivity(make, {0.5}, configs, halved, 2);
+  ASSERT_EQ(a.points.size(), b.points.size());
+  for (std::size_t i = 0; i < a.points.size(); ++i) {
+    EXPECT_EQ(a.points[i].config, b.points[i].config);
+    EXPECT_EQ(a.points[i].max_comm_ms, b.points[i].max_comm_ms) << a.points[i].config;
+  }
+}
+
 TEST(Experiment, EventLimitSurfacesAsFlag) {
   ExperimentOptions options = tiny_options();
   options.max_events = 1000;  // far too few to finish

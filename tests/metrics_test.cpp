@@ -100,6 +100,14 @@ TEST(Formatters, EnvFallbacks) {
   EXPECT_DOUBLE_EQ(env_scale(0.5), 0.125);
   setenv("DFLY_SCALE", "garbage", 1);
   EXPECT_DOUBLE_EQ(env_scale(0.5), 0.5);
+  // The whole string must be one finite positive number: trailing text,
+  // infinities and overflow to inf would reach the workload generators.
+  for (const char* bad : {"0.25x", "inf", "1e400", "nan", "-1", "0", ""}) {
+    setenv("DFLY_SCALE", bad, 1);
+    EXPECT_DOUBLE_EQ(env_scale(0.5), 0.5) << '"' << bad << '"';
+  }
+  setenv("DFLY_SCALE", "2", 1);
+  EXPECT_DOUBLE_EQ(env_scale(0.5), 2.0);
   unsetenv("DFLY_SCALE");
 }
 

@@ -15,13 +15,12 @@ TEST(EnginePayload, FieldsArriveIntact) {
     void handle_event(SimTime, const EventPayload& payload) override { seen = payload; }
   } check;
   Engine engine;
-  engine.schedule(1, &check,
-                  EventPayload{-7, 0xDEADBEEFu, 0x1122334455667788ull, 0x99AABBCCDDEEFF00ull});
+  engine.schedule(1, &check, EventPayload{-7, 0xDEADBEEFu, 0xFFFFFFFFu, 0x80000001u});
   engine.run();
   EXPECT_EQ(check.seen.kind, -7);
   EXPECT_EQ(check.seen.a, 0xDEADBEEFu);
-  EXPECT_EQ(check.seen.b, 0x1122334455667788ull);
-  EXPECT_EQ(check.seen.c, 0x99AABBCCDDEEFF00ull);
+  EXPECT_EQ(check.seen.b, 0xFFFFFFFFu);
+  EXPECT_EQ(check.seen.c, 0x80000001u);
 }
 
 TEST(Characterize, BlockAggregateWithMoreBlocksThanRanks) {

@@ -4,7 +4,9 @@
 // hottest path; these tests pin the contract that made the swap safe: both
 // queues dispatch in bit-identical (time, seq) order on any event stream,
 // including same-time ties, in-handler scheduling, far-future backoff times
-// and the wheel's own edges (window boundary, promotion, bitmap wrap).
+// and the wheel's own edges (window boundary, promotion, bitmap wrap). The
+// wheel keeps no seq, so each event carries its unique push index in
+// payload.a and the tests compare (time, payload.a).
 #include <gtest/gtest.h>
 
 #include <queue>
@@ -23,6 +25,16 @@ class NullHandler : public EventHandler {
  public:
   void handle_event(SimTime, const EventPayload&) override {}
 };
+
+static_assert(sizeof(EventPayload) == 16);
+static_assert(CalendarEventQueue::kNodeBytes == 32);
+
+/// An event whose payload.a is its push index `seq`.
+QueuedEvent indexed(SimTime time, std::uint64_t seq, EventHandler* handler,
+                    std::int32_t kind = 0) {
+  return QueuedEvent{time, seq, handler,
+                     EventPayload{kind, static_cast<std::uint32_t>(seq), 0, 0}};
+}
 
 // Feeds the same randomized push/pop stream to both queues and asserts every
 // popped event matches exactly.
@@ -47,8 +59,7 @@ void differential_stream(std::uint64_t seed, int ops, SimTime horizon, double fa
       } else {
         when = now + static_cast<SimTime>(rng.uniform(static_cast<std::uint64_t>(horizon)));
       }
-      const QueuedEvent ev{when, seq++, &handler,
-                           EventPayload{static_cast<std::int32_t>(i), 0, 0, 0}};
+      const QueuedEvent ev = indexed(when, seq++, &handler, static_cast<std::int32_t>(i));
       heap.push(ev);
       calendar.push(ev);
     } else {
@@ -56,7 +67,7 @@ void differential_stream(std::uint64_t seed, int ops, SimTime horizon, double fa
       const QueuedEvent a = heap.pop_min();
       const QueuedEvent b = calendar.pop_min();
       ASSERT_EQ(a.time, b.time) << "op " << i << " seed " << seed;
-      ASSERT_EQ(a.seq, b.seq) << "op " << i << " seed " << seed;
+      ASSERT_EQ(a.payload.a, b.payload.a) << "op " << i << " seed " << seed;
       ASSERT_GE(a.time, now);
       now = a.time;
     }
@@ -67,7 +78,7 @@ void differential_stream(std::uint64_t seed, int ops, SimTime horizon, double fa
     const QueuedEvent a = heap.pop_min();
     const QueuedEvent b = calendar.pop_min();
     ASSERT_EQ(a.time, b.time);
-    ASSERT_EQ(a.seq, b.seq);
+    ASSERT_EQ(a.payload.a, b.payload.a);
   }
   EXPECT_TRUE(calendar.empty());
 }
@@ -90,12 +101,11 @@ TEST(CalendarQueue, DifferentialWideHorizon) {
 TEST(CalendarQueue, AllSameTimePopsInSeqOrder) {
   NullHandler handler;
   CalendarEventQueue q;
-  for (std::uint64_t s = 0; s < 500; ++s)
-    q.push(QueuedEvent{1234, s, &handler, EventPayload{}});
+  for (std::uint64_t s = 0; s < 500; ++s) q.push(indexed(1234, s, &handler));
   for (std::uint64_t s = 0; s < 500; ++s) {
     const QueuedEvent ev = q.pop_min();
     EXPECT_EQ(ev.time, 1234);
-    EXPECT_EQ(ev.seq, s);
+    EXPECT_EQ(ev.payload.a, s);
   }
   EXPECT_TRUE(q.empty());
 }
@@ -264,33 +274,34 @@ TEST(CalendarQueue, WindowEndsOneSlotBeforeAFullRotation) {
   constexpr auto kSlots = static_cast<SimTime>(CalendarEventQueue::kSlots);
   q.push(QueuedEvent{100, 0, &handler, EventPayload{}});
   EXPECT_EQ(q.pop_min().time, 100);  // cur = 100
-  q.push(QueuedEvent{100 + kSlots, 1, &handler, EventPayload{}});
-  q.push(QueuedEvent{100 + kSlots - 1, 2, &handler, EventPayload{}});
+  q.push(indexed(100 + kSlots, 1, &handler));
+  q.push(indexed(100 + kSlots - 1, 2, &handler));
   EXPECT_EQ(q.stats().calendar_events, 1u);  // cur + 4095 is the window's last slot
   EXPECT_EQ(q.stats().overflow_events, 1u);  // cur + 4096 shares cur's slot: overflow
   EXPECT_EQ(q.min().time, 100 + kSlots - 1);
   const QueuedEvent last_in_window = q.pop_min();
-  EXPECT_EQ(last_in_window.seq, 2u);
+  EXPECT_EQ(last_in_window.time, 100 + kSlots - 1);  // implied by its slot: cur + 4095
+  EXPECT_EQ(last_in_window.payload.a, 2u);
   EXPECT_EQ(q.stats().overflow_events, 0u);  // promoted as soon as cur moved
   EXPECT_EQ(q.stats().overflow_promotions, 1u);
   const QueuedEvent first_past = q.pop_min();
   EXPECT_EQ(first_past.time, 100 + kSlots);
-  EXPECT_EQ(first_past.seq, 1u);
+  EXPECT_EQ(first_past.payload.a, 1u);
   EXPECT_TRUE(q.empty());
 }
 
 TEST(CalendarQueue, PromotedEventPrecedesALaterDirectPushAtItsTime) {
   NullHandler handler;
   CalendarEventQueue q;
-  q.push(QueuedEvent{6000, 0, &handler, EventPayload{}});  // beyond [0, 4096): overflow
-  q.push(QueuedEvent{6000, 1, &handler, EventPayload{}});
-  q.push(QueuedEvent{3000, 2, &handler, EventPayload{}});
+  q.push(indexed(6000, 0, &handler));  // beyond [0, 4096): overflow
+  q.push(indexed(6000, 1, &handler));
+  q.push(indexed(3000, 2, &handler));
   EXPECT_EQ(q.stats().overflow_events, 2u);
-  EXPECT_EQ(q.pop_min().seq, 2u);  // cur = 3000: 6000 enters the window
+  EXPECT_EQ(q.pop_min().payload.a, 2u);  // cur = 3000: 6000 enters the window
   EXPECT_EQ(q.stats().overflow_events, 0u);
-  q.push(QueuedEvent{6000, 3, &handler, EventPayload{}});  // direct, same slot
-  for (std::uint64_t want = 0; want < 2; ++want) EXPECT_EQ(q.pop_min().seq, want);
-  EXPECT_EQ(q.pop_min().seq, 3u);
+  q.push(indexed(6000, 3, &handler));  // direct, same slot
+  for (std::uint32_t want = 0; want < 2; ++want) EXPECT_EQ(q.pop_min().payload.a, want);
+  EXPECT_EQ(q.pop_min().payload.a, 3u);
   EXPECT_TRUE(q.empty());
 }
 
@@ -331,6 +342,114 @@ TEST(CalendarQueue, BitmapSearchWrapsFromTheLastWordToTheFirst) {
   EXPECT_TRUE(q.empty());
 }
 
+TEST(CalendarQueue, SlotImpliedTimesAtTheWindowEndAndAcrossTheWrap) {
+  // A wheel node stores no time: a popped event's time is cur plus its
+  // slot's offset from cur's slot, modulo the slot count.
+  NullHandler handler;
+  CalendarEventQueue q;
+  constexpr auto kSlots = static_cast<SimTime>(CalendarEventQueue::kSlots);
+  std::uint64_t seq = 0;
+  const SimTime cur = 5 * kSlots - 10;  // slot kSlots - 10
+  q.push(indexed(cur, seq++, &handler));
+  EXPECT_EQ(q.pop_min().time, cur);
+  // The last slot of the array, the first one after the wrap, and the
+  // window's last slot (cur + 4095, one below cur's slot).
+  const SimTime times[] = {cur + kSlots - 1, cur + 10, cur + 9, cur + 11};
+  for (const SimTime t : times) q.push(indexed(t, seq++, &handler));
+  const SimTime want[] = {cur + 9, cur + 10, cur + 11, cur + kSlots - 1};
+  for (const SimTime t : want) {
+    EXPECT_EQ(q.min_time(), t);
+    EXPECT_EQ(q.min().time, t);
+    EXPECT_EQ(q.pop_min().time, t);
+  }
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(CalendarQueue, PromotedOverflowEventsKeepTheirTimes) {
+  // Far-future events park in the overflow heap with their times, then move
+  // into slots; once in a slot their times are implied again, whether the
+  // window slides onto them or jumps to them with nothing else pending.
+  NullHandler handler;
+  CalendarEventQueue q;
+  constexpr auto kSlots = static_cast<SimTime>(CalendarEventQueue::kSlots);
+  std::uint64_t seq = 0;
+  const SimTime times[] = {7 * kSlots + 3, 2 * kSlots + 1, 2 * kSlots + 1, 3 * kSlots - 1,
+                           kSlots - 1,     kSlots + 5,     50 * kSlots + kSlots / 2};
+  for (const SimTime t : times) q.push(indexed(t, seq++, &handler));
+  EXPECT_EQ(q.stats().overflow_events, 6u);
+  const SimTime want[] = {kSlots - 1,     kSlots + 5,     2 * kSlots + 1,         2 * kSlots + 1,
+                          3 * kSlots - 1, 7 * kSlots + 3, 50 * kSlots + kSlots / 2};
+  const std::uint32_t want_index[] = {4, 5, 1, 2, 3, 0, 6};
+  for (std::size_t i = 0; i < std::size(want); ++i) {
+    EXPECT_EQ(q.min_time(), want[i]) << i;
+    const QueuedEvent ev = q.pop_min();
+    EXPECT_EQ(ev.time, want[i]) << i;
+    EXPECT_EQ(ev.payload.a, want_index[i]) << i;
+  }
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.stats().overflow_promotions, 6u);
+}
+
+TEST(CalendarQueue, CachedFirstSlotFollowsAnEarlierPush) {
+  NullHandler handler;
+  CalendarEventQueue q;
+  std::uint64_t seq = 0;
+  q.push(indexed(4000, seq++, &handler));
+  EXPECT_EQ(q.pop_min().time, 4000);  // cur = 4000, slot 4000
+  // Slot 104 (4200 after the wrap) first, then slot 4050 (4050), which is
+  // earlier in window order although its slot index is higher.
+  q.push(indexed(4200, seq++, &handler));
+  EXPECT_EQ(q.min_time(), 4200);
+  q.push(indexed(4050, seq++, &handler));
+  EXPECT_EQ(q.min_time(), 4050);
+  EXPECT_EQ(q.min().payload.a, 2u);
+  q.push(indexed(4100, seq++, &handler));  // later than the cached slot: no change
+  EXPECT_EQ(q.min_time(), 4050);
+  q.push(indexed(4000, seq++, &handler));  // cur's own slot
+  EXPECT_EQ(q.min_time(), 4000);
+  const std::uint32_t want_index[] = {4, 2, 3, 1};
+  const SimTime want[] = {4000, 4050, 4100, 4200};
+  for (std::size_t i = 0; i < std::size(want); ++i) {
+    const QueuedEvent ev = q.pop_min();
+    EXPECT_EQ(ev.time, want[i]);
+    EXPECT_EQ(ev.payload.a, want_index[i]);
+  }
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(CalendarQueue, CachedFirstSlotAfterADrain) {
+  NullHandler handler;
+  CalendarEventQueue q;
+  std::uint64_t seq = 0;
+  q.push(indexed(10, seq++, &handler));
+  q.push(indexed(10, seq++, &handler));
+  q.push(indexed(30, seq++, &handler));
+  EXPECT_EQ(q.pop_min().payload.a, 0u);
+  EXPECT_EQ(q.min_time(), 10);  // the slot still holds an event
+  EXPECT_EQ(q.pop_min().payload.a, 1u);
+  EXPECT_EQ(q.min_time(), 30);  // the slot drained: the next occupied one
+  EXPECT_EQ(q.pop_min().time, 30);
+  EXPECT_TRUE(q.empty());
+  // Wheel drained: a far event is served from the overflow tier, and a
+  // nearer push afterwards becomes the first slot.
+  q.push(indexed(30 + 10'000, seq++, &handler));
+  EXPECT_EQ(q.stats().calendar_events, 0u);
+  EXPECT_EQ(q.min_time(), 10'030);
+  q.push(indexed(31, seq++, &handler));
+  EXPECT_EQ(q.min_time(), 31);
+  EXPECT_EQ(q.min().payload.a, 4u);
+  EXPECT_EQ(q.pop_min().time, 31);
+  EXPECT_EQ(q.min_time(), 10'030);
+  const QueuedEvent last = q.pop_min();
+  EXPECT_EQ(last.time, 10'030);
+  EXPECT_EQ(last.payload.a, 3u);
+  EXPECT_TRUE(q.empty());
+  q.push(indexed(10'030, seq++, &handler));  // drained again: cur's own slot
+  EXPECT_EQ(q.min_time(), 10'030);
+  EXPECT_EQ(q.pop_min().payload.a, 5u);
+  EXPECT_TRUE(q.empty());
+}
+
 TEST(CalendarQueue, DifferentialMeasuredTrafficShape) {
   // Shaped like the recorded simulator streams: a steady pending set of a
   // few thousand, delays of 0-2047 ns with heavy same-time ties (many
@@ -342,7 +461,7 @@ TEST(CalendarQueue, DifferentialMeasuredTrafficShape) {
   CalendarEventQueue calendar;
   std::uint64_t seq = 0;
   auto push = [&](SimTime when, std::int32_t kind) {
-    const QueuedEvent ev{when, seq++, &handler, EventPayload{kind, 0, 0, 0}};
+    const QueuedEvent ev = indexed(when, seq++, &handler, kind);
     heap.push(ev);
     calendar.push(ev);
   };
@@ -354,7 +473,7 @@ TEST(CalendarQueue, DifferentialMeasuredTrafficShape) {
     const QueuedEvent a = heap.pop_min();
     const QueuedEvent b = calendar.pop_min();
     ASSERT_EQ(a.time, b.time) << "op " << ops;
-    ASSERT_EQ(a.seq, b.seq) << "op " << ops;
+    ASSERT_EQ(a.payload.a, b.payload.a) << "op " << ops;
     ++ops;
     if (a.payload.kind == 1) {
       push(a.time + units::kMillisecond, 1);
@@ -374,7 +493,7 @@ TEST(CalendarQueue, DifferentialMeasuredTrafficShape) {
     const QueuedEvent a = heap.pop_min();
     const QueuedEvent b = calendar.pop_min();
     ASSERT_EQ(a.time, b.time);
-    ASSERT_EQ(a.seq, b.seq);
+    ASSERT_EQ(a.payload.a, b.payload.a);
   }
   EXPECT_TRUE(calendar.empty());
   EXPECT_GT(calendar.stats().overflow_promotions, 0u);
