@@ -4,7 +4,8 @@
 //
 // In addition to the google-benchmark suite, main() runs a head-to-head
 // scheduler harness — binary heap vs. the timing wheel (CalendarEventQueue), on
-// a monotonic and a backoff-heavy event mix — and records the result into
+// a monotonic and a backoff-heavy event mix, 7 alternating repetitions each —
+// and records each queue's median, min and max throughput into
 // BENCH_engine.json so the scheduler's perf trajectory is tracked PR over PR.
 //
 //   bench_micro_engine                # head-to-head + full gbench suite
@@ -173,50 +174,74 @@ double measure_mix_meps(const MixSpec& mix, std::size_t hold, std::uint64_t even
   return static_cast<double>(events) / secs / 1e6;
 }
 
+/// One queue's throughput over the repetitions, in Mev/s.
+struct Samples {
+  std::vector<double> meps;
+
+  double min() const { return *std::min_element(meps.begin(), meps.end()); }
+  double max() const { return *std::max_element(meps.begin(), meps.end()); }
+  double median() const {
+    std::vector<double> sorted = meps;
+    std::sort(sorted.begin(), sorted.end());
+    const std::size_t n = sorted.size();
+    return n % 2 == 1 ? sorted[n / 2] : (sorted[n / 2 - 1] + sorted[n / 2]) / 2;
+  }
+};
+
 struct MixResult {
   const char* name;
   std::uint64_t events;
-  double heap_meps;
-  double calendar_meps;
-  double speedup;
+  Samples heap;
+  Samples calendar;
 };
 
+/// Runs the heap and the wheel alternately, `repetitions` times each, so a
+/// drift in host speed falls on both queues alike.
 MixResult run_head_to_head(const MixSpec& mix, std::size_t hold, std::uint64_t events,
                            int repetitions) {
-  MixResult r{mix.name, events, 0.0, 0.0, 0.0};
+  MixResult r{mix.name, events, {}, {}};
   for (int rep = 0; rep < repetitions; ++rep) {
-    r.heap_meps = std::max(r.heap_meps, measure_mix_meps<HeapEventQueue>(mix, hold, events));
-    r.calendar_meps =
-        std::max(r.calendar_meps, measure_mix_meps<CalendarEventQueue>(mix, hold, events));
+    r.heap.meps.push_back(measure_mix_meps<HeapEventQueue>(mix, hold, events));
+    r.calendar.meps.push_back(measure_mix_meps<CalendarEventQueue>(mix, hold, events));
   }
-  r.speedup = r.calendar_meps / r.heap_meps;
   return r;
 }
 
 int run_harness(bool smoke, const std::string& out_path) {
   const std::size_t hold = smoke ? (1u << 14) : (1u << 16);
   const std::uint64_t events = smoke ? 400'000 : 4'000'000;
-  const int repetitions = smoke ? 2 : 3;
+  // The smoke gate compares the best of 2; the full run records the median
+  // of 7, which a single slow or fast repetition does not move.
+  const int repetitions = smoke ? 2 : 7;
+  auto headline = [smoke](const Samples& s) { return smoke ? s.max() : s.median(); };
 
   MixResult results[std::size(kMixes)];
+  double speedup[std::size(kMixes)];
   for (std::size_t i = 0; i < std::size(kMixes); ++i) {
-    results[i] = run_head_to_head(kMixes[i], hold, events, repetitions);
-    std::printf("[engine %-13s] heap %7.2f Mev/s | calendar %7.2f Mev/s | speedup %.2fx\n",
-                results[i].name, results[i].heap_meps, results[i].calendar_meps,
-                results[i].speedup);
+    const MixResult& r = results[i] = run_head_to_head(kMixes[i], hold, events, repetitions);
+    speedup[i] = headline(r.calendar) / headline(r.heap);
+    std::printf("[engine %-13s] heap %7.2f Mev/s [%.2f-%.2f] | calendar %7.2f Mev/s [%.2f-%.2f] "
+                "| speedup %.2fx (%s of %d)\n",
+                r.name, headline(r.heap), r.heap.min(), r.heap.max(), headline(r.calendar),
+                r.calendar.min(), r.calendar.max(), speedup[i], smoke ? "best" : "median",
+                repetitions);
   }
 
   if (FILE* f = std::fopen(out_path.c_str(), "w")) {
     std::fprintf(f, "{\n  \"benchmark\": \"bench_micro_engine\",\n");
-    std::fprintf(f, "  \"smoke\": %s,\n  \"hold\": %zu,\n  \"mixes\": [\n", smoke ? "true" : "false",
-                 hold);
+    std::fprintf(f, "  \"smoke\": %s,\n  \"hold\": %zu,\n", smoke ? "true" : "false", hold);
+    std::fprintf(f, "  \"repetitions\": %d,\n  \"statistic\": \"%s\",\n  \"mixes\": [\n",
+                 repetitions, smoke ? "best" : "median");
     for (std::size_t i = 0; i < std::size(kMixes); ++i) {
       const MixResult& r = results[i];
       std::fprintf(f,
                    "    {\"name\": \"%s\", \"events\": %llu, \"heap_meps\": %.3f, "
-                   "\"calendar_meps\": %.3f, \"speedup\": %.3f}%s\n",
-                   r.name, static_cast<unsigned long long>(r.events), r.heap_meps, r.calendar_meps,
-                   r.speedup, i + 1 < std::size(kMixes) ? "," : "");
+                   "\"heap_min_meps\": %.3f, \"heap_max_meps\": %.3f, \"calendar_meps\": %.3f, "
+                   "\"calendar_min_meps\": %.3f, \"calendar_max_meps\": %.3f, "
+                   "\"speedup\": %.3f}%s\n",
+                   r.name, static_cast<unsigned long long>(r.events), headline(r.heap),
+                   r.heap.min(), r.heap.max(), headline(r.calendar), r.calendar.min(),
+                   r.calendar.max(), speedup[i], i + 1 < std::size(kMixes) ? "," : "");
     }
     std::fprintf(f, "  ],\n");
     std::fprintf(f, "  \"host_cores\": %u\n", std::thread::hardware_concurrency());
@@ -233,12 +258,12 @@ int run_harness(bool smoke, const std::string& out_path) {
     // carries the precise numbers. A timing wheel slower than the heap it
     // replaced is a regression worth failing the build for.
     int rc = 0;
-    if (results[0].speedup < 1.3) {
-      std::fprintf(stderr, "FAIL: monotonic-mix speedup %.2fx < 1.3x\n", results[0].speedup);
+    if (speedup[0] < 1.3) {
+      std::fprintf(stderr, "FAIL: monotonic-mix speedup %.2fx < 1.3x\n", speedup[0]);
       rc = 1;
     }
-    if (results[1].speedup < 0.7) {
-      std::fprintf(stderr, "FAIL: backoff-heavy-mix speedup %.2fx < 0.7x\n", results[1].speedup);
+    if (speedup[1] < 0.7) {
+      std::fprintf(stderr, "FAIL: backoff-heavy-mix speedup %.2fx < 0.7x\n", speedup[1]);
       rc = 1;
     }
     return rc;

@@ -1,9 +1,8 @@
 #include "routing/router_table.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
-#include <limits>
-#include <stdexcept>
 
 namespace dfly {
 
@@ -16,53 +15,25 @@ MinimalPathTable::MinimalPathTable(const DragonflyTopology& topo) : topo_(topo) 
     row_[r] = static_cast<std::int16_t>(c.row_of_router(r));
     col_[r] = static_cast<std::int16_t>(c.col_of_router(r));
   }
-  // Count first so the flat array is allocated exactly once, at its size.
-  std::size_t near_links = 0;
-  for (RouterId r = 0; r < p.total_routers(); ++r) {
-    const GroupId g = c.group_of_router(r);
-    for (GroupId peer = 0; peer < p.groups; ++peer) {
-      if (peer == g) continue;
-      for (const GlobalLink& link : topo_.global_links(g, peer))
-        near_links += local_hops(r, link.src_router) < 2;
-    }
-  }
-  if (near_links > static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max()))
-    throw std::length_error("MinimalPathTable: too many near links for 32-bit offsets");
-  if (p.rows > std::numeric_limits<std::uint8_t>::max() ||
-      p.cols > std::numeric_limits<std::uint8_t>::max())
-    throw std::length_error("MinimalPathTable: more than 255 rows or columns for 8-bit coordinates");
+  std::size_t widest = 0;
+  for (GroupId g = 0; g < p.groups; ++g)
+    for (GroupId peer = 0; peer < p.groups; ++peer)
+      if (peer != g) widest = std::max(widest, topo_.global_links(g, peer).size());
+  words_ = (widest + 63) / 64;
+  pair_words_ = static_cast<std::size_t>(1 + 2 * (p.rows + p.cols)) * words_;
+  masks_.assign(static_cast<std::size_t>(p.groups) * p.groups * pair_words_, 0);
   for (GroupId g = 0; g < p.groups; ++g) {
     for (GroupId peer = 0; peer < p.groups; ++peer) {
-      if (peer != g &&
-          topo_.global_links(g, peer).size() > std::numeric_limits<std::uint16_t>::max())
-        throw std::length_error("MinimalPathTable: more than 65535 links between two groups "
-                                "for 16-bit link indices");
-    }
-  }
-  links_.reserve(near_links);
-  spans_.resize(static_cast<std::size_t>(p.total_routers()) * p.groups);
-  for (RouterId r = 0; r < p.total_routers(); ++r) {
-    const GroupId g = c.group_of_router(r);
-    for (GroupId peer = 0; peer < p.groups; ++peer) {
-      Span& span = spans_[span_index(r, peer)];
-      span.begin = span.bucket1_begin = span.end = static_cast<std::int32_t>(links_.size());
       if (peer == g) continue;
       const std::span<const GlobalLink> pair = topo_.global_links(g, peer);
-      for (int bucket = 0; bucket < 2; ++bucket) {
-        if (bucket == 1) span.bucket1_begin = static_cast<std::int32_t>(links_.size());
-        for (std::size_t i = 0; i < pair.size(); ++i)
-          if (local_hops(r, pair[i].src_router) == bucket) links_.push_back(near_link(pair, i));
+      for (std::size_t i = 0; i < pair.size(); ++i) {
+        const RouterId src = pair[i].src_router, dst = pair[i].dst_router;
+        for (const int m : {0, 1 + row_[src], 1 + p.rows + col_[src],
+                            1 + p.rows + p.cols + row_[dst], 1 + 2 * p.rows + p.cols + col_[dst]})
+          masks_[mask_at(g, peer, m) + i / 64] |= std::uint64_t{1} << (i % 64);
       }
-      span.end = static_cast<std::int32_t>(links_.size());
     }
   }
-}
-
-MinimalPathTable::NearLink MinimalPathTable::near_link(std::span<const GlobalLink> pair,
-                                                       std::size_t index) const {
-  const RouterId dst = pair[index].dst_router;
-  return {static_cast<std::uint16_t>(index), static_cast<std::uint8_t>(row_[dst]),
-          static_cast<std::uint8_t>(col_[dst])};
 }
 
 int MinimalPathTable::port_to(RouterId from, RouterId to) const {
@@ -75,7 +46,8 @@ int MinimalPathTable::port_to(RouterId from, RouterId to) const {
 
 int MinimalPathTable::local_hops(RouterId a, RouterId b) const {
   assert(topo_.coords().group_of_router(a) == topo_.coords().group_of_router(b));
-  return local_hops(row_[a], col_[a], row_[b], col_[b]);
+  if (row_[a] == row_[b]) return col_[a] == col_[b] ? 0 : 1;
+  return col_[a] == col_[b] ? 1 : 2;
 }
 
 void MinimalPathTable::append_local(Route& route, RouterId from, RouterId to, Rng& rng) const {
@@ -107,38 +79,52 @@ void MinimalPathTable::append_minimal(Route& route, RouterId from, RouterId to, 
   // Pick a global link minimizing src_hops + 1 + dst_hops; ties broken
   // uniformly by reservoir sampling over the candidate stream. Both routers
   // at the far end are in group gt, so equal coordinates mean the same router.
-  const std::span<const GlobalLink> pair = topo_.global_links(gf, gt);
-  const int to_row = row_[to], to_col = col_[to];
+  const int rows = topo_.params().rows, cols = topo_.params().cols;
+  const std::uint64_t* all = &masks_[mask_at(gf, gt, 0)];
+  const std::uint64_t* src_row = &masks_[mask_at(gf, gt, 1 + row_[from])];
+  const std::uint64_t* src_col = &masks_[mask_at(gf, gt, 1 + rows + col_[from])];
+  const std::uint64_t* dst_row = &masks_[mask_at(gf, gt, 1 + rows + cols + row_[to])];
+  const std::uint64_t* dst_col = &masks_[mask_at(gf, gt, 1 + 2 * rows + cols + col_[to])];
   int best_cost = 100;
   std::size_t best = 0;
   std::uint64_t ties = 0;
-  auto consider = [&](const NearLink& link, int src_hops) {
-    const int cost = src_hops + 1 + local_hops(link.dst_row, link.dst_col, to_row, to_col);
-    if (cost < best_cost) {
-      best_cost = cost;
-      best = link.link;
-      ties = 1;
-    } else if (cost == best_cost) {
-      ++ties;
-      if (rng.uniform(ties) == 0) best = link.link;
+  // Visits one bucket's links in link order, skipping those that can neither
+  // tie nor beat the running best (they would not draw), so every visit
+  // either improves the best or is a tie.
+  auto scan = [&](int src_hops, auto bucket) {
+    for (std::size_t w = 0; w < words_; ++w) {
+      const std::uint64_t dst0 = dst_row[w] & dst_col[w];  // lands on `to`
+      const std::uint64_t dst1 = dst_row[w] | dst_col[w];  // at most one hop from `to`
+      auto can_tie = [&]() -> std::uint64_t {
+        const int dst_slack = best_cost - 1 - src_hops;
+        if (dst_slack >= 2) return ~std::uint64_t{0};
+        return dst_slack == 1 ? dst1 : dst_slack == 0 ? dst0 : 0;
+      };
+      std::uint64_t next = bucket(w) & can_tie();
+      while (next != 0) {
+        const int bit = std::countr_zero(next);
+        next &= next - 1;
+        const int cost = src_hops + 3 - static_cast<int>((dst0 >> bit) & 1) -
+                         static_cast<int>((dst1 >> bit) & 1);
+        if (cost < best_cost) {
+          best_cost = cost;
+          best = w * 64 + bit;
+          ties = 1;
+          next &= can_tie();
+        } else if (rng.uniform(++ties) == 0) {
+          best = w * 64 + bit;
+        }
+      }
     }
   };
-
-  const Span& span = spans_[span_index(from, gt)];
-  for (std::int32_t i = span.begin; i < span.bucket1_begin; ++i) consider(links_[i], 0);
-  // Bucket 1 can only help if the current best has dst-side hops >= 1.
-  if (best_cost > 2) {
-    for (std::int32_t i = span.bucket1_begin; i < span.end; ++i) consider(links_[i], 1);
-  }
-  // Bucket 2 (2 src-side hops) can only help if best > 3.
-  if (best_cost > 3) {
-    for (std::size_t i = 0; i < pair.size(); ++i) {
-      if (local_hops(from, pair[i].src_router) == 2) consider(near_link(pair, i), 2);
-    }
-  }
+  // The gates are part of the candidate stream: a best of 2 (or 3) would
+  // still tie, and draw, with bucket 1's (or bucket 2's) cheapest links.
+  scan(0, [&](std::size_t w) { return src_row[w] & src_col[w]; });
+  if (best_cost > 2) scan(1, [&](std::size_t w) { return src_row[w] ^ src_col[w]; });
+  if (best_cost > 3) scan(2, [&](std::size_t w) { return all[w] & ~(src_row[w] | src_col[w]); });
   assert(best_cost < 100);
 
-  const GlobalLink& link = pair[best];
+  const GlobalLink& link = topo_.global_links(gf, gt)[best];
   append_local(route, from, link.src_router, rng);
   route.push(link.src_router, link.src_port);
   append_local(route, link.dst_router, to, rng);
@@ -150,25 +136,9 @@ int MinimalPathTable::min_hops(RouterId from, RouterId to) const {
   const GroupId gf = c.group_of_router(from);
   const GroupId gt = c.group_of_router(to);
   if (gf == gt) return local_hops(from, to);
-  const Span& span = spans_[span_index(from, gt)];
-  const int to_row = row_[to], to_col = col_[to];
-  auto dst_hops = [&](const NearLink& link) {
-    return local_hops(link.dst_row, link.dst_col, to_row, to_col);
-  };
   int best = 100;
-  for (std::int32_t i = span.begin; i < span.bucket1_begin && best > 1; ++i)
-    best = std::min(best, 1 + dst_hops(links_[i]));
-  if (best > 2) {
-    for (std::int32_t i = span.bucket1_begin; i < span.end && best > 2; ++i)
-      best = std::min(best, 2 + dst_hops(links_[i]));
-  }
-  if (best > 3) {
-    for (const GlobalLink& link : topo_.global_links(gf, gt)) {
-      if (local_hops(from, link.src_router) == 2)
-        best = std::min(best, 3 + local_hops(link.dst_router, to));
-      if (best <= 3) break;
-    }
-  }
+  for (const GlobalLink& link : topo_.global_links(gf, gt))
+    best = std::min(best, local_hops(from, link.src_router) + 1 + local_hops(link.dst_router, to));
   return best;
 }
 

@@ -98,5 +98,42 @@ TEST(MinHopsBfs, BoundsOnTheta) {
   }
 }
 
+TEST(MinimalPathTable, RoutesGroupsOfMoreThan255Columns) {
+  // Rows and columns are plain ints in the table; a 256-column group (one
+  // row, one global port per router) builds and routes minimally.
+  TopoParams p;
+  p.groups = 2;
+  p.rows = 1;
+  p.nodes_per_router = 1;
+  p.global_ports_per_router = 1;
+  p.cols = 256;
+  const DragonflyTopology topo(p);
+  const MinimalPathTable table(topo);
+  EXPECT_EQ(table.min_hops(0, 2 * 256 - 1), 2);  // 0 -> global -> 256 -> row -> 511
+  Rng rng(5);
+  for (RouterId a : {0, 1, 255, 256, 300, 511}) {
+    const std::vector<int> dist = bfs_distances(topo, a);
+    for (RouterId b = 0; b < topo.params().total_routers(); ++b) {
+      const int table_hops = table.min_hops(a, b);
+      EXPECT_GE(table_hops, dist[b]) << a << "->" << b;
+      EXPECT_LE(table_hops, dist[b] + 2) << a << "->" << b;
+      if (topo.coords().group_of_router(a) == topo.coords().group_of_router(b)) {
+        EXPECT_EQ(table_hops, dist[b]) << a << "->" << b;
+      }
+      // The route the table builds has min_hops hops, each on a real link,
+      // and ends at b.
+      Route route;
+      table.append_minimal(route, a, b, rng);
+      ASSERT_EQ(route.size(), table_hops) << a << "->" << b;
+      RouterId at = a;
+      for (int h = 0; h < route.size(); ++h) {
+        ASSERT_EQ(route[h].router, at) << a << "->" << b << " hop " << h;
+        at = topo.neighbor(at, route[h].port);
+      }
+      EXPECT_EQ(at, b) << a << "->" << b;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace dfly

@@ -224,22 +224,6 @@ TEST(MinimalRouting, InterGroupRouteCrossesExactlyOneGlobalLink) {
   }
 }
 
-TEST(MinimalPathTable, RejectsGroupsTooWideForEightBitCoordinates) {
-  // Near-link entries keep the landing router's row and column in 8 bits.
-  TopoParams p;
-  p.groups = 2;
-  p.rows = 1;
-  p.nodes_per_router = 1;
-  p.global_ports_per_router = 1;
-  p.cols = 256;
-  const DragonflyTopology too_wide(p);
-  EXPECT_THROW(MinimalPathTable{too_wide}, std::length_error);
-  p.cols = 255;
-  const DragonflyTopology widest(p);
-  const MinimalPathTable table(widest);
-  EXPECT_EQ(table.min_hops(0, 2 * 255 - 1), 2);  // 0 -> global -> 255 -> row -> 509
-}
-
 TEST(ValiantRouting, IntermediateAvoidsEndpointRouters) {
   const DragonflyTopology topo(TopoParams::tiny());
   Rng rng(11);
