@@ -1,5 +1,6 @@
 #include "core/config_io.hpp"
 
+#include <charconv>
 #include <fstream>
 #include <functional>
 #include <map>
@@ -18,17 +19,35 @@ std::string trim(const std::string& s) {
   return s.substr(begin, end - begin + 1);
 }
 
-std::int64_t parse_int(const std::string& value, const std::string& key) {
+/// Parses an integer key into T. Text with a minus sign parses signed and the
+/// rest unsigned (std::stoull would wrap "-1" to UINT64_MAX), so every value
+/// of a 64-bit member parses.
+template <typename T>
+T parse_int(const std::string& value, const std::string& key) {
+  const bool negative = value.find('-') != std::string::npos;
   std::size_t pos = 0;
-  std::int64_t v = 0;
+  std::int64_t signed_value = 0;
+  std::uint64_t unsigned_value = 0;
   try {
-    v = std::stoll(value, &pos);
+    if (negative)
+      signed_value = std::stoll(value, &pos);
+    else
+      unsigned_value = std::stoull(value, &pos);
   } catch (const std::exception&) {
     throw std::runtime_error("config: bad integer for " + key + ": '" + value + "'");
   }
   if (pos != value.size())
     throw std::runtime_error("config: trailing junk in " + key + ": '" + value + "'");
-  return v;
+  // Refuse values T cannot hold instead of wrapping silently on the
+  // narrowing cast.
+  bool fits;
+  if constexpr (std::is_same_v<T, bool>)
+    fits = negative ? signed_value == 0 : unsigned_value <= 1;
+  else
+    fits = negative ? std::in_range<T>(signed_value) : std::in_range<T>(unsigned_value);
+  if (!fits)
+    throw std::runtime_error("config: value out of range for " + key + ": '" + value + "'");
+  return negative ? static_cast<T>(signed_value) : static_cast<T>(unsigned_value);
 }
 
 double parse_double(const std::string& value, const std::string& key) {
@@ -44,23 +63,20 @@ double parse_double(const std::string& value, const std::string& key) {
   return v;
 }
 
+/// The shortest text that parses back to exactly `v`, so a rendered config
+/// reproduces the run it was rendered from.
+std::string format_double(double v) {
+  char text[32];
+  return std::string(text, std::to_chars(text, text + sizeof text, v).ptr);
+}
+
 using Setter = std::function<void(ExperimentOptions&, const std::string&, const std::string&)>;
 
 const std::map<std::string, Setter>& setters() {
   auto set_int = [](auto member) {
     return Setter([member](ExperimentOptions& o, const std::string& k, const std::string& v) {
       using T = std::remove_reference_t<decltype(std::invoke(member, o))>;
-      const std::int64_t raw = parse_int(v, k);
-      // Refuse values the member's type cannot hold instead of wrapping
-      // silently on the narrowing cast.
-      bool fits;
-      if constexpr (std::is_same_v<T, bool>)
-        fits = raw == 0 || raw == 1;
-      else
-        fits = std::in_range<T>(raw);
-      if (!fits)
-        throw std::runtime_error("config: value out of range for " + k + ": '" + v + "'");
-      std::invoke(member, o) = static_cast<T>(raw);
+      std::invoke(member, o) = parse_int<T>(v, k);
     });
   };
   auto set_double = [](auto member) {
@@ -120,12 +136,6 @@ const std::map<std::string, Setter>& setters() {
        set_int([](ExperimentOptions& o) -> SimTime& { return o.telemetry.snapshot_interval; })},
       {"prof.enabled",
        set_int([](ExperimentOptions& o) -> bool& { return o.prof.enabled; })},
-      {"checkpoint.path",
-       Setter([](ExperimentOptions& o, const std::string&, const std::string& v) {
-         o.checkpoint.path = v;
-       })},
-      {"checkpoint.resume",
-       set_int([](ExperimentOptions& o) -> bool& { return o.checkpoint.resume; })},
       {"experiment.seed",
        set_int([](ExperimentOptions& o) -> std::uint64_t& { return o.seed; })},
       {"experiment.msg_scale",
@@ -194,9 +204,9 @@ std::string render_config(const ExperimentOptions& o) {
   os << "chassis_per_cabinet = " << o.topo.chassis_per_cabinet << "\n";
   os << "\n[network]\n";
   os << "chunk_bytes = " << o.net.chunk_bytes << "\n";
-  os << "terminal_bandwidth_gib = " << o.net.terminal_bandwidth_gib << "\n";
-  os << "local_bandwidth_gib = " << o.net.local_bandwidth_gib << "\n";
-  os << "global_bandwidth_gib = " << o.net.global_bandwidth_gib << "\n";
+  os << "terminal_bandwidth_gib = " << format_double(o.net.terminal_bandwidth_gib) << "\n";
+  os << "local_bandwidth_gib = " << format_double(o.net.local_bandwidth_gib) << "\n";
+  os << "global_bandwidth_gib = " << format_double(o.net.global_bandwidth_gib) << "\n";
   os << "terminal_latency_ns = " << o.net.terminal_latency << "\n";
   os << "local_latency_ns = " << o.net.local_latency << "\n";
   os << "global_latency_ns = " << o.net.global_latency << "\n";
@@ -210,18 +220,15 @@ std::string render_config(const ExperimentOptions& o) {
   os << "stall_ticks = " << o.health.stall_ticks << "\n";
   os << "\n[telemetry]\n";
   os << "enabled = " << (o.telemetry.enabled ? 1 : 0) << "\n";
-  os << "sample_rate = " << o.telemetry.sample_rate << "\n";
+  os << "sample_rate = " << format_double(o.telemetry.sample_rate) << "\n";
   os << "out_dir = " << o.telemetry.out_dir << "\n";
   os << "chrome_trace = " << (o.telemetry.chrome_trace ? 1 : 0) << "\n";
   os << "snapshot_interval_ns = " << o.telemetry.snapshot_interval << "\n";
   os << "\n[prof]\n";
   os << "enabled = " << (o.prof.enabled ? 1 : 0) << "\n";
-  os << "\n[checkpoint]\n";
-  if (!o.checkpoint.path.empty()) os << "path = " << o.checkpoint.path << "\n";
-  os << "resume = " << (o.checkpoint.resume ? 1 : 0) << "\n";
   os << "\n[experiment]\n";
   os << "seed = " << o.seed << "\n";
-  os << "msg_scale = " << o.msg_scale << "\n";
+  os << "msg_scale = " << format_double(o.msg_scale) << "\n";
   os << "max_events = " << o.max_events << "\n";
   os << "eager_threshold = " << o.replay.eager_threshold << "\n";
   os << "control_bytes = " << o.replay.control_bytes << "\n";

@@ -37,6 +37,8 @@ ExperimentResult run_experiment(const Workload& workload, const ExperimentConfig
     throw std::invalid_argument("run_experiment: options.threads must be 0 (serial engine)");
   if (!options.faults.empty())
     throw std::invalid_argument("run_experiment: options.faults must be empty");
+  if (options.checkpoint.active() || options.checkpoint.resume)
+    throw std::invalid_argument("run_experiment: options.checkpoint must stay inactive");
   // Optionally reuse a caller-built topology: it is immutable during a run,
   // so concurrent experiments can share it.
   std::optional<DragonflyTopology> local_topo;

@@ -39,13 +39,10 @@ std::vector<ExperimentConfig> table1_configs();
 /// The four extreme configurations used by the sensitivity study (§IV-B).
 std::vector<ExperimentConfig> extreme_configs();
 
-/// Sweep resume ([checkpoint] section of config files), read by run_matrix
-/// only: with a path set, every finished config leaves a result marker in
-/// that directory, and with resume set a config whose marker is there loads
-/// it instead of running again.
+/// perfbench shim: must stay inactive (run_experiment throws otherwise).
 struct CheckpointOptions {
-  std::string path;     ///< marker directory; empty disables markers
-  bool resume = false;  ///< load a config's marker instead of re-running it
+  std::string path;
+  bool resume = false;
 
   bool active() const { return !path.empty(); }
 };
@@ -66,7 +63,7 @@ struct ExperimentOptions {
   std::vector<int> faults;
   HealthOptions health;     ///< progress/conservation monitor settings
   TelemetryOptions telemetry;  ///< flight-recorder tracing + run artifacts
-  CheckpointOptions checkpoint;  ///< run_matrix result markers + resume
+  CheckpointOptions checkpoint;  ///< perfbench shim: must stay inactive
   /// [prof] wall-clock self-profiling (src/prof/, DESIGN.md §11): sampled,
   /// exclusive layer attribution into prof.json. Never perturbs the
   /// simulation or its other artifacts.

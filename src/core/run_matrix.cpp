@@ -3,83 +3,14 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdio>
 #include <deque>
 #include <exception>
-#include <filesystem>
-#include <map>
 #include <mutex>
 #include <numeric>
-#include <sstream>
 #include <thread>
-
-#include "core/config_io.hpp"
-#include "core/result_io.hpp"
-#include "trace/trace_io.hpp"
-#include "util/fnv1a.hpp"
 
 namespace dfly {
 namespace {
-
-namespace fs = std::filesystem;
-
-/// Length-prefixed, so adjacent fields cannot run into each other.
-void add_field(Fnv1a& h, const std::string& bytes) {
-  h.add(bytes.size());
-  h.add_bytes(bytes);
-}
-
-/// The hash of the workload's trace bytes, the first and costliest field of
-/// a marker fingerprint; run_jobs computes it once per workload.
-Fnv1a trace_fingerprint(const Workload& workload) {
-  Fnv1a h;
-  std::ostringstream trace;
-  write_trace(workload.trace, trace);
-  add_field(h, trace.str());
-  return h;
-}
-
-/// Extends a trace fingerprint with everything else a job's result depends
-/// on apart from the config: every option (the [checkpoint] section left
-/// out, so moving or resuming a sweep keeps its markers) and the background
-/// spec or its absence.
-Fnv1a sweep_fingerprint(Fnv1a h, const ExperimentOptions& options) {
-  ExperimentOptions rendered = options;
-  rendered.checkpoint = {};
-  add_field(h, render_config(rendered));
-  h.add_byte(options.background.has_value());
-  if (options.background) {
-    const BackgroundSpec& bg = *options.background;
-    h.add(static_cast<std::uint64_t>(bg.pattern));
-    h.add(static_cast<std::uint64_t>(bg.message_bytes));
-    h.add(static_cast<std::uint64_t>(bg.interval));
-    h.add(static_cast<std::uint64_t>(bg.burst_fanout));
-    h.add(static_cast<std::uint64_t>(bg.start));
-  }
-  return h;
-}
-
-/// `<dir>/<config>.<16 hex digits>.done`: the digits hash the sweep
-/// fingerprint and the config name, so a marker is only ever loaded by the
-/// run it records.
-std::string marker_path(const ExperimentOptions& options, Fnv1a fingerprint,
-                        const std::string& config) {
-  add_field(fingerprint, config);
-  char hex[17];
-  std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(fingerprint.h));
-  return (fs::path(options.checkpoint.path) / (config + "." + hex + ".done")).string();
-}
-
-/// One job. With a marker path, resume loads an existing marker instead of
-/// running, and a finished run leaves its marker.
-ExperimentResult run_job(const SweepJob& job, const DragonflyTopology& topo,
-                         const std::string& marker) {
-  if (marker.empty()) return run_experiment(*job.workload, job.config, job.options, &topo);
-  if (job.options.checkpoint.resume && fs::exists(marker)) return result_io::load_result(marker);
-  ExperimentResult result = run_experiment(*job.workload, job.config, job.options, &topo);
-  result_io::save_result(marker, result);
-  return result;
-}
 
 /// Routers a minimal path between two routers visits, from their
 /// coordinates: 1 on one router; 2 within a row or column, 3 otherwise in one
@@ -217,11 +148,9 @@ std::vector<ExperimentResult> run_jobs(std::span<const SweepJob> jobs, int threa
   threads = std::min<int>(threads, static_cast<int>(jobs.size()));
 
   // Read-only once the workers start: one topology per distinct TopoParams
-  // (a deque, so the pointers stay valid) and each marking job's marker.
+  // (a deque, so the pointers stay valid).
   std::deque<DragonflyTopology> topologies;
   std::vector<const DragonflyTopology*> topo(jobs.size());
-  std::vector<std::string> marker(jobs.size());
-  std::map<const Workload*, Fnv1a> traces;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const ExperimentOptions& options = jobs[i].options;
     const auto shared = std::find_if(topologies.begin(), topologies.end(),
@@ -229,12 +158,6 @@ std::vector<ExperimentResult> run_jobs(std::span<const SweepJob> jobs, int threa
                                        return t.params() == options.topo;
                                      });
     topo[i] = shared != topologies.end() ? &*shared : &topologies.emplace_back(options.topo);
-    if (!options.checkpoint.active()) continue;
-    fs::create_directories(options.checkpoint.path);
-    const auto [trace, fresh] = traces.try_emplace(jobs[i].workload);
-    if (fresh) trace->second = trace_fingerprint(*jobs[i].workload);
-    marker[i] = marker_path(options, sweep_fingerprint(trace->second, options),
-                            jobs[i].config.name());
   }
 
   const std::vector<std::size_t> order = dispatch_order(jobs);
@@ -247,7 +170,7 @@ std::vector<ExperimentResult> run_jobs(std::span<const SweepJob> jobs, int threa
     for (std::size_t k = next.fetch_add(1); k < order.size(); k = next.fetch_add(1)) {
       const std::size_t i = order[k];
       try {
-        results[i] = run_job(jobs[i], *topo[i], marker[i]);
+        results[i] = run_experiment(*jobs[i].workload, jobs[i].config, jobs[i].options, topo[i]);
       } catch (...) {
         const std::lock_guard<std::mutex> lock(error_mutex);
         if (!error) error = std::current_exception();

@@ -50,15 +50,6 @@ std::vector<std::size_t> dispatch_order(std::span<const SweepJob> jobs);
 /// TopoParams share one immutable topology. Exceptions from worker runs are
 /// rethrown on the calling thread once every worker has stopped; a job whose
 /// topology or placement cannot be built fails the call before any job runs.
-///
-/// A job whose options.checkpoint is active leaves a result marker
-/// <checkpoint.path>/<config>.<fingerprint>.done when it finishes, the
-/// fingerprint being 16 hex digits of a hash over the workload's trace, the
-/// options (less [checkpoint]), the background spec and the config name.
-/// With checkpoint.resume set, a job whose marker exists is loaded from it
-/// and skipped, so an interrupted sweep re-runs only the jobs it had not
-/// finished, and a marker never answers for a different workload, scale,
-/// seed or background.
 std::vector<ExperimentResult> run_jobs(std::span<const SweepJob> jobs, int threads = 0);
 
 /// Runs `workload` under every config with the same options: run_jobs over

@@ -114,6 +114,18 @@ TEST(Experiment, NonzeroEngineThreadsIsRejected) {
   }
 }
 
+TEST(Experiment, ActiveCheckpointShimIsRejected) {
+  // Sweeps have no resume; a set marker path or resume flag must fail, not
+  // run without markers.
+  const ExperimentConfig config;
+  ExperimentOptions path = tiny_options();
+  path.checkpoint.path = "sweep-markers";
+  EXPECT_THROW(run_experiment(small_workload(), config, path), std::invalid_argument);
+  ExperimentOptions resume = tiny_options();
+  resume.checkpoint.resume = true;
+  EXPECT_THROW(run_experiment(small_workload(), config, resume), std::invalid_argument);
+}
+
 TEST(Experiment, MsgScaleIncreasesCommTime) {
   const Workload w = small_workload();
   ExperimentOptions options = tiny_options();

@@ -19,12 +19,12 @@
 #include <string>
 
 #include "core/experiment.hpp"
+#include "fnv1a.hpp"
 #include "net/network.hpp"
 #include "place/placement.hpp"
 #include "replay/replay.hpp"
 #include "routing/algorithm.hpp"
 #include "sim/engine.hpp"
-#include "util/fnv1a.hpp"
 #include "workload/workload.hpp"
 
 namespace dfly {

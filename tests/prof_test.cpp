@@ -8,7 +8,6 @@
 // prof.json schema 4.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -425,10 +424,10 @@ TEST(ProfReport, ProfilerRejectsAnythingButOneLane) {
   EXPECT_THROW(prof::Profiler(prof::ProfOptions{}, 1, 2), std::invalid_argument);
 }
 
-// Sweeps with result markers: profiling rides along without extra files
+// Sweeps: profiling every job of a pooled sweep perturbs none of them
 // ---------------------------------------------------------------------------
 
-TEST(ProfSweep, CheckpointedSweepWithProfilingLeavesOnlyResultMarkers) {
+TEST(ProfSweep, ProfiledSweepMatchesUnprofiledSweep) {
   const Workload workload = prof_workload();
   const std::vector<ExperimentConfig> configs = {
       {PlacementKind::Contiguous, RoutingKind::Minimal},
@@ -439,29 +438,13 @@ TEST(ProfSweep, CheckpointedSweepWithProfilingLeavesOnlyResultMarkers) {
   o.seed = 11;
   const std::vector<ExperimentResult> golden = run_matrix(workload, configs, o, 2);
 
-  o.checkpoint.path = temp_path("prof-sweep");
-  fs::remove_all(o.checkpoint.path);
   o.prof.enabled = true;
   const std::vector<ExperimentResult> results = run_matrix(workload, configs, o, 2);
   ASSERT_EQ(results.size(), golden.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
+    EXPECT_EQ(results[i].config, golden[i].config);
     EXPECT_EQ(results[i].metrics.events, golden[i].metrics.events) << configs[i].name();
     EXPECT_EQ(results[i].metrics.comm_time_ms, golden[i].metrics.comm_time_ms);
-  }
-
-  // One <config>.<16 hex digits>.done marker per config, nothing else.
-  std::vector<std::string> files;
-  for (const fs::directory_entry& e : fs::directory_iterator(o.checkpoint.path))
-    files.push_back(e.path().filename().string());
-  std::sort(files.begin(), files.end());
-  ASSERT_EQ(files.size(), configs.size());
-  for (std::size_t i = 0; i < files.size(); ++i) {
-    const std::string prefix = configs[i].name() + ".";
-    EXPECT_TRUE(files[i].starts_with(prefix)) << files[i];
-    EXPECT_TRUE(files[i].ends_with(".done")) << files[i];
-    EXPECT_EQ(files[i].find_first_not_of("0123456789abcdef", prefix.size()),
-              prefix.size() + 16) << files[i];
-    EXPECT_EQ(files[i].size(), prefix.size() + 16 + 5) << files[i];
   }
 }
 
