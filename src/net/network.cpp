@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -26,8 +27,13 @@ void NetworkParams::validate() const {
   if (std::max({chunk_bytes, terminal_vc_buffer, local_vc_buffer, global_vc_buffer}) >
       std::numeric_limits<std::int32_t>::max())
     throw std::invalid_argument("chunk sizes and VC credits are 32-bit: at most 2^31-1 bytes");
-  if (terminal_bandwidth_gib <= 0 || local_bandwidth_gib <= 0 || global_bandwidth_gib <= 0)
-    throw std::invalid_argument("bandwidths must be positive");
+  // NaN fails isfinite (it would pass a `<= 0` test): every serialization
+  // time divides by these.
+  for (const double gib : {terminal_bandwidth_gib, local_bandwidth_gib, global_bandwidth_gib})
+    if (!std::isfinite(gib) || gib <= 0)
+      throw std::invalid_argument("bandwidths must be positive and finite");
+  if (std::min({terminal_latency, local_latency, global_latency, router_delay}) < 0)
+    throw std::invalid_argument("latencies and router_delay must not be negative");
 }
 
 Network::Network(Engine& engine, const DragonflyTopology& topo, const NetworkParams& params,

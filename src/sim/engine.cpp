@@ -1,6 +1,5 @@
 #include "sim/engine.hpp"
 
-#include <cassert>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -9,14 +8,9 @@
 
 namespace dfly {
 
-void Engine::schedule(SimTime when, EventHandler* handler, EventPayload payload) {
-  assert(handler != nullptr);
-  // A real check, not an assert: release builds must not run the clock
-  // backwards, and `now + delay` overflowing goes negative and lands here.
-  if (when < now_)
-    throw std::logic_error("Engine::schedule: time " + std::to_string(when) +
-                           " precedes now " + std::to_string(now_));
-  queue_.push(QueuedEvent{when, seq_++, handler, payload});
+void Engine::throw_past(SimTime when) const {
+  throw std::logic_error("Engine::schedule: time " + std::to_string(when) + " precedes now " +
+                         std::to_string(now_));
 }
 
 bool Engine::step(SimTime deadline) {

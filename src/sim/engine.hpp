@@ -15,6 +15,7 @@
 //    run_matrix (one configuration per worker, DESIGN.md §9).
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 
 #include "sim/event_queue.hpp"
@@ -49,7 +50,15 @@ class Engine {
 
   /// Schedules `payload` for delivery to `handler` at absolute time `when`.
   /// Throws std::logic_error if `when` precedes the current time.
-  void schedule(SimTime when, EventHandler* handler, EventPayload payload);
+  [[gnu::always_inline]] void schedule(SimTime when, EventHandler* handler,
+                                       EventPayload payload) {
+    assert(handler != nullptr);
+    // A real check, not an assert: release builds must not run the clock
+    // backwards, and `now + delay` overflowing goes negative and lands here.
+    if (when < now_) [[unlikely]]
+      throw_past(when);
+    queue_.push(QueuedEvent{when, seq_++, handler, payload});
+  }
 
   /// Convenience: schedule relative to the current time.
   void schedule_after(SimTime delay, EventHandler* handler, EventPayload payload) {
@@ -91,6 +100,8 @@ class Engine {
   const SchedulerStats& scheduler_stats() const { return queue_.stats(); }
 
  private:
+  /// schedule()'s error path, out of line so the inlined check stays small.
+  [[noreturn, gnu::cold]] void throw_past(SimTime when) const;
   /// True when an event at or before `deadline` may be dispatched now.
   bool ready(SimTime deadline) {
     if (stop_requested_ || queue_.empty() || queue_.min_time() > deadline) return false;
@@ -105,7 +116,7 @@ class Engine {
   bool timed_step(SimTime deadline);
   /// Pops the earliest event and hands the one after it to its handler's
   /// prefetch() hook.
-  QueuedEvent pop_and_hint() {
+  [[gnu::always_inline]] QueuedEvent pop_and_hint() {
     const QueuedEvent ev = queue_.pop_min();
     if (!queue_.empty()) {
       const QueuedEvent next = queue_.min();

@@ -8,6 +8,8 @@
 #pragma once
 
 #include <array>
+#include <bit>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -121,7 +123,15 @@ class CalendarEventQueue {
   /// Bytes per wheel node: two nodes share a cache line.
   static constexpr std::size_t kNodeBytes = sizeof(Node);
 
-  void push(const QueuedEvent& ev);
+  [[gnu::always_inline]] void push(const QueuedEvent& ev) {
+    assert(ev.time >= cur_ && "push before the last dispatched time");
+    if (static_cast<std::uint64_t>(ev.time - cur_) < kSlots)
+      append(ev);
+    else
+      push_overflow(ev);
+    ++size_;
+    if (size_ > stats_.peak_pending) stats_.peak_pending = size_;
+  }
   /// The earliest event. Never moves the window, so a push earlier than the
   /// result stays legal.
   QueuedEvent min() const {
@@ -133,7 +143,34 @@ class CalendarEventQueue {
   SimTime min_time() const {
     return first_ == kNone ? overflow_.top().time : slot_time(first_);
   }
-  QueuedEvent pop_min();
+  [[gnu::always_inline]] QueuedEvent pop_min() {
+    assert(size_ > 0);
+    if (first_ == kNone) {
+      // Only far-future events are pending: jump the window to the earliest.
+      cur_ = overflow_.top().time;
+      promote();
+    }
+    const std::size_t s = first_;
+    const SimTime time = slot_time(s);
+    Slot& slot = slots_[s];
+    const std::uint32_t n = slot.head;
+    Node& node = pool_[n];
+    const QueuedEvent ev{time, 0, node.handler, node.payload};
+    slot.head = node.next;
+    node.next = free_;
+    free_ = n;
+    --size_;
+    if (slot.head == kNil) {
+      occupied_[s / 64] &= ~(std::uint64_t{1} << (s % 64));
+      // Nothing pending is earlier than this slot, so the search starts here.
+      first_ = size_ == overflow_.size() ? kNone : scan_from(s);
+    }
+    if (time != cur_) {
+      cur_ = time;
+      if (overflow_due()) promote();
+    }
+    return ev;
+  }
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
@@ -161,10 +198,45 @@ class CalendarEventQueue {
   std::size_t offset(std::size_t s) const { return (s - static_cast<std::size_t>(cur_)) & kMask; }
   /// The one time the events in slot `s` can have.
   SimTime slot_time(std::size_t s) const { return cur_ + static_cast<SimTime>(offset(s)); }
-  /// First occupied slot at or after `s` in window order; the wheel must be
-  /// non-empty.
-  std::size_t scan_from(std::size_t s) const;
-  void append(const QueuedEvent& ev);
+  /// First occupied slot at or after `start` in window order; the wheel must
+  /// be non-empty.
+  std::size_t scan_from(std::size_t start) const {
+    // Slots rise from `start` upwards, then wrap round to the slots below it.
+    std::size_t w = start / 64;
+    std::uint64_t bits = occupied_[w] & (~std::uint64_t{0} << (start % 64));
+    while (bits == 0) {
+      w = (w + 1) % occupied_.size();
+      bits = occupied_[w];
+    }
+    return w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+  }
+  [[gnu::always_inline]] void append(const QueuedEvent& ev) {
+    std::uint32_t n = free_;
+    if (n != kNil) {
+      free_ = pool_[n].next;
+      pool_[n] = Node{ev.handler, ev.payload, kNil};
+    } else {
+      n = static_cast<std::uint32_t>(pool_.size());
+      pool_.push_back(Node{ev.handler, ev.payload, kNil});
+    }
+    const std::size_t s = static_cast<std::size_t>(ev.time) & kMask;
+    Slot& slot = slots_[s];
+    if (slot.head == kNil) {
+      slot.head = n;
+      occupied_[s / 64] |= std::uint64_t{1} << (s % 64);
+    } else {
+      pool_[slot.tail].next = n;
+    }
+    slot.tail = n;
+    if (first_ == kNone || offset(s) < offset(first_)) first_ = s;
+  }
+  /// True when the earliest overflow event lies inside the window.
+  bool overflow_due() const {
+    return !overflow_.empty() &&
+           static_cast<std::uint64_t>(overflow_.top().time - cur_) < kSlots;
+  }
+  // The overflow tier is cold (a few timers per run), so it stays out of line.
+  void push_overflow(const QueuedEvent& ev);
   /// Moves every overflow event inside the window into its slot.
   void promote();
 

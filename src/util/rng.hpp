@@ -8,6 +8,8 @@
 #pragma once
 
 #include <array>
+#include <bit>
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -36,19 +38,37 @@ class Rng {
   explicit Rng(std::uint64_t seed = 0x853c49e6748fea9bULL);
 
   /// Raw 64 random bits.
-  std::uint64_t next();
+  std::uint64_t next() {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
-  /// Uniform integer in [0, bound) with rejection sampling (no modulo bias).
-  std::uint64_t uniform(std::uint64_t bound);
+  /// Uniform integer in [0, bound) with rejection sampling (no modulo bias):
+  /// `r` is rejected below (2^64 - bound) % bound. That threshold is below
+  /// `bound`, so it is computed only for the rare draw r < bound.
+  std::uint64_t uniform(std::uint64_t bound) {
+    assert(bound > 0);
+    for (;;) {
+      const std::uint64_t r = next();
+      if (r >= bound || r >= (0 - bound) % bound) return r % bound;
+    }
+  }
 
   /// Uniform double in [0, 1).
-  double uniform_double();
+  double uniform_double() { return static_cast<double>(next() >> 11) * 0x1.0p-53; }
 
   /// Uniform double in [lo, hi).
-  double uniform_double(double lo, double hi);
+  double uniform_double(double lo, double hi) { return lo + (hi - lo) * uniform_double(); }
 
   /// True with probability p.
-  bool bernoulli(double p);
+  bool bernoulli(double p) { return uniform_double() < p; }
 
   /// Fisher-Yates shuffle.
   template <typename T>

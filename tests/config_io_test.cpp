@@ -126,6 +126,25 @@ TEST(ConfigIo, RejectsChunkPast32Bits) {
   std::filesystem::remove(path);
 }
 
+TEST(ConfigIo, RejectsNonFiniteBandwidthsAndNegativeDelays) {
+  // Each value parses as a number, so it is validation that must stop it:
+  // a NaN or infinite bandwidth makes every serialization time undefined, and
+  // a negative delay schedules an event in the past.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "dfly_config_bad_network_value.conf").string();
+  for (const char* line :
+       {"terminal_bandwidth_gib = nan", "local_bandwidth_gib = nan", "global_bandwidth_gib = inf",
+        "local_bandwidth_gib = -inf", "terminal_latency_ns = -1", "local_latency_ns = -50",
+        "global_latency_ns = -800", "router_delay_ns = -5000"}) {
+    {
+      std::ofstream f(path);
+      f << "[network]\n" << line << "\n";
+    }
+    EXPECT_THROW(load_config(path), std::invalid_argument) << line;
+  }
+  std::filesystem::remove(path);
+}
+
 TEST(ConfigIo, ParsesHealthKeys) {
   std::istringstream is(R"(
 [health]

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "fixed_routing.hpp"
 #include "obs/trace.hpp"
 #include "routing/minimal.hpp"
@@ -220,6 +223,68 @@ TEST(NetworkParams, ValidationRejectsNonsense) {
   p = NetworkParams::theta();
   p.chunk_bytes = p.terminal_vc_buffer = p.local_vc_buffer = p.global_vc_buffer = past_int32 - 1;
   EXPECT_NO_THROW(p.validate());
+  // NaN passes a `<= 0` test, and an infinite bandwidth a `> 0` one.
+  for (double* bw : {&p.terminal_bandwidth_gib, &p.local_bandwidth_gib, &p.global_bandwidth_gib}) {
+    for (const double bad : {std::nan(""), std::numeric_limits<double>::infinity(), -1.0}) {
+      p = NetworkParams::theta();
+      *bw = bad;
+      EXPECT_THROW(p.validate(), std::invalid_argument);
+    }
+  }
+  for (SimTime* delay : {&p.terminal_latency, &p.local_latency, &p.global_latency, &p.router_delay}) {
+    p = NetworkParams::theta();
+    *delay = -1;
+    EXPECT_THROW(p.validate(), std::invalid_argument);
+    *delay = 0;
+    EXPECT_NO_THROW(p.validate());
+  }
+}
+
+TEST(Network, FullAndPartialChunkHopTimesMatchHandSum) {
+  // Bandwidths and latencies that differ per kind, so a hop charged at
+  // another kind's rate, or a partial chunk charged as a full one, moves the
+  // delivery time.
+  NetworkParams params;
+  params.chunk_bytes = 3000;
+  params.terminal_bandwidth_gib = 4.69;
+  params.local_bandwidth_gib = 16;
+  params.global_bandwidth_gib = 5.25;
+  params.terminal_latency = 70;
+  params.local_latency = 130;
+  params.global_latency = 900;
+  params.router_delay = 300;
+  const DragonflyTopology topo(TopoParams::tiny());
+  const Coordinates& c = topo.coords();
+  // One local hop to the router that owns a global link to group 1, the
+  // global hop, then ejection at the link's far end.
+  const GlobalLink link = topo.global_links(0, 1)[0];
+  RouterId first = -1;
+  for (RouterId r = 0; r < topo.params().routers_per_group() && first < 0; ++r)
+    if (r != link.src_router && topo.local_port_to(r, link.src_router) >= 0) first = r;
+  ASSERT_GE(first, 0);
+  const NodeId src = c.node_of(first, 0), dst = c.node_of(link.dst_router, 1);
+  Route route;
+  route.push(first, topo.local_port_to(first, link.src_router));
+  route.push(link.src_router, link.src_port);
+  route.push(link.dst_router, 1);
+  FixedRouting routing(topo);
+  routing.pin(src, dst, route);
+
+  for (const Bytes bytes : {params.chunk_bytes, params.chunk_bytes / 2}) {
+    Engine engine;
+    Recorder rec;
+    Network network(engine, topo, params, routing, Rng(1), &rec);
+    network.send(src, dst, bytes, 0, false, true);
+    engine.run();
+    auto hop = [&](PortKind kind) {
+      return units::transfer_time(bytes, params.bandwidth(kind)) + params.latency(kind);
+    };
+    const SimTime expected = hop(PortKind::Terminal) + params.router_delay +
+                             hop(PortKind::LocalRow) + params.router_delay +
+                             hop(PortKind::Global) + params.router_delay + hop(PortKind::Terminal);
+    ASSERT_EQ(rec.delivered.size(), 1u) << bytes;
+    EXPECT_EQ(rec.delivered[0].second, expected) << bytes;
+  }
 }
 
 TEST(NetworkParams, ThetaMatchesPaperSectionII) {

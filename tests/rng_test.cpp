@@ -8,6 +8,7 @@
 #include <cmath>
 #include <numeric>
 #include <set>
+#include <vector>
 
 namespace dfly {
 namespace {
@@ -35,6 +36,28 @@ TEST(Rng, UniformStaysInBound) {
 TEST(Rng, UniformBoundOneIsAlwaysZero) {
   Rng rng(7);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.uniform(1), 0u);
+}
+
+TEST(Rng, UniformStreamMatchesDivisionReference) {
+  // uniform() with the rejection threshold computed on every draw; uniform()
+  // skips it when r >= bound. Bounds 2^63 + k have threshold 2^63 - k, so
+  // about half their draws fall below the bound and about half are rejected.
+  auto reference = [](Rng& rng, std::uint64_t bound) {
+    const std::uint64_t threshold = (0 - bound) % bound;
+    for (;;) {
+      const std::uint64_t r = rng.next();
+      if (r >= threshold) return r % bound;
+    }
+  };
+  Rng a(99), b(99), bounds(5);
+  std::size_t wrong = 0;
+  for (int i = 0; i < 1'000'000; ++i) {
+    const std::uint64_t bound =
+        i % 2 ? 1 + bounds.uniform(100) : (std::uint64_t{1} << 63) + bounds.uniform(1'000);
+    wrong += a.uniform(bound) != reference(b, bound);
+  }
+  EXPECT_EQ(wrong, 0u);
+  EXPECT_EQ(a.state(), b.state());
 }
 
 TEST(Rng, UniformDoubleInUnitInterval) {
