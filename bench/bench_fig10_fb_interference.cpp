@@ -18,14 +18,13 @@ int main() {
   options.seed = seed;
   const Workload fb = bench::fb_workload(scale);
 
-  // (a) uniform: 2456 nodes x 15.6 KB = 38.3 MB per tick (Table II: 38.38 MB).
   bench::run_interference_figure(
-      fb, options, bench::uniform_background(15600, 10 * units::kMicrosecond, scale),
-      /*traffic_tables=*/false);
-
-  // (b)+(c) bursty: 2456 nodes x 4 peers x 50 KB = 491 MB per burst.
-  bench::run_interference_figure(
-      fb, options, bench::bursty_background(50 * units::kKB, 4, 100 * units::kMicrosecond, scale),
-      /*traffic_tables=*/true);
+      fb, options,
+      {// (a) uniform: 2456 nodes x 15.6 KB = 38.3 MB per tick (Table II: 38.38 MB).
+       {bench::uniform_background(15600, 10 * units::kMicrosecond, scale),
+        /*traffic_tables=*/false},
+       // (b)+(c) bursty: 2456 nodes x 4 peers x 50 KB = 491 MB per burst.
+       {bench::bursty_background(50 * units::kKB, 4, 100 * units::kMicrosecond, scale),
+        /*traffic_tables=*/true}});
   return 0;
 }

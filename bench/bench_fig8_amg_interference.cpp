@@ -21,6 +21,6 @@ int main() {
   // 1 us interval keeps every background NIC continuously sending, the
   // paper's "background traffic that contiguously sends messages".
   const BackgroundSpec spec = bench::uniform_background(16 * units::kKB, units::kMicrosecond, scale);
-  bench::run_interference_figure(amg, options, spec, /*traffic_tables=*/true);
+  bench::run_interference_figure(amg, options, {{spec, /*traffic_tables=*/true}});
   return 0;
 }

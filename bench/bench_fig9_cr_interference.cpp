@@ -17,14 +17,13 @@ int main() {
   options.seed = seed;
   const Workload cr = bench::cr_workload(scale);
 
-  // (a) uniform: 2456 nodes x 15.6 KB = 38.3 MB per tick (Table II: 38.38 MB).
   bench::run_interference_figure(
-      cr, options, bench::uniform_background(15600, 20 * units::kMicrosecond, scale),
-      /*traffic_tables=*/false);
-
-  // (b)+(c) bursty: 2456 nodes x 8 peers x 100 KB = 1.96 GB per burst.
-  bench::run_interference_figure(
-      cr, options, bench::bursty_background(100 * units::kKB, 8, 100 * units::kMicrosecond, scale),
-      /*traffic_tables=*/true);
+      cr, options,
+      {// (a) uniform: 2456 nodes x 15.6 KB = 38.3 MB per tick (Table II: 38.38 MB).
+       {bench::uniform_background(15600, 20 * units::kMicrosecond, scale),
+        /*traffic_tables=*/false},
+       // (b)+(c) bursty: 2456 nodes x 8 peers x 100 KB = 1.96 GB per burst.
+       {bench::bursty_background(100 * units::kKB, 8, 100 * units::kMicrosecond, scale),
+        /*traffic_tables=*/true}});
   return 0;
 }

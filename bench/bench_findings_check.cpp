@@ -9,10 +9,9 @@
 #include <utility>
 #include <vector>
 
-#include "bench_common.hpp"
-#include "util/stats.hpp"
-#include "core/interference.hpp"
+#include "bench_interference.hpp"
 #include "core/run_matrix.hpp"
+#include "util/stats.hpp"
 
 namespace {
 
@@ -58,7 +57,9 @@ int main() {
   std::vector<Verdict> verdicts;
 
   // The five sweeps of §IV-A/B (Table I on CR, FB and AMG; the extremes on
-  // light and heavy AMG) run as one pool, longest job first.
+  // light and heavy AMG) and the three §IV-C jobs (CR under bursty
+  // background) run as one pool, longest job first. The §IV-C degradations
+  // compare against the CR Table I sweep's runs of the same configs.
   const Workload cr = bench::cr_workload(scale);
   const Workload fb = bench::fb_workload(scale);
   const Workload amg = bench::amg_workload(scale);
@@ -68,9 +69,17 @@ int main() {
       {&cr, table1_configs()},        {&fb, table1_configs()},
       {&amg, table1_configs()},       {&amg_light, extreme_configs()},
       {&amg_heavy, extreme_configs()}};
+  const std::vector<ExperimentConfig> interference_configs = {
+      {PlacementKind::Contiguous, RoutingKind::Minimal},
+      {PlacementKind::RandomCabinet, RoutingKind::Minimal},
+      {PlacementKind::RandomNode, RoutingKind::Adaptive}};
+  ExperimentOptions bursty = options;
+  bursty.background =
+      bench::bursty_background(100 * units::kKB, 8, 100 * units::kMicrosecond, scale);
   std::vector<SweepJob> jobs;
   for (const auto& [workload, configs] : sweeps)
     for (const ExperimentConfig& config : configs) jobs.push_back({workload, config, options});
+  for (const ExperimentConfig& config : interference_configs) jobs.push_back({&cr, config, bursty});
   const std::vector<ExperimentResult> runs = run_jobs(jobs, threads);
   std::vector<std::vector<ExperimentResult>> sweep_results;  // per sweep, in its configs' order
   for (auto next = runs.begin(); const auto& sweep : sweeps) {
@@ -131,21 +140,10 @@ int main() {
 
   // --- §IV-C: external interference ----------------------------------------
   {
-    BackgroundSpec bursty;
-    bursty.pattern = BackgroundSpec::Pattern::Bursty;
-    bursty.message_bytes = static_cast<Bytes>(100 * units::kKB * (scale / 0.25));
-    bursty.burst_fanout = 8;
-    bursty.interval = 100 * units::kMicrosecond;
-    const std::vector<ExperimentConfig> configs = {
-        {PlacementKind::Contiguous, RoutingKind::Minimal},
-        {PlacementKind::RandomCabinet, RoutingKind::Minimal},
-        {PlacementKind::RandomNode, RoutingKind::Adaptive}};
-    const InterferenceResult result = run_interference(cr, configs, options, bursty, threads);
     auto degradation = [&](std::size_t i) {
-      const double base = result.baseline[i].metrics.median_comm_ms();
-      return base > 0
-                 ? (result.with_background[i].metrics.median_comm_ms() - base) / base * 100.0
-                 : 0.0;
+      const ExperimentResult& bg = runs[runs.size() - interference_configs.size() + i];
+      const double base = median_of(sweep_results[0], bg.config);
+      return base > 0 ? (bg.metrics.median_comm_ms() - base) / base * 100.0 : 0.0;
     };
     verdicts.push_back(
         {"bursty background degrades balanced configs (rand-adp > 5%)", degradation(2) > 5.0,

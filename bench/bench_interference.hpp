@@ -48,29 +48,44 @@ inline BackgroundSpec bursty_background(Bytes message_at_default, int fanout, Si
   return spec;
 }
 
+/// One panel of a figure: a background spec, and whether to print the
+/// channel-traffic CDFs under it.
+struct BackgroundPanel {
+  BackgroundSpec spec;
+  bool traffic_tables = false;
+};
+
+/// Runs every panel's spec over the Table I matrix in one run_interference
+/// call (one shared no-background baseline), then prints the panels in order.
 inline void run_interference_figure(const Workload& workload, const ExperimentOptions& options,
-                                    const BackgroundSpec& spec, bool traffic_tables) {
+                                    const std::vector<BackgroundPanel>& panels) {
+  std::vector<BackgroundSpec> specs;
+  for (const BackgroundPanel& panel : panels) specs.push_back(panel.spec);
+  const std::vector<InterferenceResult> results =
+      run_interference(workload, table1_configs(), options, specs, bench_threads());
+
   const std::size_t bg_nodes = options.topo.total_nodes() - workload.trace.ranks();
-  std::printf("running %s vs %s background (peak load %.2f MB per tick, interval %.3f ms)...\n",
-              workload.name.c_str(), to_string(spec.pattern),
-              units::to_mb(spec.peak_load(bg_nodes)), units::to_ms(spec.interval));
+  for (std::size_t p = 0; p < panels.size(); ++p) {
+    const BackgroundSpec& spec = panels[p].spec;
+    const InterferenceResult& result = results[p];
+    std::printf("running %s vs %s background (peak load %.2f MB per tick, interval %.3f ms)...\n",
+                workload.name.c_str(), to_string(spec.pattern),
+                units::to_mb(spec.peak_load(bg_nodes)), units::to_ms(spec.interval));
 
-  const InterferenceResult result =
-      run_interference(workload, table1_configs(), options, spec, bench_threads());
-
-  const std::string prefix = workload.name + " + " + to_string(spec.pattern) + " background";
-  comm_time_box_table(prefix + ": per-rank communication time (ms)", result.with_background)
-      .print_markdown(std::cout);
-  result.degradation_table(prefix + ": degradation vs no-background baseline")
-      .print_markdown(std::cout);
-  if (traffic_tables) {
-    const std::vector<double>& fr = standard_cdf_fractions();
-    cdf_table(prefix + ": local channel traffic MB on app routers (CDF quantiles)",
-              result.with_background, fr, select_local_traffic)
+    const std::string prefix = workload.name + " + " + to_string(spec.pattern) + " background";
+    comm_time_box_table(prefix + ": per-rank communication time (ms)", result.with_background)
         .print_markdown(std::cout);
-    cdf_table(prefix + ": global channel traffic MB on app routers (CDF quantiles)",
-              result.with_background, fr, select_global_traffic)
+    result.degradation_table(prefix + ": degradation vs no-background baseline")
         .print_markdown(std::cout);
+    if (panels[p].traffic_tables) {
+      const std::vector<double>& fr = standard_cdf_fractions();
+      cdf_table(prefix + ": local channel traffic MB on app routers (CDF quantiles)",
+                result.with_background, fr, select_local_traffic)
+          .print_markdown(std::cout);
+      cdf_table(prefix + ": global channel traffic MB on app routers (CDF quantiles)",
+                result.with_background, fr, select_global_traffic)
+          .print_markdown(std::cout);
+    }
   }
 }
 

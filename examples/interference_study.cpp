@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
               ranks, static_cast<long long>(bg_msg / units::kKiB),
               static_cast<long long>(bg_interval / units::kMicrosecond));
 
-  const InterferenceResult result = run_interference(app, configs, options, bg);
+  const InterferenceResult result = run_interference(app, configs, options, {bg}).front();
   result.degradation_table("Interference impact by configuration").print_markdown(std::cout);
 
   std::printf(

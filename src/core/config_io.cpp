@@ -1,13 +1,15 @@
 #include "core/config_io.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <fstream>
 #include <functional>
-#include <map>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 namespace dfly {
 namespace {
@@ -70,84 +72,87 @@ std::string format_double(double v) {
   return std::string(text, std::to_chars(text, text + sizeof text, v).ptr);
 }
 
-using Setter = std::function<void(ExperimentOptions&, const std::string&, const std::string&)>;
+/// One config key: its section, its name and the ExperimentOptions member it
+/// sets and renders.
+struct Key {
+  const char* section;
+  const char* name;
+  std::function<void(ExperimentOptions&, const std::string& key, const std::string& value)> parse;
+  std::function<std::string(const ExperimentOptions&)> render;
+};
 
-const std::map<std::string, Setter>& setters() {
-  auto set_int = [](auto member) {
-    return Setter([member](ExperimentOptions& o, const std::string& k, const std::string& v) {
-      using T = std::remove_reference_t<decltype(std::invoke(member, o))>;
-      std::invoke(member, o) = parse_int<T>(v, k);
-    });
+/// A key bound to the member `field` returns (for a const or non-const
+/// ExperimentOptions). Integer and bool members parse with parse_int and
+/// render as integers, doubles in their shortest round-trip form.
+template <typename Field>
+Key key(const char* section, const char* name, Field field) {
+  return {section, name,
+          [field](ExperimentOptions& o, const std::string& k, const std::string& v) {
+            auto& member = field(o);
+            using T = std::remove_reference_t<decltype(member)>;
+            if constexpr (std::is_same_v<T, std::string>)
+              member = v;
+            else if constexpr (std::is_same_v<T, double>)
+              member = parse_double(v, k);
+            else
+              member = parse_int<T>(v, k);
+          },
+          [field](const ExperimentOptions& o) {
+            const auto& member = field(o);
+            using T = std::remove_cvref_t<decltype(member)>;
+            if constexpr (std::is_same_v<T, std::string>)
+              return member;
+            else if constexpr (std::is_same_v<T, double>)
+              return format_double(member);
+            else
+              return std::to_string(member);
+          }};
+}
+
+/// Every supported key, in render order (grouped by section).
+const std::vector<Key>& keys() {
+  static const std::vector<Key> table = {
+      key("topology", "groups", [](auto& o) -> auto& { return o.topo.groups; }),
+      key("topology", "rows", [](auto& o) -> auto& { return o.topo.rows; }),
+      key("topology", "cols", [](auto& o) -> auto& { return o.topo.cols; }),
+      key("topology", "nodes_per_router", [](auto& o) -> auto& { return o.topo.nodes_per_router; }),
+      key("topology", "global_ports_per_router",
+          [](auto& o) -> auto& { return o.topo.global_ports_per_router; }),
+      key("topology", "chassis_per_cabinet",
+          [](auto& o) -> auto& { return o.topo.chassis_per_cabinet; }),
+      key("network", "chunk_bytes", [](auto& o) -> auto& { return o.net.chunk_bytes; }),
+      key("network", "terminal_bandwidth_gib",
+          [](auto& o) -> auto& { return o.net.terminal_bandwidth_gib; }),
+      key("network", "local_bandwidth_gib",
+          [](auto& o) -> auto& { return o.net.local_bandwidth_gib; }),
+      key("network", "global_bandwidth_gib",
+          [](auto& o) -> auto& { return o.net.global_bandwidth_gib; }),
+      key("network", "terminal_latency_ns", [](auto& o) -> auto& { return o.net.terminal_latency; }),
+      key("network", "local_latency_ns", [](auto& o) -> auto& { return o.net.local_latency; }),
+      key("network", "global_latency_ns", [](auto& o) -> auto& { return o.net.global_latency; }),
+      key("network", "router_delay_ns", [](auto& o) -> auto& { return o.net.router_delay; }),
+      key("network", "terminal_vc_buffer",
+          [](auto& o) -> auto& { return o.net.terminal_vc_buffer; }),
+      key("network", "local_vc_buffer", [](auto& o) -> auto& { return o.net.local_vc_buffer; }),
+      key("network", "global_vc_buffer", [](auto& o) -> auto& { return o.net.global_vc_buffer; }),
+      key("health", "enabled", [](auto& o) -> auto& { return o.health.enabled; }),
+      key("health", "interval_ns", [](auto& o) -> auto& { return o.health.interval; }),
+      key("health", "stall_ticks", [](auto& o) -> auto& { return o.health.stall_ticks; }),
+      key("telemetry", "enabled", [](auto& o) -> auto& { return o.telemetry.enabled; }),
+      key("telemetry", "sample_rate", [](auto& o) -> auto& { return o.telemetry.sample_rate; }),
+      key("telemetry", "out_dir", [](auto& o) -> auto& { return o.telemetry.out_dir; }),
+      key("telemetry", "chrome_trace", [](auto& o) -> auto& { return o.telemetry.chrome_trace; }),
+      key("telemetry", "snapshot_interval_ns",
+          [](auto& o) -> auto& { return o.telemetry.snapshot_interval; }),
+      key("prof", "enabled", [](auto& o) -> auto& { return o.prof.enabled; }),
+      key("experiment", "seed", [](auto& o) -> auto& { return o.seed; }),
+      key("experiment", "msg_scale", [](auto& o) -> auto& { return o.msg_scale; }),
+      key("experiment", "max_events", [](auto& o) -> auto& { return o.max_events; }),
+      key("experiment", "eager_threshold",
+          [](auto& o) -> auto& { return o.replay.eager_threshold; }),
+      key("experiment", "control_bytes", [](auto& o) -> auto& { return o.replay.control_bytes; }),
   };
-  auto set_double = [](auto member) {
-    return Setter([member](ExperimentOptions& o, const std::string& k, const std::string& v) {
-      std::invoke(member, o) = parse_double(v, k);
-    });
-  };
-  static const std::map<std::string, Setter> map = {
-      {"topology.groups", set_int([](ExperimentOptions& o) -> int& { return o.topo.groups; })},
-      {"topology.rows", set_int([](ExperimentOptions& o) -> int& { return o.topo.rows; })},
-      {"topology.cols", set_int([](ExperimentOptions& o) -> int& { return o.topo.cols; })},
-      {"topology.nodes_per_router",
-       set_int([](ExperimentOptions& o) -> int& { return o.topo.nodes_per_router; })},
-      {"topology.global_ports_per_router",
-       set_int([](ExperimentOptions& o) -> int& { return o.topo.global_ports_per_router; })},
-      {"topology.chassis_per_cabinet",
-       set_int([](ExperimentOptions& o) -> int& { return o.topo.chassis_per_cabinet; })},
-      {"network.chunk_bytes",
-       set_int([](ExperimentOptions& o) -> Bytes& { return o.net.chunk_bytes; })},
-      {"network.terminal_bandwidth_gib",
-       set_double([](ExperimentOptions& o) -> double& { return o.net.terminal_bandwidth_gib; })},
-      {"network.local_bandwidth_gib",
-       set_double([](ExperimentOptions& o) -> double& { return o.net.local_bandwidth_gib; })},
-      {"network.global_bandwidth_gib",
-       set_double([](ExperimentOptions& o) -> double& { return o.net.global_bandwidth_gib; })},
-      {"network.terminal_latency_ns",
-       set_int([](ExperimentOptions& o) -> SimTime& { return o.net.terminal_latency; })},
-      {"network.local_latency_ns",
-       set_int([](ExperimentOptions& o) -> SimTime& { return o.net.local_latency; })},
-      {"network.global_latency_ns",
-       set_int([](ExperimentOptions& o) -> SimTime& { return o.net.global_latency; })},
-      {"network.router_delay_ns",
-       set_int([](ExperimentOptions& o) -> SimTime& { return o.net.router_delay; })},
-      {"network.terminal_vc_buffer",
-       set_int([](ExperimentOptions& o) -> Bytes& { return o.net.terminal_vc_buffer; })},
-      {"network.local_vc_buffer",
-       set_int([](ExperimentOptions& o) -> Bytes& { return o.net.local_vc_buffer; })},
-      {"network.global_vc_buffer",
-       set_int([](ExperimentOptions& o) -> Bytes& { return o.net.global_vc_buffer; })},
-      {"health.enabled",
-       set_int([](ExperimentOptions& o) -> bool& { return o.health.enabled; })},
-      {"health.interval_ns",
-       set_int([](ExperimentOptions& o) -> SimTime& { return o.health.interval; })},
-      {"health.stall_ticks",
-       set_int([](ExperimentOptions& o) -> int& { return o.health.stall_ticks; })},
-      {"telemetry.enabled",
-       set_int([](ExperimentOptions& o) -> bool& { return o.telemetry.enabled; })},
-      {"telemetry.sample_rate",
-       set_double([](ExperimentOptions& o) -> double& { return o.telemetry.sample_rate; })},
-      {"telemetry.out_dir",
-       Setter([](ExperimentOptions& o, const std::string&, const std::string& v) {
-         o.telemetry.out_dir = v;
-       })},
-      {"telemetry.chrome_trace",
-       set_int([](ExperimentOptions& o) -> bool& { return o.telemetry.chrome_trace; })},
-      {"telemetry.snapshot_interval_ns",
-       set_int([](ExperimentOptions& o) -> SimTime& { return o.telemetry.snapshot_interval; })},
-      {"prof.enabled",
-       set_int([](ExperimentOptions& o) -> bool& { return o.prof.enabled; })},
-      {"experiment.seed",
-       set_int([](ExperimentOptions& o) -> std::uint64_t& { return o.seed; })},
-      {"experiment.msg_scale",
-       set_double([](ExperimentOptions& o) -> double& { return o.msg_scale; })},
-      {"experiment.max_events",
-       set_int([](ExperimentOptions& o) -> std::uint64_t& { return o.max_events; })},
-      {"experiment.eager_threshold",
-       set_int([](ExperimentOptions& o) -> Bytes& { return o.replay.eager_threshold; })},
-      {"experiment.control_bytes",
-       set_int([](ExperimentOptions& o) -> Bytes& { return o.replay.control_bytes; })},
-  };
-  return map;
+  return table;
 }
 
 }  // namespace
@@ -172,13 +177,16 @@ ExperimentOptions parse_config(std::istream& is, ExperimentOptions defaults) {
     const auto eq = line.find('=');
     if (eq == std::string::npos)
       throw std::runtime_error("config: expected key = value at line " + std::to_string(line_no));
-    const std::string key = section + "." + trim(line.substr(0, eq));
+    const std::string name = trim(line.substr(0, eq));
+    const std::string key = section + "." + name;
     const std::string value = trim(line.substr(eq + 1));
-    const auto it = setters().find(key);
-    if (it == setters().end())
+    const auto it = std::find_if(keys().begin(), keys().end(), [&](const Key& k) {
+      return section == k.section && name == k.name;
+    });
+    if (it == keys().end())
       throw std::runtime_error("config: unknown key '" + key + "' at line " +
                                std::to_string(line_no));
-    it->second(options, key, value);
+    it->parse(options, key, value);
   }
   options.topo.validate();
   options.net.validate();
@@ -195,43 +203,13 @@ ExperimentOptions load_config(const std::string& path, ExperimentOptions default
 std::string render_config(const ExperimentOptions& o) {
   std::ostringstream os;
   os << "# dragonfly-tradeoff experiment configuration\n";
-  os << "[topology]\n";
-  os << "groups = " << o.topo.groups << "\n";
-  os << "rows = " << o.topo.rows << "\n";
-  os << "cols = " << o.topo.cols << "\n";
-  os << "nodes_per_router = " << o.topo.nodes_per_router << "\n";
-  os << "global_ports_per_router = " << o.topo.global_ports_per_router << "\n";
-  os << "chassis_per_cabinet = " << o.topo.chassis_per_cabinet << "\n";
-  os << "\n[network]\n";
-  os << "chunk_bytes = " << o.net.chunk_bytes << "\n";
-  os << "terminal_bandwidth_gib = " << format_double(o.net.terminal_bandwidth_gib) << "\n";
-  os << "local_bandwidth_gib = " << format_double(o.net.local_bandwidth_gib) << "\n";
-  os << "global_bandwidth_gib = " << format_double(o.net.global_bandwidth_gib) << "\n";
-  os << "terminal_latency_ns = " << o.net.terminal_latency << "\n";
-  os << "local_latency_ns = " << o.net.local_latency << "\n";
-  os << "global_latency_ns = " << o.net.global_latency << "\n";
-  os << "router_delay_ns = " << o.net.router_delay << "\n";
-  os << "terminal_vc_buffer = " << o.net.terminal_vc_buffer << "\n";
-  os << "local_vc_buffer = " << o.net.local_vc_buffer << "\n";
-  os << "global_vc_buffer = " << o.net.global_vc_buffer << "\n";
-  os << "\n[health]\n";
-  os << "enabled = " << (o.health.enabled ? 1 : 0) << "\n";
-  os << "interval_ns = " << o.health.interval << "\n";
-  os << "stall_ticks = " << o.health.stall_ticks << "\n";
-  os << "\n[telemetry]\n";
-  os << "enabled = " << (o.telemetry.enabled ? 1 : 0) << "\n";
-  os << "sample_rate = " << format_double(o.telemetry.sample_rate) << "\n";
-  os << "out_dir = " << o.telemetry.out_dir << "\n";
-  os << "chrome_trace = " << (o.telemetry.chrome_trace ? 1 : 0) << "\n";
-  os << "snapshot_interval_ns = " << o.telemetry.snapshot_interval << "\n";
-  os << "\n[prof]\n";
-  os << "enabled = " << (o.prof.enabled ? 1 : 0) << "\n";
-  os << "\n[experiment]\n";
-  os << "seed = " << o.seed << "\n";
-  os << "msg_scale = " << format_double(o.msg_scale) << "\n";
-  os << "max_events = " << o.max_events << "\n";
-  os << "eager_threshold = " << o.replay.eager_threshold << "\n";
-  os << "control_bytes = " << o.replay.control_bytes << "\n";
+  const char* section = nullptr;
+  for (const Key& k : keys()) {
+    if (section == nullptr || std::string_view(section) != k.section)
+      os << (section ? "\n[" : "[") << k.section << "]\n";
+    section = k.section;
+    os << k.name << " = " << k.render(o) << "\n";
+  }
   return os.str();
 }
 

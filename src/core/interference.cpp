@@ -21,37 +21,40 @@ Table InterferenceResult::degradation_table(const std::string& title) const {
   return t;
 }
 
-InterferenceResult run_interference(const Workload& workload,
-                                    const std::vector<ExperimentConfig>& configs,
-                                    const ExperimentOptions& options, const BackgroundSpec& spec,
-                                    int threads) {
-  // One pool: every config with the background job, then every config
-  // without it.
-  ExperimentOptions with_bg = options;
-  with_bg.background = spec;
-  ExperimentOptions without_bg = options;
-  without_bg.background.reset();
+std::vector<InterferenceResult> run_interference(const Workload& workload,
+                                                 const std::vector<ExperimentConfig>& configs,
+                                                 const ExperimentOptions& options,
+                                                 const std::vector<BackgroundSpec>& specs,
+                                                 int threads) {
+  // One pool: every config under each spec in turn, then every config
+  // without background.
+  std::vector<ExperimentOptions> slices(specs.size() + 1, options);
+  for (std::size_t s = 0; s < specs.size(); ++s) slices[s].background = specs[s];
+  slices.back().background.reset();
   std::vector<SweepJob> jobs;
-  jobs.reserve(2 * configs.size());
-  for (const ExperimentOptions* o : {&with_bg, &without_bg})
-    for (const ExperimentConfig& config : configs) jobs.push_back({&workload, config, *o});
+  jobs.reserve(slices.size() * configs.size());
+  for (const ExperimentOptions& o : slices)
+    for (const ExperimentConfig& config : configs) jobs.push_back({&workload, config, o});
   const std::vector<ExperimentResult> runs = run_jobs(jobs, threads);
 
-  InterferenceResult result;
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    const ExperimentResult& bg = runs[i];
-    const ExperimentResult& base = runs[configs.size() + i];
-    result.with_background.push_back(NamedMetrics{bg.config, bg.metrics});
-    result.baseline.push_back(NamedMetrics{base.config, base.metrics});
-  }
   // The app can occupy every node (ranks == total_nodes); the subtraction
   // must not underflow in size_t and report a near-2^64 background job.
   const int total_nodes = options.topo.total_nodes();
   const int ranks = workload.trace.ranks();
   const std::size_t bg_nodes =
       ranks < total_nodes ? static_cast<std::size_t>(total_nodes - ranks) : 0;
-  result.peak_background_load = spec.peak_load(bg_nodes);
-  return result;
+  const std::size_t baseline = specs.size() * configs.size();
+  std::vector<InterferenceResult> results(specs.size());
+  for (std::size_t s = 0; s < specs.size(); ++s) {
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      const ExperimentResult& bg = runs[s * configs.size() + i];
+      const ExperimentResult& base = runs[baseline + i];
+      results[s].with_background.push_back(NamedMetrics{bg.config, bg.metrics});
+      results[s].baseline.push_back(NamedMetrics{base.config, base.metrics});
+    }
+    results[s].peak_background_load = specs[s].peak_load(bg_nodes);
+  }
+  return results;
 }
 
 }  // namespace dfly

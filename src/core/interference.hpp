@@ -1,7 +1,7 @@
 // External-traffic impact driver (paper §IV-C, Figs. 8-10): run the target
 // application under each configuration while a synthetic background job
 // floods the rest of the machine, and compare against the interference-free
-// runs.
+// runs. Several background specs share one set of interference-free runs.
 #pragma once
 
 #include <vector>
@@ -21,9 +21,14 @@ struct InterferenceResult {
   Table degradation_table(const std::string& title) const;
 };
 
-InterferenceResult run_interference(const Workload& workload,
-                                    const std::vector<ExperimentConfig>& configs,
-                                    const ExperimentOptions& options, const BackgroundSpec& spec,
-                                    int threads = 0);
+/// Runs `workload` under every config once per spec with that background,
+/// and once without background; all of these runs go to one run_jobs pool.
+/// Returns one result per spec, in `specs` order; every result carries the
+/// same baseline.
+std::vector<InterferenceResult> run_interference(const Workload& workload,
+                                                 const std::vector<ExperimentConfig>& configs,
+                                                 const ExperimentOptions& options,
+                                                 const std::vector<BackgroundSpec>& specs,
+                                                 int threads = 0);
 
 }  // namespace dfly

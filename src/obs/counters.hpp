@@ -11,9 +11,9 @@
 //                          polls the callback at snapshot time. Kind::Counter
 //                          sources are monotonic, Kind::Gauge instantaneous.
 //
-// CounterProbe reuses the engine-event pattern of metrics/TimelineSampler: a
-// self-rescheduling probe that captures one CounterSnapshot per interval until
-// asked to stop. Snapshots serialize to JSONL through obs/telemetry.
+// CounterProbe is a self-rescheduling engine event that captures one
+// CounterSnapshot per interval until asked to stop. Snapshots serialize to
+// JSONL through obs/telemetry.
 #pragma once
 
 #include <cstdint>
@@ -80,7 +80,7 @@ void write_snapshot_jsonl(std::ostream& os, const CounterSnapshot& snap);
 /// Periodic snapshot probe: samples `registry` every `interval` once started.
 /// Stops rescheduling after request_stop() (pending probes would otherwise be
 /// the only thing keeping a drained engine alive — callers stop it from a
-/// completion callback, exactly like TimelineSampler).
+/// completion callback).
 class CounterProbe : public EventHandler {
  public:
   CounterProbe(Engine& engine, const CounterRegistry& registry, SimTime interval);

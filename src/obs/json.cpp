@@ -139,10 +139,4 @@ JsonWriter& JsonWriter::value(bool v) {
   return *this;
 }
 
-JsonWriter& JsonWriter::null_value() {
-  before_value();
-  os_ << "null";
-  return *this;
-}
-
 }  // namespace dfly::obs

@@ -47,7 +47,6 @@ class JsonWriter {
   JsonWriter& value(int v) { return value(static_cast<std::int64_t>(v)); }
   JsonWriter& value(unsigned v) { return value(static_cast<std::uint64_t>(v)); }
   JsonWriter& value(bool v);
-  JsonWriter& null_value();
 
   /// key + value in one call.
   template <typename T>

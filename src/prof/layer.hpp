@@ -16,7 +16,7 @@ enum class Layer : std::uint8_t {
   Network,        ///< Network handler self time: arbitration, injection, delivery
   Routing,        ///< RoutingAlgorithm::compute at injection
   Replay,         ///< ReplayEngine: its own events and the MessageSink callbacks
-  Telemetry,      ///< the counter probe and the timeline sampler
+  Telemetry,      ///< the counter probe
   Other,          ///< health monitor, background driver, any other handler
   kCount
 };

@@ -35,9 +35,7 @@ struct TopoParams {
   int total_routers() const { return groups * routers_per_group(); }
   int total_nodes() const { return total_routers() * nodes_per_router; }
   int chassis_per_group() const { return rows; }
-  int total_chassis() const { return groups * chassis_per_group(); }
   int cabinets_per_group() const { return (rows + chassis_per_cabinet - 1) / chassis_per_cabinet; }
-  int total_cabinets() const { return groups * cabinets_per_group(); }
   int global_ports_per_group() const { return routers_per_group() * global_ports_per_router; }
 
   /// Throws std::invalid_argument if the configuration cannot form a valid

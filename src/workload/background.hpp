@@ -19,7 +19,6 @@
 
 #include "net/network.hpp"
 #include "sim/engine.hpp"
-#include "util/histogram.hpp"
 #include "util/rng.hpp"
 
 namespace dfly {

@@ -261,7 +261,7 @@ TEST(Interference, BackgroundTrafficSlowsTheTargetApp) {
   const std::vector<ExperimentConfig> configs = {
       {PlacementKind::Contiguous, RoutingKind::Minimal},
       {PlacementKind::RandomNode, RoutingKind::Adaptive}};
-  const InterferenceResult result = run_interference(w, configs, options, spec, 2);
+  const InterferenceResult result = run_interference(w, configs, options, {spec}, 2).front();
   ASSERT_EQ(result.with_background.size(), 2u);
   for (std::size_t i = 0; i < 2; ++i) {
     EXPECT_GE(result.with_background[i].metrics.median_comm_ms(),
@@ -282,10 +282,61 @@ TEST(Interference, FullMachineAppLeavesZeroBackgroundNodes) {
   spec.message_bytes = 64 * units::kKiB;
   const std::vector<ExperimentConfig> configs = {
       {PlacementKind::Contiguous, RoutingKind::Minimal}};
-  const InterferenceResult result = run_interference(w, configs, options, spec, 1);
+  const InterferenceResult result = run_interference(w, configs, options, {spec}, 1).front();
   EXPECT_EQ(result.peak_background_load, 0);
   EXPECT_EQ(result.with_background[0].metrics.comm_time_ms,
             result.baseline[0].metrics.comm_time_ms);
+}
+
+TEST(Interference, SpecsShareOneBaseline) {
+  // A two-spec call runs one no-background baseline for both specs; each
+  // spec's result must match a one-spec call, and the baseline a plain
+  // run_matrix.
+  const Workload w{"ring", make_ring_trace(32, 32 * units::kKiB, 2)};
+  const ExperimentOptions options = tiny_options();
+  BackgroundSpec uniform;
+  uniform.pattern = BackgroundSpec::Pattern::UniformRandom;
+  uniform.message_bytes = 64 * units::kKiB;
+  uniform.interval = 2 * units::kMicrosecond;
+  BackgroundSpec bursty;
+  bursty.pattern = BackgroundSpec::Pattern::Bursty;
+  bursty.message_bytes = 16 * units::kKiB;
+  bursty.burst_fanout = 4;
+  bursty.interval = 5 * units::kMicrosecond;
+  const std::vector<ExperimentConfig> configs = {
+      {PlacementKind::Contiguous, RoutingKind::Minimal},
+      {PlacementKind::RandomNode, RoutingKind::Adaptive}};
+
+  const std::vector<InterferenceResult> both =
+      run_interference(w, configs, options, {uniform, bursty}, 2);
+  ASSERT_EQ(both.size(), 2u);
+  const std::vector<ExperimentResult> plain = run_matrix(w, configs, options, 2);
+  const BackgroundSpec* specs[] = {&uniform, &bursty};
+  for (std::size_t s = 0; s < 2; ++s) {
+    const InterferenceResult single = run_interference(w, configs, options, {*specs[s]}, 2).front();
+    EXPECT_EQ(both[s].peak_background_load, single.peak_background_load);
+    ASSERT_EQ(both[s].with_background.size(), configs.size());
+    ASSERT_EQ(both[s].baseline.size(), configs.size());
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      SCOPED_TRACE("spec " + std::to_string(s) + ", config " + std::to_string(i));
+      for (const auto& [got, want] :
+           {std::pair{&both[s].with_background[i], &single.with_background[i]},
+            std::pair{&both[s].baseline[i], &single.baseline[i]}}) {
+        EXPECT_EQ(got->config, want->config);
+        EXPECT_EQ(got->metrics.comm_time_ms, want->metrics.comm_time_ms);
+        EXPECT_EQ(got->metrics.local_traffic_mb, want->metrics.local_traffic_mb);
+        EXPECT_EQ(got->metrics.global_traffic_mb, want->metrics.global_traffic_mb);
+      }
+      const NamedMetrics& base = both[s].baseline[i];
+      EXPECT_EQ(base.config, plain[i].config);
+      EXPECT_EQ(base.metrics.comm_time_ms, plain[i].metrics.comm_time_ms);
+      EXPECT_EQ(base.metrics.local_traffic_mb, plain[i].metrics.local_traffic_mb);
+      EXPECT_EQ(base.metrics.global_traffic_mb, plain[i].metrics.global_traffic_mb);
+    }
+  }
+  // The two specs load the network differently.
+  EXPECT_NE(both[0].with_background[1].metrics.comm_time_ms,
+            both[1].with_background[1].metrics.comm_time_ms);
 }
 
 TEST(Sensitivity, RelativeValuesAnchorAtBaseline) {
